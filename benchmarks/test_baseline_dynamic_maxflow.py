@@ -14,6 +14,7 @@ over the network — versus a single resumed pass for the batch.
 from _harness import emit, format_table, timed
 
 from repro.core.incremental import IncrementalTransformedNetwork
+from repro.core.skeleton import WindowSkeleton
 from repro.datasets import generate_queries, make_dataset
 from repro.flownet.algorithms.dinic import dinic
 
@@ -43,7 +44,8 @@ def test_dynamic_per_edge_vs_batch_window_extension(benchmark):
 
             def batch():
                 state = IncrementalTransformedNetwork(
-                    network, source, sink, start, start + delta
+                    network, source, sink, start, start + delta,
+                    skeleton=WindowSkeleton(network, source, sink),
                 )
                 state.run_maxflow()
                 runs = 1
@@ -55,7 +57,8 @@ def test_dynamic_per_edge_vs_batch_window_extension(benchmark):
 
             def per_edge():
                 state = IncrementalTransformedNetwork(
-                    network, source, sink, start, start + delta
+                    network, source, sink, start, start + delta,
+                    skeleton=WindowSkeleton(network, source, sink),
                 )
                 state.run_maxflow()
                 runs = 1

@@ -50,17 +50,17 @@ def main() -> None:
             f"pruned={r.stats.pruned_intervals}"
         )
 
-    # The transform knob: "skeleton" (default) compiles the network once
-    # per query and slices candidate windows out of flat arrays;
-    # "object" rebuilds a transformed FlowNetwork per window — slower,
-    # but the reference the skeleton is differentially tested against.
-    # Same answers, different time; PhaseBreakdown shows where it went.
+    # Where the time went: BFQ compiles the network once per query into a
+    # window skeleton, slices every candidate window out of flat arrays and
+    # runs the persistent arena Dinic on it.  PhaseBreakdown splits the
+    # work into transform (skeleton compile + slicing), maxflow and prune.
     from repro.core import PhaseBreakdown
 
-    for transform in ("skeleton", "object"):
-        r = find_bursting_flow(network, query, algorithm="bfq", transform=transform)
+    for algorithm in ("bfq", "bfq*"):
+        r = find_bursting_flow(network, query, algorithm=algorithm)
         phases = PhaseBreakdown.from_stats(r.stats)
-        print(f"  transform={transform:<9} density={r.density:.1f}  {phases.format()}")
+        for line in phases.format().splitlines():
+            print(f"  {algorithm:<5} {line}")
 
     # BFQ's candidate windows are independent, so they can be sharded
     # across a process pool.  Only pays off when individual windows are

@@ -101,10 +101,6 @@ class BurstDetector:
         network: the transaction (temporal flow) network.
         algorithm: which delta-BFlow solution to run (default BFQ*, as the
             paper's case study does).
-        kernel: maxflow kernel for the incremental solutions
-            (``"persistent"``/``"object"``); ``None`` keeps the default.
-        transform: window-transform strategy (``"skeleton"``/``"object"``);
-            ``None`` keeps the default.
         outlier_score: modified z-score above which a finding is flagged.
         max_interval_fraction: a flagged burst must additionally be shorter
             than this fraction of the horizon (benign heavy flows are heavy
@@ -116,8 +112,6 @@ class BurstDetector:
         network: TemporalFlowNetwork,
         *,
         algorithm: str = "bfq*",
-        kernel: str | None = None,
-        transform: str | None = None,
         outlier_score: float = 3.5,
         max_interval_fraction: float = 0.2,
     ) -> None:
@@ -128,8 +122,6 @@ class BurstDetector:
             )
         self.network = network
         self.algorithm = algorithm
-        self.kernel = kernel
-        self.transform = transform
         self.outlier_score = outlier_score
         self.max_interval_fraction = max_interval_fraction
 
@@ -173,8 +165,6 @@ class BurstDetector:
                             self.network,
                             BurstingFlowQuery(source, sink, delta),
                             algorithm=self.algorithm,
-                            kernel=self.kernel,
-                            transform=self.transform,
                         )
                     except Exception as exc:
                         if on_error == "raise":

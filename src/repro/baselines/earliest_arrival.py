@@ -22,6 +22,7 @@ earliest-arrival optimises *when* flow can arrive, delta-BFlow optimises
 from __future__ import annotations
 
 from repro.core.incremental import IncrementalTransformedNetwork
+from repro.core.skeleton import WindowSkeleton
 from repro.exceptions import InvalidQueryError
 from repro.temporal.edge import NodeId, Timestamp
 from repro.temporal.network import TemporalFlowNetwork
@@ -56,13 +57,8 @@ def max_flow_by_deadline(
     if deadline < t_min:
         return 0.0
     if deadline == t_min:
-        # Instantaneous window: only same-instant transfers count.
-        state = IncrementalTransformedNetwork(
-            network, source, sink, t_min, t_min + 1
-        )
-        state.run_maxflow()
-        # Restrict to flow that arrived exactly at t_min by re-solving the
-        # degenerate window through the static transformation.
+        # Instantaneous window: only same-instant transfers count, so solve
+        # the degenerate window through the static transformation.
         from repro.core.transform import build_transformed_network
         from repro.flownet.algorithms.dinic import dinic
 
@@ -74,7 +70,10 @@ def max_flow_by_deadline(
             transformed.source_index,
             transformed.sink_index,
         ).value
-    state = IncrementalTransformedNetwork(network, source, sink, t_min, deadline)
+    state = IncrementalTransformedNetwork(
+        network, source, sink, t_min, deadline,
+        skeleton=WindowSkeleton(network, source, sink),
+    )
     state.run_maxflow()
     return state.flow_value()
 
@@ -114,7 +113,8 @@ def arrival_profile(
             continue
         if state is None:
             state = IncrementalTransformedNetwork(
-                network, source, sink, t_min, stamp
+                network, source, sink, t_min, stamp,
+                skeleton=WindowSkeleton(network, source, sink),
             )
         elif state.tau_e < stamp:
             state.extend_end(stamp)

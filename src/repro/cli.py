@@ -34,7 +34,6 @@ from pathlib import Path
 from repro.anomaly import BurstDetector, format_finding_interval
 from repro.core import BurstingFlowQuery, find_bursting_flow
 from repro.exceptions import ReproError
-from repro.flownet.algorithms.registry import ENGINE_KERNELS
 from repro.temporal import (
     format_stats_table,
     load_edge_list,
@@ -74,18 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="which solution to run (default: bfq*)",
     )
     query.add_argument(
-        "--kernel",
-        default=None,
-        choices=list(ENGINE_KERNELS),
-        help="maxflow kernel for bfq+/bfq* (default: persistent)",
-    )
-    query.add_argument(
-        "--transform",
-        default=None,
-        choices=["skeleton", "object"],
-        help="window transform (default: skeleton — compiled per-query index)",
-    )
-    query.add_argument(
         "--parallel-windows",
         type=int,
         default=None,
@@ -110,18 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="deltas as fractions of |T| (default: the paper's 3%%/6%%/9%%)",
     )
     scan.add_argument("--top", type=int, default=10, help="findings to print")
-    scan.add_argument(
-        "--kernel",
-        default=None,
-        choices=list(ENGINE_KERNELS),
-        help="maxflow kernel for the bfq* sweep (default: persistent)",
-    )
-    scan.add_argument(
-        "--transform",
-        default=None,
-        choices=["skeleton", "object"],
-        help="window transform for the sweep (default: skeleton)",
-    )
     scan.add_argument(
         "--profile",
         action="store_true",
@@ -286,11 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "comma-separated backend subset of "
-            "bfq,bfq-skel,bfq+,bfq*,vectorized,push_relabel,adaptive,"
-            "planner,naive,networkx,service,"
-            "cluster,mining (vectorized/push_relabel/adaptive are bfq* "
-            "pinned to the specialised maxflow kernels; cluster boots a "
-            "live 2-replica cluster per "
+            "bfq,bfq+,bfq*,planner,naive,networkx,service,"
+            "cluster,mining (cluster boots a live 2-replica cluster per "
             "trial and mining persists + replays a pattern store per "
             "trial; both are excluded from the default set; planner "
             "answers through a shared-skeleton batch with duplicate + "
@@ -339,12 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="bfq*",
         choices=["bfq", "bfq+", "bfq*"],
         help="default solution for requests that name none",
-    )
-    serve.add_argument(
-        "--kernel",
-        default=None,
-        choices=list(ENGINE_KERNELS),
-        help="default maxflow kernel for bfq+/bfq*",
     )
     serve.add_argument(
         "--processes",
@@ -429,12 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="bfq*",
         choices=["bfq", "bfq+", "bfq*"],
         help="default solution for requests that name none",
-    )
-    cluster.add_argument(
-        "--kernel",
-        default=None,
-        choices=list(ENGINE_KERNELS),
-        help="default maxflow kernel for bfq+/bfq*",
     )
     cluster.add_argument(
         "--cache-capacity",
@@ -560,8 +520,6 @@ def _run_query(args: argparse.Namespace) -> int:
         network,
         BurstingFlowQuery(args.source, args.sink, args.delta),
         algorithm=args.algorithm,
-        kernel=args.kernel,
-        transform=args.transform,
         parallel_windows=args.parallel_windows,
     )
     elapsed = time.perf_counter() - started
@@ -597,9 +555,7 @@ def _run_scan(args: argparse.Namespace) -> int:
             for fraction in args.delta_fractions.split(",")
         }
     )
-    detector = BurstDetector(
-        network, kernel=args.kernel, transform=args.transform
-    )
+    detector = BurstDetector(network)
     report = detector.scan(
         args.sources.split(","), args.sinks.split(","), deltas
     )
@@ -893,7 +849,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         service = BurstingFlowService(
             network,
             algorithm=args.algorithm,
-            kernel=args.kernel,
             processes=args.processes,
             mp_context=args.mp_context,
             cache_capacity=args.cache_capacity,
@@ -976,7 +931,6 @@ def _run_cluster(args: argparse.Namespace) -> int:
                         cache_capacity=args.cache_capacity,
                         max_pending=args.max_pending,
                         algorithm=args.algorithm,
-                        kernel=args.kernel,
                     )
                 )
             else:
@@ -988,7 +942,6 @@ def _run_cluster(args: argparse.Namespace) -> int:
                         cache_capacity=args.cache_capacity,
                         max_pending=args.max_pending,
                         algorithm=args.algorithm,
-                        kernel=args.kernel,
                     )
                 )
         coordinator = ClusterCoordinator(

@@ -57,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-capacity", type=int, default=4096)
     parser.add_argument("--max-pending", type=int, default=64)
     parser.add_argument("--algorithm", default="bfq*")
-    parser.add_argument("--kernel", default=None)
     parser.add_argument("--fsync", action="store_true")
     return parser
 
@@ -75,7 +74,6 @@ async def _serve(args: argparse.Namespace) -> int:
             cache_capacity=args.cache_capacity,
             max_pending=args.max_pending,
             algorithm=args.algorithm,
-            kernel=args.kernel,
         )
         for index in range(args.replicas)
     ]

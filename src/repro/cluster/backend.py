@@ -39,7 +39,6 @@ def cluster_bfq(
     query: BurstingFlowQuery,
     *,
     algorithm: str = "bfq*",
-    kernel: str | None = None,
 ) -> BurstingFlowResult:
     """Answer ``query`` through a live 2-replica cluster.
 
@@ -48,14 +47,13 @@ def cluster_bfq(
     :class:`ClusterBackendError` (recorded by the differential runner
     as a crash finding).
     """
-    return asyncio.run(_roundtrip(network, query, algorithm, kernel))
+    return asyncio.run(_roundtrip(network, query, algorithm))
 
 
 async def _roundtrip(
     network: TemporalFlowNetwork,
     query: BurstingFlowQuery,
     algorithm: str,
-    kernel: str | None,
 ) -> BurstingFlowResult:
     from repro.cluster.coordinator import ClusterCoordinator
     from repro.cluster.replica import InlineReplica
@@ -66,9 +64,7 @@ async def _roundtrip(
         with AppendLog(log_path) as log:
             seed_log(log, network_edges(network))
         replicas = [
-            InlineReplica(
-                f"r{index}", log_path, algorithm=algorithm, kernel=kernel
-            )
+            InlineReplica(f"r{index}", log_path, algorithm=algorithm)
             for index in range(ORACLE_REPLICAS)
         ]
         coordinator = ClusterCoordinator(log_path, replicas)

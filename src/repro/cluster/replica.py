@@ -125,7 +125,7 @@ class ProcessReplica:
 
     Args:
         replica_id / log_path / snapshots: as for :class:`InlineReplica`.
-        cache_capacity / max_pending / algorithm / kernel: forwarded to
+        cache_capacity / max_pending / algorithm: forwarded to
             the child's service via command-line flags.
         boot_timeout: seconds to wait for the listening announcement.
     """
@@ -141,7 +141,6 @@ class ProcessReplica:
         cache_capacity: int = 4096,
         max_pending: int = 64,
         algorithm: str = "bfq*",
-        kernel: str | None = None,
         boot_timeout: float = 30.0,
     ) -> None:
         from repro.cluster.replication import default_snapshot_dir
@@ -155,13 +154,12 @@ class ProcessReplica:
         self.cache_capacity = cache_capacity
         self.max_pending = max_pending
         self.algorithm = algorithm
-        self.kernel = kernel
         self.boot_timeout = boot_timeout
         self.process: asyncio.subprocess.Process | None = None
         self.address: tuple[str, int] | None = None
 
     def _command(self) -> list[str]:
-        command = [
+        return [
             sys.executable,
             "-m",
             "repro.cluster._replica_main",
@@ -180,9 +178,6 @@ class ProcessReplica:
             "--algorithm",
             self.algorithm,
         ]
-        if self.kernel is not None:
-            command += ["--kernel", self.kernel]
-        return command
 
     def _environment(self) -> dict[str, str]:
         # The child must import the same repro package as this process,
@@ -278,7 +273,6 @@ def _build_parser():
     parser.add_argument("--cache-capacity", type=int, default=4096)
     parser.add_argument("--max-pending", type=int, default=64)
     parser.add_argument("--algorithm", default="bfq*")
-    parser.add_argument("--kernel", default=None)
     return parser
 
 
@@ -299,7 +293,6 @@ async def _serve(args) -> int:
         cache_capacity=args.cache_capacity,
         max_pending=args.max_pending,
         algorithm=args.algorithm,
-        kernel=args.kernel,
     )
     service.metrics.observe_recovery(
         boot.replayed_records, from_snapshot=boot.from_snapshot

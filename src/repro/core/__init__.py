@@ -17,13 +17,7 @@ from repro.core.profile import (
     density_profile,
     suggest_delta,
 )
-from repro.core.skeleton import (
-    DEFAULT_TRANSFORM,
-    KNOWN_TRANSFORMS,
-    SkeletonWindow,
-    WindowSkeleton,
-    validate_transform,
-)
+from repro.core.skeleton import SkeletonWindow, WindowSkeleton
 from repro.core.intervals import CandidatePlan, enumerate_candidates, is_core_interval
 from repro.core.planner import (
     BurstEntry,
@@ -81,9 +75,6 @@ __all__ = [
     "ProfilePoint",
     "WindowSkeleton",
     "SkeletonWindow",
-    "DEFAULT_TRANSFORM",
-    "KNOWN_TRANSFORMS",
-    "validate_transform",
     "bursting_flow_trails",
     "trails_for_interval",
     "FlowTrail",

@@ -189,12 +189,11 @@ def _open_store(network: TemporalFlowNetwork) -> "SharedNetworkStore | None":
 # parallel_windows: shard one BFQ query's candidate windows
 # ----------------------------------------------------------------------
 # Same initializer/initargs discipline as answer_many.  Each worker holds
-# the network, query and transform choice, plus a lazily compiled
+# the network, query and solver name, plus a lazily compiled
 # WindowSkeleton (one per process, reused by every chunk it evaluates).
 _WINDOW_NETWORK: TemporalFlowNetwork | None = None
 _WINDOW_QUERY: BurstingFlowQuery | None = None
 _WINDOW_SOLVER: str = "dinic"
-_WINDOW_TRANSFORM: str | None = None
 _WINDOW_SKELETON = None
 
 
@@ -202,26 +201,21 @@ def _init_window_worker(
     network: TemporalFlowNetwork,
     query: BurstingFlowQuery,
     solver: str,
-    transform: str,
 ) -> None:
     """Pool initializer for the per-window fan-out."""
-    global _WINDOW_NETWORK, _WINDOW_QUERY, _WINDOW_SOLVER
-    global _WINDOW_TRANSFORM, _WINDOW_SKELETON
+    global _WINDOW_NETWORK, _WINDOW_QUERY, _WINDOW_SOLVER, _WINDOW_SKELETON
     _WINDOW_NETWORK = network
     _WINDOW_QUERY = query
     _WINDOW_SOLVER = solver
-    _WINDOW_TRANSFORM = transform
     _WINDOW_SKELETON = None
 
 
 def _reset_window_worker_state() -> None:
     """Restore module defaults (also runs in the parent after the query)."""
-    global _WINDOW_NETWORK, _WINDOW_QUERY, _WINDOW_SOLVER
-    global _WINDOW_TRANSFORM, _WINDOW_SKELETON
+    global _WINDOW_NETWORK, _WINDOW_QUERY, _WINDOW_SOLVER, _WINDOW_SKELETON
     _WINDOW_NETWORK = None
     _WINDOW_QUERY = None
     _WINDOW_SOLVER = "dinic"
-    _WINDOW_TRANSFORM = None
     _WINDOW_SKELETON = None
 
 
@@ -239,7 +233,7 @@ def _evaluate_window_chunk(intervals: list[tuple]) -> "QueryStats":
     global _WINDOW_SKELETON
     assert _WINDOW_NETWORK is not None, "worker started outside bfq_parallel"
     assert _WINDOW_QUERY is not None
-    if _WINDOW_TRANSFORM == "skeleton" and _WINDOW_SKELETON is None:
+    if _WINDOW_SKELETON is None:
         _WINDOW_SKELETON = WindowSkeleton(
             _WINDOW_NETWORK, _WINDOW_QUERY.source, _WINDOW_QUERY.sink
         )
@@ -251,7 +245,6 @@ def _evaluate_window_chunk(intervals: list[tuple]) -> "QueryStats":
         BestRecord(),
         stats,
         solver=_WINDOW_SOLVER,
-        transform=_WINDOW_TRANSFORM or "skeleton",
         skeleton=_WINDOW_SKELETON,
     )
     return stats
@@ -263,7 +256,6 @@ def bfq_parallel(
     *,
     processes: int,
     solver: str = "dinic",
-    transform: str | None = None,
     mp_context: str | None = None,
     shared: bool = False,
 ) -> BurstingFlowResult:
@@ -278,7 +270,7 @@ def bfq_parallel(
     Args:
         processes: worker processes; ``0`` means ``os.cpu_count()``;
             ``<= 1`` falls back to sequential :func:`~repro.core.bfq.bfq`.
-        solver / transform: forwarded to the per-window evaluation.
+        solver: forwarded to the per-window evaluation.
         mp_context: multiprocessing start method (as in
             :func:`answer_many`).
         shared: ship the network through shared memory (as in
@@ -287,16 +279,14 @@ def bfq_parallel(
     from repro.core.bfq import bfq
     from repro.core.intervals import enumerate_candidates
     from repro.core.record import BestRecord
-    from repro.core.skeleton import DEFAULT_TRANSFORM, validate_transform
 
-    transform = validate_transform(transform or DEFAULT_TRANSFORM)
     query.validate_against(network)
     if processes == 0:
         processes = os.cpu_count() or 1
     plan = enumerate_candidates(network, query.source, query.sink, query.delta)
     intervals = list(plan.intervals())
     if processes <= 1 or len(intervals) <= 1:
-        return bfq(network, query, solver=solver, transform=transform)
+        return bfq(network, query, solver=solver)
 
     workers = min(processes, len(intervals))
     # Contiguous chunks keep each worker's skeleton slices cache-friendly
@@ -310,9 +300,9 @@ def bfq_parallel(
     context = multiprocessing.get_context(mp_context)
     store = _open_store(network) if shared else None
     initializer, initargs = (
-        pool_initargs(store, _init_window_worker, query, solver, transform)
+        pool_initargs(store, _init_window_worker, query, solver)
         if store is not None
-        else (_init_window_worker, (network, query, solver, transform))
+        else (_init_window_worker, (network, query, solver))
     )
     try:
         chunk_stats: list[QueryStats] = run_pool(

@@ -5,19 +5,15 @@ one, transforms the temporal flow network and runs a classical Maxflow
 solver on the transformed network.  The best density seen, together with
 its interval, is the query answer.
 
-Two transform strategies are supported (``transform=``):
-
-* ``"skeleton"`` (default) — compile the network once per query into a
-  :class:`~repro.core.skeleton.WindowSkeleton` and slice every candidate
-  window directly into a detached residual arena that the flat Dinic
-  kernel consumes natively; no per-window ``FlowNetwork`` object graph is
-  built at all.  With a non-Dinic ``solver=``, each window goes through
-  the skeleton's ``to_flow_network()`` escape hatch — still amortising the
-  per-window reachability sweep.
-* ``"object"`` — the original per-window
-  :func:`~repro.core.transform.build_transformed_network` construction,
-  retained for differential testing (the oracle pins its reference BFQ
-  backend to it).
+The network is compiled once per query into a
+:class:`~repro.core.skeleton.WindowSkeleton`, and every candidate window
+is sliced directly into a detached residual arena that the persistent
+Dinic kernel consumes natively; no per-window ``FlowNetwork`` object graph
+is built at all.  With a non-Dinic ``solver=``, each window goes through
+the skeleton's ``to_flow_network()`` escape hatch — still amortising the
+per-window reachability sweep.  The from-scratch per-window
+:func:`~repro.core.transform.build_transformed_network` construction
+remains the independent reference of the naive and NetworkX baselines.
 
 This is the paper's baseline; BFQ+ and BFQ* produce identical answers
 faster by reusing work across candidate intervals.
@@ -36,8 +32,7 @@ from repro.core.query import (
     QueryStats,
 )
 from repro.core.record import BestRecord
-from repro.core.skeleton import DEFAULT_TRANSFORM, WindowSkeleton, validate_transform
-from repro.core.transform import build_transformed_network
+from repro.core.skeleton import WindowSkeleton
 from repro.flownet.algorithms.registry import get_solver
 from repro.temporal.edge import Timestamp
 from repro.temporal.network import TemporalFlowNetwork
@@ -48,7 +43,6 @@ def bfq(
     query: BurstingFlowQuery,
     *,
     solver: str = "dinic",
-    transform: str = DEFAULT_TRANSFORM,
 ) -> BurstingFlowResult:
     """Answer ``query`` with the from-scratch BFQ algorithm.
 
@@ -57,11 +51,8 @@ def bfq(
         query: the delta-BFlow query ``(s, t, delta)``.
         solver: name of the Maxflow solver to use per candidate interval
             (any entry of :data:`repro.flownet.algorithms.SOLVERS`).
-        transform: ``"skeleton"`` (compile once, slice per window — the
-            default) or ``"object"`` (per-window object-graph rebuild).
     """
     query.validate_against(network)
-    transform = validate_transform(transform)
     get_solver(solver)  # fail fast on unknown solver names
     stats = QueryStats()
     plan: CandidatePlan = enumerate_candidates(
@@ -76,7 +67,6 @@ def bfq(
         best,
         stats,
         solver=solver,
-        transform=transform,
     )
 
     return BurstingFlowResult(
@@ -95,7 +85,6 @@ def evaluate_windows(
     stats: QueryStats,
     *,
     solver: str = "dinic",
-    transform: str = DEFAULT_TRANSFORM,
     skeleton: WindowSkeleton | None = None,
 ) -> None:
     """Evaluate candidate windows independently, folding into ``best``.
@@ -108,39 +97,25 @@ def evaluate_windows(
 
     Args:
         skeleton: a pre-compiled :class:`WindowSkeleton` to reuse (workers
-            compile one per process); compiled lazily when ``None`` and
-            ``transform="skeleton"``.
+            compile one per process); compiled lazily when ``None``.
     """
     solve = get_solver(solver)
-    use_arena = transform == "skeleton" and solver == "dinic"
+    use_arena = solver == "dinic"
     for tau_s, tau_e in intervals:
         stats.candidates_enumerated += 1
         t0 = time.perf_counter()
-        if transform == "skeleton":
-            if skeleton is None:
-                # Lazy compile: charged to the first window's transform
-                # time (it replaces that window's reachability sweep).
-                skeleton = WindowSkeleton(network, query.source, query.sink)
-            window = skeleton.materialize(tau_s, tau_e)
-            if use_arena:
-                t1 = time.perf_counter()
-                run = window.maxflow()
-                t2 = time.perf_counter()
-                size = window.num_nodes
-            else:
-                transformed = window.to_flow_network()
-                t1 = time.perf_counter()
-                run = solve(
-                    transformed.flow_network,
-                    transformed.source_index,
-                    transformed.sink_index,
-                )
-                t2 = time.perf_counter()
-                size = transformed.num_nodes
+        if skeleton is None:
+            # Lazy compile: charged to the first window's transform
+            # time (it replaces that window's reachability sweep).
+            skeleton = WindowSkeleton(network, query.source, query.sink)
+        window = skeleton.materialize(tau_s, tau_e)
+        if use_arena:
+            t1 = time.perf_counter()
+            run = window.maxflow()
+            t2 = time.perf_counter()
+            size = window.num_nodes
         else:
-            transformed = build_transformed_network(
-                network, query.source, query.sink, tau_s, tau_e
-            )
+            transformed = window.to_flow_network()
             t1 = time.perf_counter()
             run = solve(
                 transformed.flow_network,

@@ -13,19 +13,17 @@ The structural extension itself still happens (it is cheap and later
 extensions build on it); a per-start ``pending`` accumulator keeps the
 pruning bound correct across consecutively pruned candidates.
 
-With ``transform="skeleton"`` (the default) one
-:class:`~repro.core.skeleton.WindowSkeleton` is compiled per query and
+One :class:`~repro.core.skeleton.WindowSkeleton` is compiled per query and
 shared by every per-start incremental state, replacing all per-extension
 reachability sweeps with binary-searched slices of the compiled per-start
-index; ``transform="object"`` keeps the original per-extension
-``reachable_edges`` path for differential testing.
+index.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.core.incremental import DEFAULT_KERNEL, IncrementalTransformedNetwork
+from repro.core.incremental import IncrementalTransformedNetwork
 from repro.core.intervals import CandidatePlan, enumerate_candidates
 from repro.core.query import (
     BurstingFlowQuery,
@@ -34,9 +32,7 @@ from repro.core.query import (
     QueryStats,
 )
 from repro.core.record import BestRecord, should_prune
-from repro.core.skeleton import DEFAULT_TRANSFORM, WindowSkeleton, validate_transform
-from repro.core.transform import build_transformed_network
-from repro.flownet.algorithms.selector import network_maxflow
+from repro.core.skeleton import WindowSkeleton
 from repro.temporal.edge import Timestamp
 from repro.temporal.network import TemporalFlowNetwork
 
@@ -50,8 +46,6 @@ def bfq_plus(
     query: BurstingFlowQuery,
     *,
     use_pruning: bool = True,
-    kernel: str = DEFAULT_KERNEL,
-    transform: str = DEFAULT_TRANSFORM,
 ) -> BurstingFlowResult:
     """Answer ``query`` with BFQ+ (insertion-case incremental Maxflow).
 
@@ -60,26 +54,15 @@ def bfq_plus(
         query: the delta-BFlow query.
         use_pruning: apply Observation 2 (on by default; EXP-2 disables it
             to isolate the incremental speedup).
-        kernel: maxflow kernel for the incremental state — any name in
-            :data:`repro.flownet.algorithms.registry.ENGINE_KERNELS`:
-            ``"persistent"`` (flat-array Dinic on a maintained CSR residual
-            arena), ``"vectorized"`` (numpy frontier BFS), ``"push_relabel"``
-            (FIFO preflow for dense windows), ``"adaptive"`` (per-window
-            choice from observed timings), or ``"object"`` (the Arc-walking
-            engine).
-        transform: edge-inclusion backend — ``"skeleton"`` (one compiled
-            per-query index, default) or ``"object"`` (per-extension
-            reachability sweeps).
     """
     query.validate_against(network)
-    transform = validate_transform(transform)
     stats = QueryStats()
     plan: CandidatePlan = enumerate_candidates(
         network, query.source, query.sink, query.delta
     )
     best = BestRecord()
     skeleton: WindowSkeleton | None = None
-    if transform == "skeleton" and (plan.starts or plan.corner is not None):
+    if plan.starts or plan.corner is not None:
         t0 = time.perf_counter()
         skeleton = WindowSkeleton(network, query.source, query.sink)
         stats.transform_seconds += time.perf_counter() - t0
@@ -93,20 +76,9 @@ def bfq_plus(
             best,
             stats,
             use_pruning=use_pruning,
-            kernel=kernel,
-            transform=transform,
             skeleton=skeleton,
         )
-    _evaluate_corner(
-        network,
-        query,
-        plan,
-        best,
-        stats,
-        kernel=kernel,
-        transform=transform,
-        skeleton=skeleton,
-    )
+    _evaluate_corner(plan, best, stats, skeleton=skeleton)
 
     return BurstingFlowResult(
         density=best.density,
@@ -125,9 +97,7 @@ def _sweep_endings(
     stats: QueryStats,
     *,
     use_pruning: bool,
-    kernel: str = DEFAULT_KERNEL,
-    transform: str = DEFAULT_TRANSFORM,
-    skeleton: WindowSkeleton | None = None,
+    skeleton: WindowSkeleton,
 ) -> None:
     """Lines 4-11 of Algorithm 2 for one fixed ``tau_s``."""
     tau_e = tau_s + plan.delta
@@ -139,8 +109,6 @@ def _sweep_endings(
         query.sink,
         tau_s,
         tau_e,
-        kernel=kernel,
-        transform=transform,
         skeleton=skeleton,
     )
     t1 = time.perf_counter()
@@ -213,51 +181,33 @@ def _sweep_endings(
 
 
 def _evaluate_corner(
-    network: TemporalFlowNetwork,
-    query: BurstingFlowQuery,
     plan: CandidatePlan,
     best: BestRecord,
     stats: QueryStats,
     *,
-    kernel: str = DEFAULT_KERNEL,
-    transform: str = DEFAULT_TRANSFORM,
-    skeleton: WindowSkeleton | None = None,
+    skeleton: WindowSkeleton | None,
 ) -> None:
-    """Footnote-4 corner case: the clamped window ``[T_max - delta, T_max]``."""
+    """Footnote-4 corner case: the clamped window ``[T_max - delta, T_max]``.
+
+    ``skeleton`` is the query's compiled skeleton; it may be ``None`` only
+    when the plan has no corner.
+    """
     if plan.corner is None:
         return
     tau_s, tau_e = plan.corner
     stats.candidates_enumerated += 1
-    if transform == "skeleton":
-        t0 = time.perf_counter()
-        if skeleton is None:
-            skeleton = WindowSkeleton(network, query.source, query.sink)
-        window = skeleton.materialize(tau_s, tau_e)
-        t1 = time.perf_counter()
-        run = window.maxflow(kernel=kernel)
-        t2 = time.perf_counter()
-        size = window.num_nodes
-    else:
-        t0 = time.perf_counter()
-        transformed = build_transformed_network(
-            network, query.source, query.sink, tau_s, tau_e
-        )
-        t1 = time.perf_counter()
-        run = network_maxflow(
-            transformed.flow_network,
-            transformed.source_index,
-            transformed.sink_index,
-            kernel=kernel,
-        )
-        t2 = time.perf_counter()
-        size = transformed.num_nodes
+    t0 = time.perf_counter()
+    window = skeleton.materialize(tau_s, tau_e)
+    t1 = time.perf_counter()
+    run = window.maxflow()
+    t2 = time.perf_counter()
     stats.maxflow_runs += 1
     stats.note_kernel(run.kernel, t2 - t1)
     stats.augmenting_paths += run.augmenting_paths
     stats.record_sample(
         IntervalSample(
             interval=(tau_s, tau_e),
-            network_size=size,
+            network_size=window.num_nodes,
             mode="dinic",
             maxflow_seconds=t2 - t1,
             transform_seconds=t1 - t0,

@@ -16,11 +16,10 @@ current ``tau_s`` by:
 The snapshot then becomes the running state for the ``tau_s'`` iteration,
 and the insertion sweep for the current ``tau_s`` continues unchanged.
 
-As in BFQ+, ``transform="skeleton"`` (default) compiles one
-:class:`~repro.core.skeleton.WindowSkeleton` per query, shared by the
-running state and every snapshot it spawns — extensions after an
-``advance_start`` slice the per-start index of the *new* start instead of
-rebuilding arrival labels over the live graph.
+As in BFQ+, one :class:`~repro.core.skeleton.WindowSkeleton` is compiled
+per query, shared by the running state and every snapshot it spawns —
+extensions after an ``advance_start`` slice the per-start index of the
+*new* start instead of rebuilding arrival labels over the live graph.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 import time
 
 from repro.core.bfq_plus import _evaluate_corner
-from repro.core.incremental import DEFAULT_KERNEL, IncrementalTransformedNetwork
+from repro.core.incremental import IncrementalTransformedNetwork
 from repro.core.intervals import CandidatePlan, enumerate_candidates
 from repro.core.query import (
     BurstingFlowQuery,
@@ -37,7 +36,7 @@ from repro.core.query import (
     QueryStats,
 )
 from repro.core.record import BestRecord, should_prune
-from repro.core.skeleton import DEFAULT_TRANSFORM, WindowSkeleton, validate_transform
+from repro.core.skeleton import WindowSkeleton
 from repro.temporal.edge import Timestamp
 from repro.temporal.network import TemporalFlowNetwork
 
@@ -47,8 +46,6 @@ def bfq_star(
     query: BurstingFlowQuery,
     *,
     use_pruning: bool = True,
-    kernel: str = DEFAULT_KERNEL,
-    transform: str = DEFAULT_TRANSFORM,
 ) -> BurstingFlowResult:
     """Answer ``query`` with BFQ* (insertion + deletion incremental Maxflow).
 
@@ -56,21 +53,15 @@ def bfq_star(
         network: the temporal flow network.
         query: the delta-BFlow query.
         use_pruning: apply Observation 2 during the insertion sweeps.
-        kernel: maxflow kernel for the incremental states (any name in
-            :data:`repro.flownet.algorithms.registry.ENGINE_KERNELS`; see
-            :mod:`repro.core.incremental`).
-        transform: edge-inclusion backend — ``"skeleton"`` (one compiled
-            per-query index, default) or ``"object"``.
     """
     query.validate_against(network)
-    transform = validate_transform(transform)
     stats = QueryStats()
     plan: CandidatePlan = enumerate_candidates(
         network, query.source, query.sink, query.delta
     )
     best = BestRecord()
     skeleton: WindowSkeleton | None = None
-    if transform == "skeleton" and (plan.starts or plan.corner is not None):
+    if plan.starts or plan.corner is not None:
         t0 = time.perf_counter()
         skeleton = WindowSkeleton(network, query.source, query.sink)
         stats.transform_seconds += time.perf_counter() - t0
@@ -83,20 +74,9 @@ def bfq_star(
             best,
             stats,
             use_pruning=use_pruning,
-            kernel=kernel,
-            transform=transform,
             skeleton=skeleton,
         )
-    _evaluate_corner(
-        network,
-        query,
-        plan,
-        best,
-        stats,
-        kernel=kernel,
-        transform=transform,
-        skeleton=skeleton,
-    )
+    _evaluate_corner(plan, best, stats, skeleton=skeleton)
 
     return BurstingFlowResult(
         density=best.density,
@@ -114,9 +94,7 @@ def _zigzag(
     stats: QueryStats,
     *,
     use_pruning: bool,
-    kernel: str = DEFAULT_KERNEL,
-    transform: str = DEFAULT_TRANSFORM,
-    skeleton: WindowSkeleton | None = None,
+    skeleton: WindowSkeleton,
 ) -> None:
     """The Figure 5(c) evaluation pattern over all starting timestamps."""
     delta = plan.delta
@@ -128,8 +106,6 @@ def _zigzag(
         delta,
         best,
         stats,
-        kernel=kernel,
-        transform=transform,
         skeleton=skeleton,
     )
 
@@ -213,9 +189,7 @@ def _fresh_minimal_state(
     best: BestRecord,
     stats: QueryStats,
     *,
-    kernel: str = DEFAULT_KERNEL,
-    transform: str = DEFAULT_TRANSFORM,
-    skeleton: WindowSkeleton | None = None,
+    skeleton: WindowSkeleton,
 ) -> IncrementalTransformedNetwork:
     """Build and solve the very first minimal window (Lines 3-5)."""
     stats.candidates_enumerated += 1
@@ -226,8 +200,6 @@ def _fresh_minimal_state(
         query.sink,
         tau_s,
         tau_s + delta,
-        kernel=kernel,
-        transform=transform,
         skeleton=skeleton,
     )
     t1 = time.perf_counter()

@@ -19,7 +19,6 @@ from repro.core.bfq import bfq
 from repro.core.bfq_plus import bfq_plus
 from repro.core.bfq_star import bfq_star
 from repro.core.query import BurstingFlowQuery, BurstingFlowResult
-from repro.core.skeleton import KNOWN_TRANSFORMS
 from repro.exceptions import InvalidQueryError
 from repro.temporal.edge import NodeId
 from repro.temporal.network import TemporalFlowNetwork
@@ -59,14 +58,6 @@ ALGORITHMS: dict[str, Callable[..., BurstingFlowResult]] = {
 #: The default (fastest exact) solution.
 DEFAULT_ALGORITHM = "bfq*"
 
-#: Algorithms whose incremental state accepts a ``kernel=`` choice
-#: (``"persistent"`` flat-array Dinic vs the ``"object"`` graph kernel).
-KERNEL_ALGORITHMS = frozenset({"bfq+", "bfq*"})
-
-#: Algorithms that accept a ``transform=`` choice (``"skeleton"`` compiled
-#: per-query window index vs the ``"object"`` per-window rebuild).
-TRANSFORM_ALGORITHMS = frozenset({"bfq", "bfq+", "bfq*"})
-
 
 def get_algorithm(name: str) -> Callable[..., BurstingFlowResult]:
     """Resolve a delta-BFlow algorithm by name (case-insensitive).
@@ -91,8 +82,6 @@ def find_bursting_flow(
     sink: NodeId | None = None,
     delta: int | None = None,
     algorithm: str = DEFAULT_ALGORITHM,
-    kernel: str | None = None,
-    transform: str | None = None,
     parallel_windows: int | None = None,
     **kwargs,
 ) -> BurstingFlowResult:
@@ -108,17 +97,8 @@ def find_bursting_flow(
         algorithm: ``"bfq"``, ``"bfq+"``, ``"bfq*"`` (default), or a
             reference baseline — ``"naive"`` (brute-force window
             enumeration) or ``"networkx"`` (BFQ with NetworkX Maxflow).
-        kernel: maxflow kernel for the incremental solutions — any name
-            in :data:`repro.flownet.algorithms.registry.ENGINE_KERNELS`:
-            ``"persistent"`` (flat-array, default), ``"vectorized"``
-            (numpy BFS phases), ``"push_relabel"`` (dense-window preflow),
-            ``"adaptive"`` (per-window selection) or ``"object"``; only
-            valid with ``algorithm`` in ``"bfq+"``/``"bfq*"``.
-        transform: window-transform strategy — ``"skeleton"`` (compile the
-            query's window skeleton once and slice candidates into
-            detached residual arenas; the default) or ``"object"``
-            (per-window object-graph rebuild); only valid with
-            ``algorithm`` in ``"bfq"``/``"bfq+"``/``"bfq*"``.
+            BFQ/BFQ+/BFQ* compile the query's window skeleton once and
+            run the persistent arena Dinic on every window.
         parallel_windows: shard BFQ's independent candidate windows over
             this many worker processes (``0`` means ``os.cpu_count()``).
             Only valid with ``algorithm="bfq"`` — BFQ+/BFQ* chain state
@@ -143,27 +123,6 @@ def find_bursting_flow(
         raise InvalidQueryError(
             "pass either a query object or keywords, not both"
         )
-    if kernel is not None:
-        if algorithm.lower() not in KERNEL_ALGORITHMS:
-            raise InvalidQueryError(
-                f"kernel={kernel!r} only applies to "
-                f"{', '.join(sorted(KERNEL_ALGORITHMS))}; "
-                f"algorithm {algorithm!r} has no incremental state"
-            )
-        kwargs["kernel"] = kernel
-    if transform is not None:
-        if algorithm.lower() not in TRANSFORM_ALGORITHMS:
-            raise InvalidQueryError(
-                f"transform={transform!r} only applies to "
-                f"{', '.join(sorted(TRANSFORM_ALGORITHMS))}; "
-                f"algorithm {algorithm!r} has no window transform"
-            )
-        if transform.lower() not in KNOWN_TRANSFORMS:
-            raise InvalidQueryError(
-                f"unknown transform {transform!r}; "
-                f"known: {', '.join(KNOWN_TRANSFORMS)}"
-            )
-        kwargs["transform"] = transform.lower()
     if parallel_windows is not None:
         if algorithm.lower() != "bfq":
             raise InvalidQueryError(

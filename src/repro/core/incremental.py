@@ -34,10 +34,9 @@ import math
 
 from repro.exceptions import GraphError, InvalidIntervalError
 from repro.flownet.algorithms.base import MaxflowRun
-from repro.flownet.algorithms.registry import DEFAULT_ENGINE_KERNEL, validate_kernel
-from repro.flownet.algorithms.selector import network_maxflow
+from repro.flownet.algorithms.dinic_flat_persistent import dinic_flat_persistent
 from repro.flownet.network import EdgeKind, EdgeRef, FlowNetwork
-from repro.core.skeleton import DEFAULT_TRANSFORM, WindowSkeleton, validate_transform
+from repro.core.skeleton import WindowSkeleton
 from repro.core.transform import TransformedNetwork, reachable_edges
 from repro.temporal.edge import NodeId, Timestamp
 from repro.temporal.network import TemporalFlowNetwork
@@ -45,19 +44,23 @@ from repro.temporal.network import TemporalFlowNetwork
 #: Tolerance when asserting complete withdrawal of boundary-crossing flow.
 _WITHDRAW_TOLERANCE = 1e-6
 
-#: Maxflow kernel driving the incremental moves.  ``"persistent"`` runs the
-#: array-only resumable Dinic on the attached CSR residual arena (built
-#: lazily on the first run, maintained incrementally afterwards);
-#: ``"vectorized"`` swaps the phase BFS for numpy frontier gathers;
-#: ``"push_relabel"`` floods dense short windows with a FIFO preflow;
-#: ``"adaptive"`` picks among them per run from observed timings; and
-#: ``"object"`` is the pre-arena engine walking ``Arc`` objects.  The full
-#: list lives in :data:`repro.flownet.algorithms.registry.ENGINE_KERNELS`.
-DEFAULT_KERNEL = DEFAULT_ENGINE_KERNEL
-
 
 class IncrementalTransformedNetwork:
-    """A transformed network that can grow at the end and shrink at the start."""
+    """A transformed network that can grow at the end and shrink at the start.
+
+    Every Maxflow run is the persistent arena Dinic
+    (:func:`~repro.flownet.algorithms.dinic_flat_persistent.
+    dinic_flat_persistent`) on the network's attached residual arena,
+    built lazily on the first run and maintained incrementally afterwards.
+
+    Edge inclusion follows the caller's input.  With a compiled
+    ``skeleton`` (BFQ+/BFQ* share one per query) every extension is a
+    binary-searched slice of the per-start reachability index.  With
+    ``skeleton=None`` each extension runs
+    :func:`~repro.core.transform.reachable_edges` against the live temporal
+    network, which is what a network that keeps growing after the state is
+    built needs (a skeleton is a frozen snapshot).
+    """
 
     def __init__(
         self,
@@ -67,27 +70,11 @@ class IncrementalTransformedNetwork:
         tau_s: Timestamp,
         tau_e: Timestamp,
         *,
-        kernel: str = DEFAULT_KERNEL,
-        transform: str = DEFAULT_TRANSFORM,
         skeleton: WindowSkeleton | None = None,
     ) -> None:
         if tau_e <= tau_s:
             raise InvalidIntervalError(f"window [{tau_s}, {tau_e}] is degenerate")
-        self.kernel = validate_kernel(kernel)
-        self.transform = validate_transform(transform)
-        # Edge-inclusion backend.  ``"skeleton"`` answers every
-        # _include_window from the compiled per-start reachability index
-        # (shared across all of a query's states — BFQ+/BFQ* pass one in);
-        # ``"object"`` runs reachable_edges per extension and maintains
-        # the arrival-label dict.
-        if self.transform == "skeleton":
-            self._skeleton = (
-                skeleton
-                if skeleton is not None
-                else WindowSkeleton(temporal, source, sink)
-            )
-        else:
-            self._skeleton = None
+        self._skeleton = skeleton
         self.temporal = temporal
         self.source = source
         self.sink = sink
@@ -152,20 +139,11 @@ class IncrementalTransformedNetwork:
 
         ``value_bound`` optionally caps how much this run can possibly add
         (Observation 2: sink capacity inserted since the last computed
-        Maxflow).  The persistent kernel uses it to certify maximality
-        without its final failed BFS; the object kernel ignores it, staying
-        exactly the pre-persistent engine for comparison purposes.
+        Maxflow).  The kernel uses it to certify maximality without its
+        final failed BFS.
         """
-        return self._run_kernel(
-            self.source_index, self.sink_index, value_bound=value_bound
-        )
-
-    def _run_kernel(
-        self, source: int, sink: int, *, value_bound: float | None = None
-    ) -> MaxflowRun:
-        """Dispatch a resumable maxflow run to the configured kernel."""
-        return network_maxflow(
-            self.network, source, sink, kernel=self.kernel,
+        return dinic_flat_persistent(
+            self.network, self.source_index, self.sink_index,
             value_bound=value_bound,
         )
 
@@ -179,8 +157,6 @@ class IncrementalTransformedNetwork:
         the subtracted prefix simply no longer exists in the new network).
         """
         other = IncrementalTransformedNetwork.__new__(IncrementalTransformedNetwork)
-        other.kernel = self.kernel
-        other.transform = self.transform
         other._skeleton = self._skeleton  # compiled index; safely shared
         other.temporal = self.temporal
         other.source = self.source
@@ -288,7 +264,9 @@ class IncrementalTransformedNetwork:
 
         withdrawn = 0.0
         if virtual_index is not None:
-            run = self._run_kernel(self.sink_index, virtual_index)
+            run = dinic_flat_persistent(
+                self.network, self.sink_index, virtual_index
+            )
             withdrawn = run.value
             if abs(withdrawn - total_crossing) > _WITHDRAW_TOLERANCE * max(
                 1.0, total_crossing
@@ -304,13 +282,12 @@ class IncrementalTransformedNetwork:
         self._sync_endpoints()
         if self._skeleton is None:
             self._rebuild_arrival()
-        # Skeleton mode needs no arrival rebuild: later extensions slice
-        # the per-start index of the *new* tau_s, a from-scratch temporal
+        # A skeleton needs no arrival rebuild: later extensions slice the
+        # per-start index of the *new* tau_s, a from-scratch temporal
         # reachability.  That can be a superset of the live-graph labels
-        # the object path rebuilds (edges enabled only through dropped
-        # sink-out edges reappear), but such edges have no inflow in the
-        # materialised graph and cannot change any Maxflow value — the
-        # differential suite pins value equality across both modes.
+        # rebuilt above (edges enabled only through dropped sink-out edges
+        # reappear), but such edges have no inflow in the materialised
+        # graph and cannot change any Maxflow value.
         return withdrawn
 
     # ------------------------------------------------------------------

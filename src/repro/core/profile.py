@@ -56,8 +56,7 @@ class PhaseBreakdown:
     prune_seconds: float = 0.0
     queries: int = 0
     #: Per-kernel split of the maxflow phase: run counts and seconds per
-    #: engine kernel that actually executed (under ``adaptive`` the keys
-    #: are the concrete kernels the selector chose).
+    #: engine kernel that executed.
     kernel_runs: dict[str, int] = field(default_factory=dict)
     kernel_seconds: dict[str, float] = field(default_factory=dict)
 

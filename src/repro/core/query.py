@@ -90,11 +90,9 @@ class QueryStats:
     #: it.
     prune_seconds: float = 0.0
     #: Per-kernel accounting: how many maxflow runs each engine kernel
-    #: executed and how much wall time they took.  Under
-    #: ``kernel="adaptive"`` the keys are the *concrete* kernels chosen
-    #: (the :class:`~repro.flownet.algorithms.base.MaxflowRun` is stamped
-    #: by the arena dispatch), so adaptive decisions are visible in every
-    #: ``--profile`` output and ``/metrics`` snapshot.
+    #: executed and how much wall time they took, keyed by the name
+    #: stamped on :attr:`~repro.flownet.algorithms.base.MaxflowRun.kernel`
+    #: (always ``"persistent"`` for engine runs).
     kernel_runs: dict[str, int] = field(default_factory=dict)
     kernel_seconds: dict[str, float] = field(default_factory=dict)
     samples: list[IntervalSample] = field(default_factory=list)

@@ -39,33 +39,12 @@ from typing import Iterator
 
 from repro.exceptions import GraphError, InvalidIntervalError
 from repro.flownet.algorithms.base import MaxflowRun
+from repro.flownet.algorithms.dinic_flat_persistent import arena_maxflow
 from repro.flownet.residual import ResidualArena
 from repro.temporal.edge import NodeId, Timestamp
 from repro.temporal.network import TemporalFlowNetwork
 
-#: Transform strategy used by BFQ / BFQ+ / BFQ* unless overridden.
-#: ``"skeleton"`` compiles once per query and slices windows into detached
-#: residual arenas; ``"object"`` is the original per-window
-#: ``FlowNetwork`` construction, retained for differential testing.
-DEFAULT_TRANSFORM = "skeleton"
-
-KNOWN_TRANSFORMS = ("skeleton", "object")
-
 _INF = math.inf
-
-
-def validate_transform(name: str) -> str:
-    """Normalise and validate a ``transform=`` choice.
-
-    Raises:
-        ValueError: for unknown names.
-    """
-    lowered = name.lower()
-    if lowered not in KNOWN_TRANSFORMS:
-        raise ValueError(
-            f"unknown transform {name!r}; known: {', '.join(KNOWN_TRANSFORMS)}"
-        )
-    return lowered
 
 
 class _StartIndex:
@@ -405,26 +384,12 @@ class SkeletonWindow:
         self.num_edges = num_edges
         self.source_arc_slots = source_arc_slots
 
-    def maxflow(
-        self,
-        *,
-        value_bound: float | None = None,
-        kernel: str = "persistent",
-    ) -> MaxflowRun:
-        """Run an arena kernel on this window's arena.
-
-        ``kernel`` names any arena kernel (``"persistent"``,
-        ``"vectorized"``, ``"push_relabel"``, ``"adaptive"``); the engine's
-        ``"object"`` kernel never reaches here — skeleton windows are
-        detached arenas with no object graph to walk.
-        """
-        from repro.flownet.algorithms.selector import arena_solve
-
-        return arena_solve(
+    def maxflow(self, *, value_bound: float | None = None) -> MaxflowRun:
+        """Run the persistent arena Dinic on this window's detached arena."""
+        return arena_maxflow(
             self.arena,
             self.source_index,
             self.sink_index,
-            kernel=kernel if kernel != "object" else "persistent",
             value_bound=value_bound,
         )
 

@@ -208,17 +208,16 @@ class StreamingBurstMonitor:
             # All edges of [start, minimal_end] have arrived (now >= end of
             # the minimal window and the stream is time-ordered beyond the
             # open batch), so the state can be built exactly once.
-            # The stream keeps mutating the network after this state is
-            # built, so the compiled-skeleton transform (a frozen per-query
-            # snapshot) cannot serve it; the object transform recomputes
-            # reachability against the live network on every extension.
+            # No skeleton: the stream keeps appending edges to the network
+            # after this state is built, and a compiled skeleton is a frozen
+            # snapshot that would never see them.  Without one the state
+            # reads reachability from the live network on every extension.
             window.state = IncrementalTransformedNetwork(
                 self.network,
                 self.source,
                 self.sink,
                 window.start,
                 minimal_end,
-                transform="object",
             )
             window.state.run_maxflow()
             self._maxflow_runs += 1

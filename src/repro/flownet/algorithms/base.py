@@ -32,10 +32,10 @@ class MaxflowRun:
         phases: number of BFS phases / relabel sweeps, solver specific.
         paths: optional recorded augmenting paths, each a list of node
             indices from source to sink (populated only when requested).
-        kernel: engine-kernel name that executed this run, stamped by the
-            arena dispatch (:func:`repro.flownet.algorithms.selector.
-            arena_solve`) — under ``adaptive`` this is the concrete kernel
-            chosen.  ``None`` for solver-registry runs outside the engine.
+        kernel: engine-kernel name that executed this run —
+            ``"persistent"`` for every arena run
+            (:mod:`repro.flownet.algorithms.dinic_flat_persistent`),
+            ``None`` for the classical object-graph solvers.
     """
 
     value: float

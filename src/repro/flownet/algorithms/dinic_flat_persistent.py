@@ -44,16 +44,10 @@ workload (BENCH_PR4.json: same datasets, BFQ end-to-end) removes that too
 transform by 4.1x aggregate (per-dataset 2.8-4.2x), with BFQ+/BFQ* no
 slower on any dataset (1.05-1.87x).
 
-This kernel is no longer alone on the arena: BENCH_PR9.json (the
-``kernels`` experiment) races it against the ``vectorized`` numpy Dinic
-and the ``push_relabel`` flat preflow on the same residual state.  On
-the standard EXP-3 workload every candidate window is small and this
-kernel remains the fastest fixed choice — which is why it stays the
-default and why the ``adaptive`` selector routes small windows here.
-The specialised kernels only pay off on large windows (roughly >= 24k
-transformed arcs, e.g. prosper at --large-scale 3), where they reach
-1.3-2x over this kernel on cold solves.  See
-:mod:`repro.flownet.algorithms.selector` and docs/algorithms.md.
+It is the engine's only maxflow kernel: BFQ+/BFQ* states enter it through
+:func:`dinic_flat_persistent` (attached arena) and BFQ's compiled windows
+through :func:`arena_maxflow` (detached arena).  Every engine run is
+stamped ``kernel="persistent"`` so per-kernel profiles keep one row.
 
 The computed flow *value*, the certified min cut, and the arena/object
 byte-equivalence all match :func:`~repro.flownet.algorithms.dinic.dinic`
@@ -70,6 +64,9 @@ import math
 from repro.flownet.algorithms.base import MaxflowRun
 from repro.flownet.network import FLOW_EPSILON, FlowNetwork
 from repro.flownet.residual import ARENA_RETIRED, ARENA_UNREACHED, ResidualArena
+
+#: Name stamped on every run of this kernel (``MaxflowRun.kernel``).
+KERNEL = "persistent"
 
 
 def dinic_flat_persistent(
@@ -98,7 +95,7 @@ def dinic_flat_persistent(
     resumed state as already maximal in O(1).
     """
     if source == sink:
-        return MaxflowRun(value=0.0)
+        return MaxflowRun(value=0.0, kernel=KERNEL)
     arena = network.arena
     if arena is None:
         arena = ResidualArena(network)
@@ -124,7 +121,7 @@ def arena_maxflow(
     objects to mirror (``arena.arcs is None``).
     """
     if source == sink:
-        return MaxflowRun(value=0.0)
+        return MaxflowRun(value=0.0, kernel=KERNEL)
 
     heads = arena.heads
     caps = arena.caps
@@ -144,18 +141,18 @@ def arena_maxflow(
     stale_append = stale.append
 
     if level[source] == ARENA_RETIRED or level[sink] == ARENA_RETIRED:
-        return MaxflowRun(value=0.0)
+        return MaxflowRun(value=0.0, kernel=KERNEL)
 
     # Min-cut certificate fast path: the previous run towards this sink
     # left a closed sink-side cut that no mutation has pierced since, and
     # the source is outside it — no augmenting path can exist, skip the
     # BFS.
     if arena.cut_closed and arena.cut_sink == sink and level[source] < 0:
-        return MaxflowRun(value=0.0)
+        return MaxflowRun(value=0.0, kernel=KERNEL)
 
     bounded = value_bound is not None
     if bounded and value_bound <= eps:
-        return MaxflowRun(value=0.0)
+        return MaxflowRun(value=0.0, kernel=KERNEL)
 
     maximal_by_bound = False
     while True:
@@ -239,7 +236,9 @@ def arena_maxflow(
     if arcs is not None:
         for k in touched:
             arcs[k].cap = caps[k]
-    return MaxflowRun(value=total, augmenting_paths=n_paths, phases=phases)
+    return MaxflowRun(
+        value=total, augmenting_paths=n_paths, phases=phases, kernel=KERNEL
+    )
 
 
 def run_blocking_flow(
@@ -256,10 +255,8 @@ def run_blocking_flow(
 ) -> tuple[float, int, bool]:
     """One blocking-flow phase over an admissible (sink-rooted) level graph.
 
-    Shared by the persistent kernel and the vectorized kernel — the levels
-    may come from the scalar early-stopping BFS or from the numpy
-    frontier-at-a-time BFS; the DFS below only needs ``level[head] ==
-    level[node] - 1`` admissibility.  Mutates ``caps`` / ``iters`` /
+    The levels come from the early-stopping backward BFS; the DFS below
+    only needs ``level[head] == level[node] - 1`` admissibility.  Mutates ``caps`` / ``iters`` /
     ``level`` in place, appends every modified slot to ``touched`` and
     returns ``(gained, paths, hit_bound)`` where ``hit_bound`` reports
     that the accumulated gain reached ``remaining_bound`` (pass

@@ -1,15 +1,11 @@
-"""Name-based registry of Maxflow solvers and engine kernels.
+"""Name-based registry of Maxflow solvers.
 
 The delta-BFlow solutions are parameterised by a Maxflow solver ("other
 augmenting path-based Maxflow algorithms can be also applied in our
-solutions", Section 3.1).  The registry gives benches, tests and the engine
-a single place to resolve solver names.
-
-It is also the single source of truth for the **engine kernels** — the
-``kernel=`` values accepted by BFQ+/BFQ*, the CLI, the service and the
-cluster (:data:`ENGINE_KERNELS`).  Every consumer validates through
-:func:`validate_kernel`, so adding a kernel here is the *only* edit needed
-for it to be accepted end to end.
+solutions", Section 3.1).  The registry gives benches, tests and BFQ's
+``solver=`` a single place to resolve solver names.  The engine itself
+(BFQ+/BFQ* and BFQ's compiled windows) always runs the persistent arena
+Dinic (:mod:`repro.flownet.algorithms.dinic_flat_persistent`).
 """
 
 from __future__ import annotations
@@ -51,43 +47,6 @@ RESUMABLE_SOLVERS: frozenset[str] = frozenset(
         "capacity-scaling",
     }
 )
-
-
-#: Engine kernels, in documentation order.  ``persistent`` is the flat
-#: resumable arena Dinic, ``vectorized`` its numpy frontier-at-a-time
-#: variant, ``push_relabel`` the flat FIFO/gap push-relabel specialised
-#: for dense short-window arenas, ``adaptive`` the per-window selector
-#: over the three, and ``object`` the original object-graph walker.
-ENGINE_KERNELS: tuple[str, ...] = (
-    "persistent",
-    "vectorized",
-    "push_relabel",
-    "adaptive",
-    "object",
-)
-
-#: The kernel an unqualified engine call runs.
-DEFAULT_ENGINE_KERNEL = "persistent"
-
-#: Kernels that run on a :class:`~repro.flownet.residual.ResidualArena`
-#: (attached or detached) rather than the object graph.
-ARENA_KERNELS: frozenset[str] = frozenset(
-    {"persistent", "vectorized", "push_relabel", "adaptive"}
-)
-
-
-def validate_kernel(kernel: str | None) -> str:
-    """Resolve ``kernel`` (``None`` means the default) against the registry.
-
-    Raises:
-        SolverError: for unknown names (message lists the known ones).
-    """
-    if kernel is None:
-        return DEFAULT_ENGINE_KERNEL
-    if kernel not in ENGINE_KERNELS:
-        known = ", ".join(ENGINE_KERNELS)
-        raise SolverError(f"unknown kernel {kernel!r}; known kernels: {known}")
-    return kernel
 
 
 def get_solver(name: str) -> MaxflowSolver:

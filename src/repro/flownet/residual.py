@@ -95,7 +95,6 @@ class ResidualArena:
         "dirty",
         "cut_closed",
         "cut_sink",
-        "tensors",
     )
 
     def __init__(self, network: FlowNetwork) -> None:
@@ -133,13 +132,6 @@ class ResidualArena:
         # skip the BFS outright.
         self.cut_closed = False
         self.cut_sink = -1
-        #: Structure-derived numpy views cached by the vectorized kernel
-        #: (:mod:`repro.flownet.algorithms.dinic_vectorized`).  ``None``
-        #: until that kernel first runs; every structural change (growth,
-        #: retirement) resets it to ``None`` so the cache can never serve
-        #: stale topology.  Capacities are *not* cached here — the kernel
-        #: snapshots ``caps`` per phase.
-        self.tensors = None
 
     @classmethod
     def detached(
@@ -173,7 +165,6 @@ class ResidualArena:
         arena.dirty = []
         arena.cut_closed = False
         arena.cut_sink = -1
-        arena.tensors = None
         return arena
 
     # ------------------------------------------------------------------
@@ -194,8 +185,6 @@ class ResidualArena:
         slots = self.slots
         level = self.level
         iters = self.iters
-        if len(adj) > len(slots):
-            self.tensors = None  # new nodes: cached topology is stale
         for i in range(len(slots), len(adj)):
             slots.append([])
             level.append(ARENA_RETIRED if retired[i] else ARENA_UNREACHED)
@@ -203,7 +192,6 @@ class ResidualArena:
         dirty = self.dirty
         if not dirty:
             return
-        self.tensors = None  # new arcs: cached topology is stale
         heads = self.heads
         caps = self.caps
         arcs = self.arcs
@@ -235,7 +223,6 @@ class ResidualArena:
         """A node was retired; fold it into the level mask permanently."""
         if index < len(self.level):
             self.level[index] = ARENA_RETIRED
-            self.tensors = None  # the cached retirement mask is stale
         # else: not mirrored yet — sync() reads the retirement flag.
 
     def on_edge_caps_changed(self, tail: int, position: int) -> None:

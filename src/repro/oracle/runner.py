@@ -1,14 +1,15 @@
 """The differential runner: every backend, one query, zero tolerance.
 
 For each :class:`~repro.oracle.cases.FuzzCase` the runner executes every
-registered backend (``bfq`` pinned to the object-graph transform,
-``bfq-skel`` — BFQ pinned to the compiled-skeleton transform, so every
-trial also cross-checks the transform compiler — BFQ+, BFQ*, the
-``planner`` backend that answers through a shared-skeleton batch with
-duplicate and overlapping-delta companions, the naive ``O(|T|^2)``
-oracle, the NetworkX-backed baseline, and the ``service`` backend that
-round-trips the query through the full serialize → cache → worker →
-deserialize serving path of :mod:`repro.service`, and the opt-in
+registered backend (BFQ, BFQ+ and BFQ* on the compiled window skeleton
+and the persistent arena Dinic, the ``planner`` backend that answers
+through a shared-skeleton batch with duplicate and overlapping-delta
+companions, the naive ``O(|T|^2)`` oracle and the NetworkX-backed
+baseline — the two independent references, which rebuild every window
+with :func:`~repro.core.transform.build_transformed_network` — the
+``service`` backend that round-trips the query through the full
+serialize → cache → worker → deserialize serving path of
+:mod:`repro.service`, and the opt-in
 ``cluster`` and ``mining`` backends that route through a live replica
 set and the persisted-pattern replay path respectively) on the same
 query and diffs the answers:
@@ -58,47 +59,11 @@ from repro.temporal.edge import Timestamp
 #: orders) but far below anything an off-by-one bug could produce.
 AGREEMENT_EPSILON = 1e-9
 
-def _bfq_object(network, query, **kwargs) -> BurstingFlowResult:
-    """BFQ pinned to the per-window object-graph transform."""
-    return bfq(network, query, transform="object", **kwargs)
-
-
-def _bfq_skeleton(network, query, **kwargs) -> BurstingFlowResult:
-    """BFQ pinned to the compiled-skeleton transform (arena slicing)."""
-    return bfq(network, query, transform="skeleton", **kwargs)
-
-
-def _bfq_star_vectorized(network, query, **kwargs) -> BurstingFlowResult:
-    """BFQ* pinned to the numpy-BFS vectorized Dinic kernel."""
-    return bfq_star(network, query, kernel="vectorized", **kwargs)
-
-
-def _bfq_star_push_relabel(network, query, **kwargs) -> BurstingFlowResult:
-    """BFQ* pinned to the flat FIFO push-relabel kernel."""
-    return bfq_star(network, query, kernel="push_relabel", **kwargs)
-
-
-def _bfq_star_adaptive(network, query, **kwargs) -> BurstingFlowResult:
-    """BFQ* under the adaptive kernel selector (any concrete kernel mix)."""
-    return bfq_star(network, query, kernel="adaptive", **kwargs)
-
-
-#: All differential backends, in execution order.  ``bfq`` is pinned to
-#: the object transform and ``bfq-skel`` to the skeleton transform, so
-#: every fuzz case cross-checks the compiled window skeleton against the
-#: original per-window rebuild; ``bfq+``/``bfq*`` run the default
-#: (skeleton) transform through the incremental engine.
+#: All differential backends, in execution order.
 BACKENDS: Mapping[str, Callable[..., BurstingFlowResult]] = {
-    "bfq": _bfq_object,
-    "bfq-skel": _bfq_skeleton,
+    "bfq": bfq,
     "bfq+": bfq_plus,
     "bfq*": bfq_star,
-    # BFQ* pinned to each specialised maxflow kernel, so every fuzz case
-    # differential-checks the vectorized Dinic, the flat push-relabel and
-    # the adaptive selector against the persistent-kernel answers above.
-    "vectorized": _bfq_star_vectorized,
-    "push_relabel": _bfq_star_push_relabel,
-    "adaptive": _bfq_star_adaptive,
     # The multi-query planner, exercised with a duplicate of the query and
     # overlapping-delta companions in the same batch — every amortised
     # (memoised) answer is differential-checked against the independent
@@ -139,12 +104,8 @@ DEFAULT_BACKENDS: tuple[str, ...] = tuple(
 #: confirmed through the planner, so their intervals are canonical too.
 PLAN_BACKENDS: tuple[str, ...] = (
     "bfq",
-    "bfq-skel",
     "bfq+",
     "bfq*",
-    "vectorized",
-    "push_relabel",
-    "adaptive",
     "planner",
     "networkx",
     "service",

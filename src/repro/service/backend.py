@@ -32,7 +32,6 @@ def service_bfq(
     query: BurstingFlowQuery,
     *,
     algorithm: str = "bfq*",
-    kernel: str | None = None,
 ) -> BurstingFlowResult:
     """Answer ``query`` through the full serialize→cache→worker path.
 
@@ -41,18 +40,15 @@ def service_bfq(
     :class:`ServiceBackendError` (which the differential runner records
     as a crash finding).
     """
-    return asyncio.run(_roundtrip(network, query, algorithm, kernel))
+    return asyncio.run(_roundtrip(network, query, algorithm))
 
 
 async def _roundtrip(
     network: TemporalFlowNetwork,
     query: BurstingFlowQuery,
     algorithm: str,
-    kernel: str | None,
 ) -> BurstingFlowResult:
-    service = BurstingFlowService(
-        network, algorithm=algorithm, kernel=kernel, processes=None
-    )
+    service = BurstingFlowService(network, algorithm=algorithm, processes=None)
     try:
         payload = {
             "v": PROTOCOL_VERSION,

@@ -1,6 +1,6 @@
 """Epoch-keyed LRU+TTL result cache for served delta-BFlow answers.
 
-Keys are ``(epoch, source, sink, delta, algorithm, kernel)`` where
+Keys are ``(epoch, source, sink, delta, algorithm)`` where
 ``epoch`` is :attr:`repro.temporal.network.TemporalFlowNetwork.epoch` at
 solve time.  Because every streaming append bumps the epoch, a stale
 answer can never be served: entries computed against an older network

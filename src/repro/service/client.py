@@ -186,8 +186,6 @@ class ServiceClient:
         delta: int,
         *,
         algorithm: str | None = None,
-        kernel: str | None = None,
-        transform: str | None = None,
         timeout: float | None = None,
         min_epoch: int | None = None,
     ) -> QueryReply:
@@ -199,8 +197,6 @@ class ServiceClient:
                 sink=sink,
                 delta=delta,
                 algorithm=algorithm,
-                kernel=kernel,
-                transform=transform,
                 timeout=timeout,
                 min_epoch=min_epoch,
             )

@@ -10,8 +10,7 @@ pipeline requests on one connection.
 Requests (``op`` selects the type)::
 
     {"v": 1, "id": "q1", "op": "query", "source": "s", "sink": "t",
-     "delta": 3, "algorithm": "bfq*", "kernel": "persistent",
-     "transform": "skeleton", "timeout": 5.0}
+     "delta": 3, "algorithm": "bfq*", "timeout": 5.0}
     {"v": 1, "id": "b1", "op": "batch", "plan": "shared",
      "queries": [["s", "t", 3], ["s", "t", 4], ...]}
     {"v": 1, "id": "k1", "op": "topk", "delta": 3, "k": 10,
@@ -40,6 +39,10 @@ its current ``epoch``) instead of a possibly stale result.  The cluster
 coordinator (:mod:`repro.cluster`) stamps every routed query with the
 cluster's committed epoch, and per-replica ``AppendReply.epoch`` values
 double as the replication acknowledgements.
+
+Request keys a build does not know are ignored, so older clients that
+still send ``"kernel"`` or ``"transform"`` get the same answer as
+without them.
 
 Replies are either ``{"ok": true, ...}`` payloads or typed errors
 ``{"ok": false, "error": {"kind": ..., "message": ...}}``.  The error
@@ -154,8 +157,6 @@ class QueryRequest:
     sink: NodeId
     delta: int
     algorithm: str | None = None
-    kernel: str | None = None
-    transform: str | None = None
     timeout: float | None = None
     min_epoch: int | None = None
 
@@ -560,20 +561,12 @@ def parse_request(raw: bytes | str | Mapping[str, Any]) -> Request:
         algorithm = payload.get("algorithm")
         if algorithm is not None and not isinstance(algorithm, str):
             raise ProtocolError(f"algorithm must be a string, got {algorithm!r}")
-        kernel = payload.get("kernel")
-        if kernel is not None and not isinstance(kernel, str):
-            raise ProtocolError(f"kernel must be a string, got {kernel!r}")
-        transform = payload.get("transform")
-        if transform is not None and not isinstance(transform, str):
-            raise ProtocolError(f"transform must be a string, got {transform!r}")
         return QueryRequest(
             id=request_id,
             source=_check_node(_require(payload, "source"), "source"),
             sink=_check_node(_require(payload, "sink"), "sink"),
             delta=delta,
             algorithm=algorithm,
-            kernel=kernel,
-            transform=transform,
             timeout=_parse_timeout(payload),
             min_epoch=_parse_min_epoch(payload),
         )
@@ -785,10 +778,6 @@ def request_payload(request: Request) -> dict[str, Any]:
         payload.update(source=request.source, sink=request.sink, delta=request.delta)
         if request.algorithm is not None:
             payload["algorithm"] = request.algorithm
-        if request.kernel is not None:
-            payload["kernel"] = request.kernel
-        if request.transform is not None:
-            payload["transform"] = request.transform
         if request.timeout is not None:
             payload["timeout"] = request.timeout
         if request.min_epoch is not None:

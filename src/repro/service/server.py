@@ -37,16 +37,9 @@ import urllib.parse
 from contextlib import asynccontextmanager
 from typing import Any, AsyncIterator
 
-from repro.core.engine import (
-    DEFAULT_ALGORITHM,
-    KERNEL_ALGORITHMS,
-    TRANSFORM_ALGORITHMS,
-    get_algorithm,
-)
+from repro.core.engine import DEFAULT_ALGORITHM, get_algorithm
 from repro.core.query import BurstingFlowQuery
-from repro.core.skeleton import DEFAULT_TRANSFORM, KNOWN_TRANSFORMS
 from repro.exceptions import ReproError
-from repro.flownet.algorithms.registry import ENGINE_KERNELS
 from repro.service.admission import AdmissionController
 from repro.service.cache import ResultCache
 from repro.service.metrics import ServiceMetrics
@@ -91,17 +84,6 @@ from repro.mining.pipeline import MiningPipeline
 from repro.service.workers import InlineEngine, ProcessEnginePool
 from repro.temporal.edge import TemporalEdge
 from repro.temporal.network import TemporalFlowNetwork
-
-#: Kernels the service accepts on the wire — derived from the solver
-#: registry, the single source of truth for ``kernel=`` values.
-KNOWN_KERNELS = frozenset(ENGINE_KERNELS)
-
-
-def _reject_unknown_kernel(kernel: str) -> None:
-    """Raise the typed ``invalid`` error listing the registry's kernels."""
-    raise ReproError(
-        f"unknown kernel {kernel!r}; known: {', '.join(ENGINE_KERNELS)}"
-    )
 
 
 class _ReadWriteLock:
@@ -152,7 +134,6 @@ class BurstingFlowService:
     Args:
         network: the temporal flow network to serve (appends mutate it).
         algorithm: default solution when requests do not name one.
-        kernel: default maxflow kernel for the incremental solutions.
         processes: engine parallelism.  ``None`` or ``1`` solves on
             threads against the live network (:class:`InlineEngine`);
             ``>= 2`` (or ``0`` = cpu count) uses an epoch-aware process
@@ -177,7 +158,6 @@ class BurstingFlowService:
         network: TemporalFlowNetwork,
         *,
         algorithm: str = DEFAULT_ALGORITHM,
-        kernel: str | None = None,
         processes: int | None = None,
         mp_context: str | None = None,
         cache_capacity: int = 4096,
@@ -189,11 +169,8 @@ class BurstingFlowService:
         mining: MiningPipeline | None = None,
     ) -> None:
         get_algorithm(algorithm)  # fail fast on unknown defaults
-        if kernel is not None and kernel not in KNOWN_KERNELS:
-            _reject_unknown_kernel(kernel)
         self.network = network
         self.algorithm = algorithm
-        self.kernel = kernel
         self.metrics = ServiceMetrics()
         self.cache = ResultCache(cache_capacity, ttl=cache_ttl)
         self.admission = AdmissionController(
@@ -328,29 +305,8 @@ class BurstingFlowService:
     async def _handle_query(self, request: QueryRequest) -> Reply:
         started = time.perf_counter()
         algorithm = (request.algorithm or self.algorithm).lower()
-        kernel = request.kernel if request.kernel is not None else self.kernel
-        transform = request.transform
         try:
             get_algorithm(algorithm)
-            if kernel is not None:
-                if kernel not in KNOWN_KERNELS:
-                    _reject_unknown_kernel(kernel)
-                if algorithm not in KERNEL_ALGORITHMS:
-                    kernel = None  # baselines have no incremental state
-            if transform is not None:
-                transform = transform.lower()
-                if transform not in KNOWN_TRANSFORMS:
-                    raise ReproError(
-                        f"unknown transform {transform!r}; "
-                        f"known: {', '.join(KNOWN_TRANSFORMS)}"
-                    )
-                if algorithm not in TRANSFORM_ALGORITHMS:
-                    transform = None  # baselines have no window transform
-            elif algorithm in TRANSFORM_ALGORITHMS:
-                # Resolve the default explicitly so the cache key always
-                # carries the transform that actually ran — "bfq* with
-                # skeleton" and "bfq* with object" must never collide.
-                transform = DEFAULT_TRANSFORM
             query = BurstingFlowQuery(request.source, request.sink, request.delta)
         except ReproError as exc:
             return ErrorReply(request.id, ERROR_INVALID, str(exc))
@@ -381,13 +337,7 @@ class BurstingFlowService:
                         epoch=epoch,
                     )
                 key = (
-                    epoch,
-                    request.source,
-                    request.sink,
-                    request.delta,
-                    algorithm,
-                    kernel,
-                    transform,
+                    epoch, request.source, request.sink, request.delta, algorithm
                 )
                 answer = self.cache.get(key)
                 if answer is not None:
@@ -413,8 +363,6 @@ class BurstingFlowService:
                             request.sink,
                             request.delta,
                             algorithm,
-                            kernel,
-                            transform,
                         ),
                         timeout=remaining,
                     )
@@ -458,19 +406,14 @@ class BurstingFlowService:
     ) -> tuple:
         """Per-entry cache key for batch answers.
 
-        Planner answers are cached under the algorithm label ``"planner"``
-        (kernel ``None``, transform ``"skeleton"`` — the planner always
-        evaluates through compiled skeletons), so they can never collide
-        with single-query engine entries; ``plan="independent"`` entries
+        Planner answers are cached under the algorithm label ``"planner"``,
+        so they can never collide with single-query engine entries; ``plan="independent"`` entries
         share the engine's default-algorithm key shape and therefore *do*
         interoperate with single-query caching.
         """
         if plan == "shared":
-            return (epoch, source, sink, delta, "planner", None, "skeleton")
-        algorithm = self.algorithm.lower()
-        kernel = self.kernel if algorithm in KERNEL_ALGORITHMS else None
-        transform = DEFAULT_TRANSFORM if algorithm in TRANSFORM_ALGORITHMS else None
-        return (epoch, source, sink, delta, algorithm, kernel, transform)
+            return (epoch, source, sink, delta, "planner")
+        return (epoch, source, sink, delta, self.algorithm.lower())
 
     async def _handle_batch(self, request: BatchRequest) -> Reply:
         started = time.perf_counter()

@@ -147,8 +147,6 @@ def _solve_one(
     sink: NodeId,
     delta: int,
     algorithm: str,
-    kernel: str | None,
-    transform: str | None,
 ) -> RawAnswer:
     """Worker task: one full engine solve on the installed network."""
     assert _WORKER_NETWORK is not None, "worker started outside the service"
@@ -157,8 +155,6 @@ def _solve_one(
         _WORKER_NETWORK,
         BurstingFlowQuery(source, sink, delta),
         algorithm=algorithm,
-        kernel=kernel,
-        transform=transform,
     )
     return (
         result.density,
@@ -312,13 +308,9 @@ class ProcessEnginePool:
         sink: NodeId,
         delta: int,
         algorithm: str,
-        kernel: str | None,
-        transform: str | None = None,
     ) -> RawAnswer:
         """Solve one query on a worker; survives one pool crash."""
-        return await self._run(
-            _solve_one, source, sink, delta, algorithm, kernel, transform
-        )
+        return await self._run(_solve_one, source, sink, delta, algorithm)
 
     async def answer_batch(
         self,
@@ -393,16 +385,12 @@ class InlineEngine:
         sink: NodeId,
         delta: int,
         algorithm: str,
-        kernel: str | None,
-        transform: str | None = None,
     ) -> RawAnswer:
         """Solve one query on a worker thread."""
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             self._pool,
-            lambda: _solve_inline(
-                self._network, source, sink, delta, algorithm, kernel, transform
-            ),
+            lambda: _solve_inline(self._network, source, sink, delta, algorithm),
         )
 
     async def answer_batch(
@@ -444,15 +432,11 @@ def _solve_inline(
     sink: NodeId,
     delta: int,
     algorithm: str,
-    kernel: str | None,
-    transform: str | None,
 ) -> RawAnswer:
     result = find_bursting_flow(
         network,
         BurstingFlowQuery(source, sink, delta),
         algorithm=algorithm,
-        kernel=kernel,
-        transform=transform,
     )
     return (
         result.density,

@@ -1,14 +1,15 @@
 """Property tests for the persistent residual arena inside the engine.
 
-The incremental engine's ``kernel="persistent"`` path keeps a flat residual
-arena alive across ``extend_end`` / ``advance_start`` / ``run_maxflow``
-calls.  Hypothesis drives random operation sequences against a twin engine
-running the pre-persistent object-graph kernel and asserts, after every
-step:
+The incremental engine keeps a flat residual arena alive across
+``extend_end`` / ``advance_start`` / ``run_maxflow`` calls.  Hypothesis
+drives random operation sequences against twin states — one fed by a
+compiled :class:`~repro.core.skeleton.WindowSkeleton`, one reading
+reachability from the live network — and asserts, after every step:
 
-* the two kernels agree on the flow value (the *assignments* may differ —
-  both are maximum flows);
-* the arena still mirrors the object graph exactly (structure, residual
+* both twins hold the Maxflow of their current window, as computed from
+  scratch by the object-graph transform and the object Dinic (the
+  *assignments* may differ — all are maximum flows);
+* each arena still mirrors its object graph exactly (structure, residual
   capacities, levels never out of range) — ``ResidualArena.mirrors`` is a
   byte-level comparison of every parallel array against the adjacency
   lists.
@@ -18,8 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bfq_plus import bfq_plus
+from repro.core.bfq_star import bfq_star
 from repro.core.incremental import IncrementalTransformedNetwork
-from repro.exceptions import SolverError
+from repro.core.query import BurstingFlowQuery
+from repro.core.skeleton import WindowSkeleton
+from repro.core.transform import build_transformed_network
+from repro.flownet import dinic
 from repro.temporal import TemporalEdge, TemporalFlowNetwork
 
 TOLERANCE = 1e-7
@@ -47,22 +53,31 @@ def temporal_networks(draw) -> TemporalFlowNetwork:
 
 
 def _twins(network, tau_s, tau_e):
-    persistent = IncrementalTransformedNetwork(
-        network, "n0", "n1", tau_s, tau_e, kernel="persistent"
+    skeleton = WindowSkeleton(network, "n0", "n1")
+    compiled = IncrementalTransformedNetwork(
+        network, "n0", "n1", tau_s, tau_e, skeleton=skeleton
     )
-    reference = IncrementalTransformedNetwork(
-        network, "n0", "n1", tau_s, tau_e, kernel="object"
-    )
-    return persistent, reference
+    live = IncrementalTransformedNetwork(network, "n0", "n1", tau_s, tau_e)
+    return compiled, live
 
 
-def _check_step(persistent, reference):
-    assert persistent.flow_value() == pytest.approx(
-        reference.flow_value(), abs=TOLERANCE
-    )
-    arena = persistent.network.arena
-    if arena is not None:  # attached lazily on the first kernel run
-        assert arena.mirrors(persistent.network)
+def _fresh_maxflow(network, tau_s, tau_e):
+    transformed = build_transformed_network(network, "n0", "n1", tau_s, tau_e)
+    return dinic(
+        transformed.flow_network,
+        transformed.source_index,
+        transformed.sink_index,
+    ).value
+
+
+def _check_step(*states):
+    first = states[0]
+    expected = _fresh_maxflow(first.temporal, first.tau_s, first.tau_e)
+    for state in states:
+        assert state.flow_value() == pytest.approx(expected, abs=TOLERANCE)
+        arena = state.network.arena
+        if arena is not None:  # attached lazily on the first kernel run
+            assert arena.mirrors(state.network)
 
 
 @settings(max_examples=60, deadline=None)
@@ -80,14 +95,14 @@ def test_operation_sequences_keep_twins_equivalent(network, data):
         st.integers(min_value=tau_s + 1, max_value=min(tau_s + 4, t_max)),
         label="initial tau_e",
     )
-    persistent, reference = _twins(network, tau_s, tau_e)
-    persistent.run_maxflow()
-    reference.run_maxflow()
-    _check_step(persistent, reference)
+    compiled, live = _twins(network, tau_s, tau_e)
+    compiled.run_maxflow()
+    live.run_maxflow()
+    _check_step(compiled, live)
 
     for _ in range(data.draw(st.integers(min_value=1, max_value=4), label="steps")):
-        can_extend = persistent.tau_e < t_max
-        can_advance = persistent.tau_e - persistent.tau_s > 1
+        can_extend = compiled.tau_e < t_max
+        can_advance = compiled.tau_e - compiled.tau_s > 1
         options = ["run"]
         if can_extend:
             options.append("extend")
@@ -96,56 +111,64 @@ def test_operation_sequences_keep_twins_equivalent(network, data):
         op = data.draw(st.sampled_from(options), label="op")
         if op == "extend":
             new_tau_e = data.draw(
-                st.integers(min_value=persistent.tau_e + 1, max_value=t_max),
+                st.integers(min_value=compiled.tau_e + 1, max_value=t_max),
                 label="new tau_e",
             )
-            persistent.extend_end(new_tau_e)
-            reference.extend_end(new_tau_e)
+            compiled.extend_end(new_tau_e)
+            live.extend_end(new_tau_e)
         elif op == "advance":
             new_tau_s = data.draw(
                 st.integers(
-                    min_value=persistent.tau_s + 1,
-                    max_value=persistent.tau_e - 1,
+                    min_value=compiled.tau_s + 1,
+                    max_value=compiled.tau_e - 1,
                 ),
                 label="new tau_s",
             )
-            persistent.advance_start(new_tau_s)
-            reference.advance_start(new_tau_s)
-        persistent.run_maxflow()
-        reference.run_maxflow()
-        _check_step(persistent, reference)
+            compiled.advance_start(new_tau_s)
+            live.advance_start(new_tau_s)
+        compiled.run_maxflow()
+        live.run_maxflow()
+        _check_step(compiled, live)
 
 
 @settings(max_examples=40, deadline=None)
 @given(temporal_networks())
 def test_value_bound_run_matches_unbounded_twin(network):
-    """Bounded runs (Observation 2) must not under-report the Maxflow."""
+    """Bounded runs (Observation 2) must not under-report the Maxflow.
+
+    The ``live`` twin runs unbounded.
+    """
     t_min, t_max = network.t_min, network.t_max
     if t_max - t_min < 2:
         return
-    persistent, reference = _twins(network, t_min, t_min + 1)
-    persistent.run_maxflow()
-    reference.run_maxflow()
+    compiled, live = _twins(network, t_min, t_min + 1)
+    compiled.run_maxflow()
+    live.run_maxflow()
     for new_tau_e in range(t_min + 2, t_max + 1):
         pending = network.sink_capacity_in_window(
-            "n1", persistent.tau_e + 1, new_tau_e
+            "n1", compiled.tau_e + 1, new_tau_e
         )
-        persistent.extend_end(new_tau_e)
-        reference.extend_end(new_tau_e)
-        persistent.run_maxflow(value_bound=pending)
-        reference.run_maxflow()
-        _check_step(persistent, reference)
-
-
-def test_unknown_kernel_rejected(burst_network):
-    with pytest.raises(SolverError, match="kernel"):
-        IncrementalTransformedNetwork(
-            burst_network, "s", "t", 0, 2, kernel="quantum"
-        )
+        compiled.extend_end(new_tau_e)
+        live.extend_end(new_tau_e)
+        compiled.run_maxflow(value_bound=pending)
+        live.run_maxflow()
+        _check_step(compiled, live)
 
 
 def test_clone_preserves_kernel(burst_network):
+    skeleton = WindowSkeleton(burst_network, "s", "t")
     state = IncrementalTransformedNetwork(
-        burst_network, "s", "t", 0, 2, kernel="object"
+        burst_network, "s", "t", 0, 2, skeleton=skeleton
     )
-    assert state.clone().kernel == "object"
+    state.run_maxflow()
+    other = state.clone()
+    other.extend_end(5)
+    assert other.run_maxflow().kernel == "persistent"
+    assert other._skeleton is skeleton  # noqa: SLF001 - shared compiled index
+
+
+@pytest.mark.parametrize("algorithm", [bfq_plus, bfq_star], ids=["bfq+", "bfq*"])
+def test_every_engine_run_is_tallied_as_persistent(burst_network, algorithm):
+    result = algorithm(burst_network, BurstingFlowQuery("s", "t", 3))
+    assert result.stats.kernel_runs == {"persistent": result.stats.maxflow_runs}
+    assert result.stats.kernel_seconds.keys() == {"persistent"}

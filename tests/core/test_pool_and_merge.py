@@ -162,14 +162,14 @@ class TestMergeQueryStats:
     def test_kernel_tallies_merge_key_wise(self):
         first = QueryStats()
         first.note_kernel("persistent", 0.25)
-        first.note_kernel("vectorized", 0.5)
+        first.note_kernel("other", 0.5)
         second = QueryStats()
-        second.note_kernel("vectorized", 0.125)
+        second.note_kernel("other", 0.125)
         merged = merge_query_stats([first, second])
-        assert merged.kernel_runs == {"persistent": 1, "vectorized": 2}
+        assert merged.kernel_runs == {"persistent": 1, "other": 2}
         assert merged.kernel_seconds == {
             "persistent": 0.25,
-            "vectorized": 0.625,
+            "other": 0.625,
         }
 
     def test_samples_concatenate_in_chunk_order(self):

@@ -2,7 +2,8 @@
 
 The skeleton path must be *indistinguishable* from the object-graph
 transform: same node set, same Maxflow value, certificates that hold, and
-identical end-to-end answers from every algorithm under both transforms.
+end-to-end answers from every algorithm identical to a per-window
+object-graph reference (``build_transformed_network`` + object Dinic).
 """
 
 from __future__ import annotations
@@ -16,12 +17,8 @@ from hypothesis import strategies as st
 from repro import BurstingFlowQuery, bfq, bfq_plus, bfq_star, find_bursting_flow
 from repro.core import enumerate_candidates
 from repro.core.bfq_plus import bfq_plus as bfq_plus_direct
-from repro.core.skeleton import (
-    DEFAULT_TRANSFORM,
-    KNOWN_TRANSFORMS,
-    WindowSkeleton,
-    validate_transform,
-)
+from repro.core.record import BestRecord
+from repro.core.skeleton import WindowSkeleton
 from repro.core.transform import build_transformed_network, reachable_edges
 from repro.exceptions import GraphError, InvalidIntervalError
 from repro.flownet import dinic
@@ -54,18 +51,22 @@ def candidate_windows(network, source="n0", sink="n1", delta=2):
     return list(plan.intervals())
 
 
-class TestValidateTransform:
-    def test_known_names(self):
-        assert validate_transform("skeleton") == "skeleton"
-        assert validate_transform("object") == "object"
-        assert validate_transform("SKELETON") == "skeleton"
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown transform"):
-            validate_transform("quantum")
-
-    def test_default_is_known(self):
-        assert DEFAULT_TRANSFORM in KNOWN_TRANSFORMS
+def object_bfq(network, query):
+    """BFQ over the Lemma-2 plan, rebuilding every window as an object graph."""
+    best = BestRecord()
+    for tau_s, tau_e in candidate_windows(
+        network, query.source, query.sink, query.delta
+    ):
+        transformed = build_transformed_network(
+            network, query.source, query.sink, tau_s, tau_e
+        )
+        run = dinic(
+            transformed.flow_network,
+            transformed.source_index,
+            transformed.sink_index,
+        )
+        best.offer(run.value, tau_s, tau_e)
+    return best
 
 
 class TestWindowEquality:
@@ -155,27 +156,25 @@ class TestLazySweep:
 
 
 class TestAlgorithmEquality:
-    """End-to-end: every algorithm agrees across both transforms."""
+    """End-to-end: every algorithm agrees with the object-graph reference."""
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("algorithm", [bfq, bfq_plus, bfq_star])
     def test_skeleton_matches_object(self, seed, algorithm):
         network = random_network(seed, edges=25)
         query = BurstingFlowQuery("n0", "n1", 2)
-        with_skeleton = algorithm(network, query, transform="skeleton")
-        with_object = algorithm(network, query, transform="object")
+        with_skeleton = algorithm(network, query)
+        with_object = object_bfq(network, query)
         assert abs(with_skeleton.density - with_object.density) < TOLERANCE
         assert with_skeleton.interval == with_object.interval
-        assert abs(with_skeleton.flow_value - with_object.flow_value) < TOLERANCE
+        assert abs(with_skeleton.flow_value - with_object.value) < TOLERANCE
 
     @pytest.mark.parametrize("seed", range(5))
     def test_skeleton_without_pruning_matches(self, seed):
         network = random_network(seed + 100)
         query = BurstingFlowQuery("n0", "n1", 3)
-        pruned = bfq_plus_direct(network, query, transform="skeleton")
-        unpruned = bfq_plus_direct(
-            network, query, transform="skeleton", use_pruning=False
-        )
+        pruned = bfq_plus_direct(network, query)
+        unpruned = bfq_plus_direct(network, query, use_pruning=False)
         assert abs(pruned.density - unpruned.density) < TOLERANCE
         assert pruned.interval == unpruned.interval
 
@@ -187,31 +186,25 @@ class TestAlgorithmEquality:
     def test_property_skeleton_matches_object(self, seed, delta):
         network = random_network(seed, nodes=5, edges=16, horizon=8)
         query = BurstingFlowQuery("n0", "n1", delta)
+        with_object = object_bfq(network, query)
         for algorithm in (bfq, bfq_plus, bfq_star):
-            with_skeleton = algorithm(network, query, transform="skeleton")
-            with_object = algorithm(network, query, transform="object")
+            with_skeleton = algorithm(network, query)
             assert abs(with_skeleton.density - with_object.density) < TOLERANCE
             assert with_skeleton.interval == with_object.interval
 
 
 class TestEngineDispatch:
-    def test_transform_forwarded(self, burst_network):
-        query = BurstingFlowQuery("s", "t", 2)
-        for transform in KNOWN_TRANSFORMS:
-            result = find_bursting_flow(
-                burst_network, query, algorithm="bfq", transform=transform
-            )
-            assert result.found
-
-    def test_transform_rejected_for_baselines(self, burst_network):
-        from repro.exceptions import InvalidQueryError
-
-        with pytest.raises(InvalidQueryError, match="transform"):
+    @pytest.mark.parametrize("algorithm", ["bfq", "bfq+", "bfq*", "naive"])
+    @pytest.mark.parametrize("option", ["kernel", "transform"])
+    def test_engine_takes_no_kernel_or_transform(
+        self, burst_network, algorithm, option
+    ):
+        with pytest.raises(TypeError, match=option):
             find_bursting_flow(
                 burst_network,
                 BurstingFlowQuery("s", "t", 2),
-                algorithm="naive",
-                transform="skeleton",
+                algorithm=algorithm,
+                **{option: "object"},
             )
 
     def test_parallel_windows_rejected_for_incremental(self, burst_network):

@@ -52,15 +52,6 @@ class TestServiceBackendAnswers:
         assert not served.found
         assert served.interval is None
 
-    def test_kernel_passthrough(self):
-        network = _network()
-        query = BurstingFlowQuery("s", "t", 1)
-        for kernel in ("persistent", "object"):
-            served = service_bfq(network, query, kernel=kernel)
-            fresh = find_bursting_flow(network, query, algorithm="bfq*")
-            assert served.density == fresh.density
-            assert served.interval == fresh.interval
-
     def test_source_network_is_not_mutated(self):
         network = _network()
         epoch_before = network.epoch

@@ -14,12 +14,15 @@ from repro import BurstingFlowQuery, find_bursting_flow
 from repro.core import top_k_bursts
 from repro.service import BurstingFlowService, QueryRequest
 from repro.service.protocol import (
+    PROTOCOL_VERSION,
     AppendRequest,
     BatchReply,
     BatchRequest,
     ErrorReply,
     TopKReply,
     TopKRequest,
+    encode,
+    parse_reply,
 )
 
 BATCH = (
@@ -219,14 +222,12 @@ class TestTopKOperation:
 
 
 class TestCacheKeyCollisions:
-    """Queries differing only in evaluation knobs must not share entries.
+    """Queries differing in the algorithm must not share entries.
 
     Regression for the silent-collision bug: the old key was
     ``(epoch, source, sink, delta)``, so a ``bfq*`` answer could be served
-    to a ``naive`` request (fine) — but also a ``kernel=object`` answer to
-    a ``kernel=persistent`` request and, worse, an answer computed under
-    one transform to a request pinning the other.  All three knobs are in
-    the key now; hits require the whole evaluation recipe to match.
+    to a ``bfq`` request.  The algorithm is in the key now; hits require
+    the same algorithm.
     """
 
     @staticmethod
@@ -250,44 +251,33 @@ class TestCacheKeyCollisions:
         assert second.cached is False  # not served from the bfq* entry
         assert (second.density, second.interval) == (first.density, first.interval)
 
-    def test_transform_distinguishes_entries(self, burst_network):
-        first, second = run(
-            self._pair(
-                burst_network, {"transform": "skeleton"}, {"transform": "object"}
-            )
-        )
-        assert first.cached is False
-        assert second.cached is False
-        assert (second.density, second.interval) == (first.density, first.interval)
-
-    def test_kernel_distinguishes_entries(self, burst_network):
-        first, second = run(
-            self._pair(
-                burst_network,
-                {"algorithm": "bfq*", "kernel": "persistent"},
-                {"algorithm": "bfq*", "kernel": "object"},
-            )
-        )
-        assert first.cached is False
-        assert second.cached is False
-        assert (second.density, second.interval) == (first.density, first.interval)
-
     def test_same_recipe_still_hits(self, burst_network):
         first, second = run(
             self._pair(
                 burst_network,
-                {"algorithm": "bfq*", "kernel": "object", "transform": "skeleton"},
-                {"algorithm": "bfq*", "kernel": "object", "transform": "skeleton"},
+                {"algorithm": "bfq*"},
+                {"algorithm": "bfq*"},
             )
         )
         assert first.cached is False
         assert second.cached is True
 
     def test_default_and_explicit_transform_share_one_entry(self, burst_network):
-        # The key stores the transform that actually ran, so an explicit
-        # "skeleton" request hits the entry a default request populated.
-        first, second = run(
-            self._pair(burst_network, {}, {"transform": "skeleton"})
-        )
+        # Old clients may still send "transform"; the key ignores it, so
+        # such a request hits the entry a default request populated.
+        async def scenario():
+            async with BurstingFlowService(burst_network) as service:
+                replies = []
+                for extra in ({}, {"transform": "skeleton"}):
+                    payload = {
+                        "v": PROTOCOL_VERSION, "id": "q", "op": "query",
+                        "source": "s", "sink": "t", "delta": 2, **extra,
+                    }
+                    replies.append(
+                        parse_reply(await service.handle_raw(encode(payload)))
+                    )
+                return replies
+
+        first, second = run(scenario())
         assert first.cached is False
         assert second.cached is True

@@ -1,9 +1,11 @@
 """Tests for the versioned JSON wire protocol."""
 
+import asyncio
 import json
 
 import pytest
 
+from repro.service import BurstingFlowService
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     AppendReply,
@@ -31,7 +33,7 @@ class TestRequestRoundTrip:
     def test_query_round_trips(self):
         request = QueryRequest(
             id="q1", source="s", sink="t", delta=3,
-            algorithm="bfq*", kernel="persistent", timeout=5.0,
+            algorithm="bfq*", timeout=5.0,
         )
         line = encode(request_payload(request))
         assert line.endswith(b"\n")
@@ -110,6 +112,32 @@ class TestRequestValidation:
                 {"v": PROTOCOL_VERSION, "op": "append", "id": "",
                  "edges": [["s", "t", 1.5, 2.0]]}
             )
+
+
+class TestWireCompatibility:
+    def test_legacy_kernel_and_transform_keys_are_ignored(self, burst_network):
+        # Old clients may still send the removed kernel/transform keys.
+        query = {
+            "v": PROTOCOL_VERSION, "id": "q", "op": "query",
+            "source": "s", "sink": "t", "delta": 2,
+        }
+        legacy = {**query, "kernel": "vectorized", "transform": "object"}
+        assert parse_request(legacy) == parse_request(query)
+
+        async def serve(payload):
+            async with BurstingFlowService(burst_network) as service:
+                return parse_reply(await service.handle_raw(encode(payload)))
+
+        plain_reply = asyncio.run(serve(query))
+        legacy_reply = asyncio.run(serve(legacy))
+        assert isinstance(legacy_reply, QueryReply)
+        assert (
+            legacy_reply.density, legacy_reply.interval, legacy_reply.flow_value,
+            legacy_reply.cached, legacy_reply.epoch,
+        ) == (
+            plain_reply.density, plain_reply.interval, plain_reply.flow_value,
+            plain_reply.cached, plain_reply.epoch,
+        )
 
 
 class TestReplyRoundTrip:

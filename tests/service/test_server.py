@@ -13,7 +13,6 @@ import urllib.request
 import pytest
 
 from repro import BurstingFlowQuery, find_bursting_flow
-from repro.exceptions import ReproError
 from repro.service import (
     BurstingFlowService,
     OverloadedError,
@@ -113,38 +112,6 @@ class TestHandleRequest:
 
         reply = run(scenario())
         assert isinstance(reply, ErrorReply) and reply.kind == "invalid"
-
-    def test_unknown_kernel_is_typed_invalid(self, burst_network):
-        async def scenario():
-            async with BurstingFlowService(burst_network) as service:
-                return await service.handle_request(
-                    QueryRequest(
-                        id="q", source="s", sink="t", delta=2, kernel="cuda"
-                    )
-                )
-
-        reply = run(scenario())
-        assert isinstance(reply, ErrorReply) and reply.kind == "invalid"
-
-    def test_kernel_dropped_for_baseline_algorithms(self, burst_network):
-        # naive has no incremental state; a kernel request must not fail.
-        async def scenario():
-            async with BurstingFlowService(burst_network) as service:
-                return await service.handle_request(
-                    QueryRequest(
-                        id="q", source="s", sink="t", delta=2,
-                        algorithm="naive", kernel="persistent",
-                    )
-                )
-
-        reply = run(scenario())
-        assert reply.ok
-        density, interval, _ = fresh_answer(burst_network, "s", "t", 2)
-        assert (reply.density, reply.interval) == (density, interval)
-
-    def test_rejects_unknown_default_kernel(self, burst_network):
-        with pytest.raises(ReproError, match="kernel"):
-            BurstingFlowService(burst_network, kernel="cuda")
 
     def test_append_rejects_bad_edge_but_reports_epoch(self, burst_network):
         async def scenario():
@@ -460,13 +427,13 @@ class TestProcessEngineMode:
             )
             try:
                 # Warm the pool so the worker processes actually spawn.
-                await pool.answer("s", "t", 5, "bfq*", None)
+                await pool.answer("s", "t", 5, "bfq*")
                 # Murder every worker out from under the pool.
                 assert pool._pool._processes
                 for process in list(pool._pool._processes.values()):
                     process.terminate()
                 answer = await asyncio.wait_for(
-                    pool.answer("s", "t", 2, "bfq*", None), timeout=60.0
+                    pool.answer("s", "t", 2, "bfq*"), timeout=60.0
                 )
                 return answer, pool.restarts
             finally:

@@ -77,11 +77,11 @@ class TestProcessPoolSharedMemory:
             try:
                 assert pool.shared
                 store_name = pool._store.name
-                await pool.answer("s", "t", 5, "bfq*", None)
+                await pool.answer("s", "t", 5, "bfq*")
                 for process in list(pool._pool._processes.values()):
                     process.terminate()
                 answer = await asyncio.wait_for(
-                    pool.answer("s", "t", 2, "bfq*", None), timeout=60.0
+                    pool.answer("s", "t", 2, "bfq*"), timeout=60.0
                 )
                 return answer, pool.restarts, store_name
             finally:
@@ -107,10 +107,10 @@ class TestProcessPoolSharedMemory:
             )
             try:
                 first_store = pool._store.name
-                await pool.answer("s", "t", 2, "bfq*", None)
+                await pool.answer("s", "t", 2, "bfq*")
                 burst_network.add_edge(TemporalEdge("s", "t", 9, 123.0))
                 pool.mark_stale()  # no edges: forces the re-snapshot path
-                answer = await pool.answer("s", "t", 2, "bfq*", None)
+                answer = await pool.answer("s", "t", 2, "bfq*")
                 return answer, first_store, pool._store.name
             finally:
                 pool.close()
@@ -131,7 +131,7 @@ class TestProcessPoolSharedMemory:
             )
             try:
                 assert not pool.shared
-                return await pool.answer("s", "t", 2, "bfq*", None)
+                return await pool.answer("s", "t", 2, "bfq*")
             finally:
                 pool.close()
 

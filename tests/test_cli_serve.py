@@ -1,4 +1,4 @@
-"""CLI tests for the ``serve`` subcommand and the ``--kernel`` flags."""
+"""CLI tests for the ``serve`` subcommand and the absent ``--kernel`` flags."""
 
 import json
 import os
@@ -31,55 +31,17 @@ def edges_csv(tmp_path):
 
 
 class TestKernelFlags:
-    @pytest.mark.parametrize("kernel", ["persistent", "object"])
-    def test_query_kernel_flag(self, edges_csv, capsys, kernel):
-        code = main(
-            [
-                "query", str(edges_csv),
-                "--source", "s", "--sink", "t", "--delta", "2",
-                "--kernel", kernel,
-            ]
+    """The engine has one kernel and one transform: no flag selects them."""
+
+    def test_query_rejects_unknown_kernel(self, edges_csv):
+        commands = (
+            ["query", str(edges_csv), "--source", "s", "--sink", "t", "--delta", "2"],
+            ["scan", str(edges_csv), "--sources", "s", "--sinks", "t"],
         )
-        assert code == 0
-        assert "300" in capsys.readouterr().out
-
-    def test_query_rejects_unknown_kernel(self, edges_csv, capsys):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "query", str(edges_csv),
-                    "--source", "s", "--sink", "t", "--delta", "2",
-                    "--kernel", "cuda",
-                ]
-            )
-
-    def test_scan_kernel_flag(self, edges_csv, capsys):
-        code = main(
-            [
-                "scan", str(edges_csv),
-                "--sources", "s", "--sinks", "t",
-                "--kernel", "object",
-            ]
-        )
-        assert code == 0
-        assert "scanned" in capsys.readouterr().out
-
-    def test_kernels_agree_on_the_answer(self, edges_csv, capsys):
-        outputs = []
-        for kernel in ("persistent", "object"):
-            assert main(
-                [
-                    "query", str(edges_csv),
-                    "--source", "s", "--sink", "t", "--delta", "2",
-                    "--kernel", kernel,
-                ]
-            ) == 0
-            out = capsys.readouterr().out
-            outputs.append(
-                [line for line in out.splitlines()
-                 if "density" in line or "interval" in line]
-            )
-        assert outputs[0] == outputs[1]
+        for command in commands:
+            for option in (["--kernel", "persistent"], ["--transform", "skeleton"]):
+                with pytest.raises(SystemExit):
+                    main(command + option)
 
 
 class TestFuzzServiceBackend:
@@ -102,16 +64,17 @@ class TestServeParser:
         assert args.host == "127.0.0.1"
         assert args.port == 7461
         assert args.algorithm == "bfq*"
-        assert args.kernel is None
+        assert not hasattr(args, "kernel")
         assert args.processes is None
         assert args.max_pending == 64
         assert args.serve_seconds is None
 
     def test_serve_rejects_unknown_kernel(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["serve", "edges.csv", "--kernel", "cuda"]
-            )
+        for command in ("serve", "cluster"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    [command, "edges.csv", "--kernel", "persistent"]
+                )
 
 
 class TestServeEndToEnd:
