@@ -7,30 +7,35 @@ flow densities are "significantly larger than the average case".
 
 :class:`BurstDetector` packages that procedure:
 
-1. run every (s, t, delta) combination;
+1. answer every (s, t, delta) combination through the multi-query planner
+   (:func:`repro.core.planner.answer_planned`), one batch per (s, t) pair,
+   so a pair's deltas share one skeleton compile and its window maxflows;
 2. rank the answers by density;
 3. flag the answers whose density is a robust outlier (modified z-score
    against the batch median) *and* whose bursting interval is short — the
    combination that separated the paper's suspicious pair Q1 from the
-   benign long-interval pair Q2.
+   benign long-interval pair Q2 (:func:`repro.mining.pipeline.flag_entries`,
+   the rule the mining pipeline flags with).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from statistics import median
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from repro.core.engine import find_bursting_flow
+from repro.core.planner import BurstEntry, answer_planned
 from repro.core.profile import PhaseBreakdown
 from repro.core.query import BurstingFlowQuery
 from repro.exceptions import InvalidQueryError, ScanQueryError
-from repro.mining.stats import modified_z_score as _modified_z_score
-from repro.temporal.edge import NodeId, Timestamp
+from repro.mining.pipeline import flag_entries
+from repro.temporal.edge import NodeId
 from repro.temporal.network import TemporalFlowNetwork
 
 #: ``on_error=`` choices for :meth:`BurstDetector.scan`.
 SCAN_ERROR_MODES = ("raise", "record")
+
+#: One (source, sink, delta) answer of a sweep.
+ScanFinding = BurstEntry
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,23 +48,13 @@ class ScanError:
     error: str
 
 
-@dataclass(frozen=True, slots=True)
-class ScanFinding:
-    """One (source, sink, delta) answer from the sweep."""
-
-    source: NodeId
-    sink: NodeId
-    delta: int
-    density: float
-    interval: tuple[Timestamp, Timestamp] | None
-    flow_value: float
-
-    @property
-    def interval_length(self) -> int | None:
-        """Length of the bursting interval, or None when no flow exists."""
-        if self.interval is None:
-            return None
-        return self.interval[1] - self.interval[0]
+def _failure(
+    on_error: str, source: NodeId, sink: NodeId, delta: int, exc: Exception
+) -> ScanError:
+    """The row for one failed query; under ``"raise"``, raise it instead."""
+    if on_error == "raise":
+        raise ScanQueryError(source, sink, delta, exc) from exc
+    return ScanError(source, sink, delta, f"{type(exc).__name__}: {exc}")
 
 
 @dataclass(slots=True)
@@ -99,8 +94,6 @@ class BurstDetector:
 
     Args:
         network: the transaction (temporal flow) network.
-        algorithm: which delta-BFlow solution to run (default BFQ*, as the
-            paper's case study does).
         outlier_score: modified z-score above which a finding is flagged.
         max_interval_fraction: a flagged burst must additionally be shorter
             than this fraction of the horizon (benign heavy flows are heavy
@@ -111,7 +104,6 @@ class BurstDetector:
         self,
         network: TemporalFlowNetwork,
         *,
-        algorithm: str = "bfq*",
         outlier_score: float = 3.5,
         max_interval_fraction: float = 0.2,
     ) -> None:
@@ -121,7 +113,6 @@ class BurstDetector:
                 f"got {max_interval_fraction}"
             )
         self.network = network
-        self.algorithm = algorithm
         self.outlier_score = outlier_score
         self.max_interval_fraction = max_interval_fraction
 
@@ -138,13 +129,17 @@ class BurstDetector:
         Pairs with ``s == t`` or with endpoints missing from the network
         are skipped silently (the paper's random normal accounts are drawn
         from the network, but user-provided suspect lists may be stale).
+        Each remaining pair's deltas are answered as one planner batch;
+        findings and errors come out in source -> sink -> delta order.
 
-        A *failing* combination — the engine raising mid-sweep — follows
-        ``on_error``, matching the batch-layer semantics: ``"raise"``
-        (default) aborts the sweep with a :class:`ScanQueryError` naming
-        the (source, sink, delta) that failed; ``"record"`` appends a
-        :class:`ScanError` to :attr:`ScanReport.errors` and keeps
-        sweeping, so one poisoned query cannot void hours of results.
+        A *failing* combination follows ``on_error``, matching the
+        batch-layer semantics: ``"raise"`` (default) aborts the sweep with
+        a :class:`ScanQueryError` naming the (source, sink, delta) that
+        failed; ``"record"`` appends a :class:`ScanError` to
+        :attr:`ScanReport.errors` and keeps sweeping, so one poisoned
+        query cannot void hours of results.  An invalid query fails for
+        its own delta only; a failed planner batch fails every delta of
+        its pair (``"raise"`` names the pair's first delta).
         """
         if on_error not in SCAN_ERROR_MODES:
             raise InvalidQueryError(
@@ -159,63 +154,62 @@ class BurstDetector:
                     continue
                 if source not in self.network or sink not in self.network:
                     continue
-                for delta in deltas:
-                    try:
-                        result = find_bursting_flow(
-                            self.network,
-                            BurstingFlowQuery(source, sink, delta),
-                            algorithm=self.algorithm,
-                        )
-                    except Exception as exc:
-                        if on_error == "raise":
-                            raise ScanQueryError(
-                                source, sink, delta, exc
-                            ) from exc
-                        errors.append(
-                            ScanError(
-                                source=source,
-                                sink=sink,
-                                delta=delta,
-                                error=f"{type(exc).__name__}: {exc}",
-                            )
-                        )
-                        continue
-                    phases.add(result.stats)
-                    findings.append(
-                        ScanFinding(
-                            source=source,
-                            sink=sink,
-                            delta=delta,
-                            density=result.density,
-                            interval=result.interval,
-                            flow_value=result.flow_value,
-                        )
-                    )
+                for outcome in self._scan_pair(
+                    source, sink, deltas, on_error, phases
+                ):
+                    if isinstance(outcome, ScanError):
+                        errors.append(outcome)
+                    else:
+                        findings.append(outcome)
+        flagged = flag_entries(
+            findings,
+            horizon=self.network.time_span,
+            outlier_score=self.outlier_score,
+            max_interval_fraction=self.max_interval_fraction,
+        )
         return ScanReport(
             findings=findings,
-            flagged=self._flag(findings),
+            flagged=[finding for finding, _z in flagged],
             phases=phases,
             errors=errors,
         )
 
-    def _flag(self, findings: list[ScanFinding]) -> list[ScanFinding]:
-        positives = [f for f in findings if f.density > 0]
-        if len(positives) < 3:
-            return []
-        densities = [f.density for f in positives]
-        mid = median(densities)
-        mad = median(abs(d - mid) for d in densities)
-        horizon = self.network.t_max - self.network.t_min
-        max_length = max(1, int(horizon * self.max_interval_fraction))
-        flagged = []
-        for finding in positives:
-            score = _modified_z_score(finding.density, mid, mad)
-            length = finding.interval_length
-            if (
-                score >= self.outlier_score
-                and length is not None
-                and length <= max_length
-            ):
-                flagged.append(finding)
-        flagged.sort(key=lambda f: f.density, reverse=True)
-        return flagged
+    def _scan_pair(
+        self,
+        source: NodeId,
+        sink: NodeId,
+        deltas: Sequence[int],
+        on_error: str,
+        phases: PhaseBreakdown,
+    ) -> Iterator[ScanFinding | ScanError]:
+        """One pair's deltas as one planner batch; one outcome per delta."""
+        slots: list[BurstingFlowQuery | ScanError] = []
+        for delta in deltas:
+            try:
+                slots.append(BurstingFlowQuery(source, sink, delta))
+            except Exception as exc:
+                slots.append(_failure(on_error, source, sink, delta, exc))
+        queries = [q for q in slots if isinstance(q, BurstingFlowQuery)]
+        try:
+            results = iter(answer_planned(self.network, queries)[0])
+        except Exception as exc:
+            slots = [
+                _failure(on_error, source, sink, q.delta, exc)
+                if isinstance(q, BurstingFlowQuery)
+                else q
+                for q in slots
+            ]
+        for slot in slots:
+            if isinstance(slot, ScanError):
+                yield slot
+                continue
+            result = next(results)
+            phases.add(result.stats)
+            yield ScanFinding(
+                source=source,
+                sink=sink,
+                delta=slot.delta,
+                density=result.density,
+                interval=result.interval,
+                flow_value=result.flow_value,
+            )

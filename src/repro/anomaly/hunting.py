@@ -47,7 +47,6 @@ def hunt_bursts(
     top_sources: int = 5,
     top_sinks: int = 5,
     min_volume: float = 0.0,
-    algorithm: str = "bfq*",
 ) -> ScanReport:
     """The full funnel: screen nodes, confirm with delta-BFlow queries.
 
@@ -65,5 +64,4 @@ def hunt_bursts(
     )
     sources = [score.node for score in emitters[:top_sources]]
     sinks = [score.node for score in collectors[:top_sinks]]
-    detector = BurstDetector(network, algorithm=algorithm)
-    return detector.scan(sources, sinks, [delta])
+    return BurstDetector(network).scan(sources, sinks, [delta])

@@ -53,7 +53,6 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from statistics import median
 from typing import Any, Mapping, Sequence
 
 from repro.cluster.health import HealthMonitor
@@ -104,9 +103,8 @@ from repro.service.protocol import (
     reply_payload,
     request_payload,
 )
-from repro.mining.pipeline import flag_entries, persist_entries
+from repro.mining.pipeline import flag_entries, persist_entries, score_entries
 from repro.mining.prefilter import NodeIntensity, rank_candidates_for_network
-from repro.mining.stats import modified_z_score
 from repro.mining.store import PatternStore
 from repro.service.server import (
     _http_respond,
@@ -949,24 +947,10 @@ class ClusterCoordinator:
         assert isinstance(confirm, TopKReply), confirm
         entries = list(confirm.entries)
         funnel["confirmed"] = len(entries)
-        horizon = (
-            self._mirror.t_max - self._mirror.t_min
-            if self._mirror.num_edges
-            else 0
-        )
         if request.persist == "flagged":
-            selected = flag_entries(entries, horizon=horizon)
+            selected = flag_entries(entries, horizon=self._mirror.time_span)
         else:
-            positives = [e for e in entries if e.density > 0]
-            densities = [e.density for e in positives]
-            mid = median(densities) if densities else 0.0
-            mad = (
-                median(abs(d - mid) for d in densities) if densities else 0.0
-            )
-            selected = [
-                (entry, modified_z_score(entry.density, mid, mad))
-                for entry in positives
-            ]
+            selected = score_entries(entries)
         funnel["flagged"] = len(selected)
         records, new_ids, deduped = persist_entries(
             self.patterns,

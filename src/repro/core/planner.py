@@ -25,10 +25,14 @@ Correctness: a window's Maxflow *value* is a pure function of the window
 (the kernel is deterministic), and
 :class:`~repro.core.record.BestRecord`'s canonical tie-break is
 order-independent — so folding memoised values through each query's own
-candidate plan reproduces the independent
-:func:`~repro.core.engine.find_bursting_flow` answer exactly (interval,
-flow value, tie-breaks).  The ``planner`` oracle backend differential-
-checks this on every fuzz trial.
+candidate plan reproduces the from-scratch
+``find_bursting_flow(..., algorithm="bfq")`` answer exactly (density,
+interval and flow value all ``==``).  Against the incremental BFQ+/BFQ*
+the flow values agree only up to float summation order: on the prosper
+replica, query n124 -> n169 at delta 4 returns 2485.5076985818528 here
+and 2485.5076985818523 from BFQ*.  The ``planner`` oracle backend
+differential-checks every fuzz trial within the oracle's relative
+tolerance.
 
 Epoch safety: the memo snapshots the network epoch at construction and
 refuses to serve after a mutation (matching the skeleton's own guard), so
@@ -194,6 +198,7 @@ def _solve_group(
                 memo.put((tau_s, tau_e), value, window.num_nodes)
                 stats.maxflow_runs += 1
                 stats.augmenting_paths += run.augmenting_paths
+                stats.note_kernel(run.kernel, t2 - t1)
                 stats.record_sample(
                     IntervalSample(
                         interval=(tau_s, tau_e),
@@ -344,14 +349,21 @@ def answer_planned(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, slots=True)
 class BurstEntry:
-    """One ranked answer of a :func:`top_k_bursts` query."""
+    """One (source, sink, delta) answer: a top-k entry or a scan finding."""
 
     source: NodeId
     sink: NodeId
     delta: int
     density: float
-    interval: tuple[Timestamp, Timestamp]
+    interval: tuple[Timestamp, Timestamp] | None
     flow_value: float
+
+    @property
+    def interval_length(self) -> int | None:
+        """Length of the bursting interval, or None when no flow exists."""
+        if self.interval is None:
+            return None
+        return self.interval[1] - self.interval[0]
 
 
 def top_k_bursts(

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.engine import find_bursting_flow
+from repro.core.planner import answer_planned
 from repro.core.query import BurstingFlowQuery, QueryStats
 from repro.exceptions import InvalidQueryError
 from repro.temporal.edge import NodeId, Timestamp
@@ -143,10 +143,12 @@ def density_profile(
     source: NodeId,
     sink: NodeId,
     deltas: Sequence[int] | None = None,
-    *,
-    algorithm: str = "bfq*",
 ) -> list[ProfilePoint]:
     """The optimal density for every requested delta (ascending).
+
+    The deltas are answered as one planner batch
+    (:func:`repro.core.planner.answer_planned`): one skeleton compile, and
+    each candidate window's maxflow solved once across the whole ladder.
 
     Args:
         deltas: deltas to evaluate; defaults to a geometric ladder
@@ -164,22 +166,20 @@ def density_profile(
             ladder.append(step)
             step *= 2
         deltas = ladder
-    points: list[ProfilePoint] = []
-    for delta in sorted(set(deltas)):
-        if delta < 1 or delta > horizon:
-            continue
-        result = find_bursting_flow(
-            network, BurstingFlowQuery(source, sink, delta), algorithm=algorithm
+    evaluated = [delta for delta in sorted(set(deltas)) if 1 <= delta <= horizon]
+    results, _report = answer_planned(
+        network,
+        [BurstingFlowQuery(source, sink, delta) for delta in evaluated],
+    )
+    return [
+        ProfilePoint(
+            delta=delta,
+            density=result.density,
+            interval=result.interval,
+            flow_value=result.flow_value,
         )
-        points.append(
-            ProfilePoint(
-                delta=delta,
-                density=result.density,
-                interval=result.interval,
-                flow_value=result.flow_value,
-            )
-        )
-    return points
+        for delta, result in zip(evaluated, results)
+    ]
 
 
 def suggest_delta(

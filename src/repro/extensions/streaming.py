@@ -34,9 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.incremental import IncrementalTransformedNetwork
-from repro.core.transform import build_transformed_network
 from repro.exceptions import InvalidQueryError, InvalidTimestampError
-from repro.flownet.algorithms.dinic import dinic
 from repro.temporal.edge import NodeId, TemporalEdge, Timestamp
 from repro.temporal.network import TemporalFlowNetwork
 
@@ -267,14 +265,9 @@ class StreamingBurstMonitor:
         if not overshoot:
             return
         lo, hi = t_max - self.delta, t_max
-        transformed = build_transformed_network(
+        value = IncrementalTransformedNetwork(
             self.network, self.source, self.sink, lo, hi
-        )
-        value = dinic(
-            transformed.flow_network,
-            transformed.source_index,
-            transformed.sink_index,
-        ).value
+        ).run_maxflow().value
         self._maxflow_runs += 1
         self._offer(value, lo, hi)
 

@@ -20,10 +20,11 @@
    :class:`~repro.mining.store.PatternStore`; a re-scan over unchanged
    history dedupes to the same ``pattern_id`` set.
 
-Flagging uses the same robust modified-z-score + short-interval rule as
-:class:`repro.anomaly.detector.BurstDetector` (density outlier against
-the confirmed batch median, interval shorter than a fraction of the
-horizon), so a mining hit means exactly what a case-study hit means.
+Flagging (:func:`flag_entries`) is the one robust modified-z-score +
+short-interval rule that :class:`repro.anomaly.detector.BurstDetector`
+also flags with (density outlier against the confirmed batch median,
+interval shorter than a fraction of the horizon), so a mining hit means
+exactly what a case-study hit means.
 """
 
 from __future__ import annotations
@@ -129,6 +130,25 @@ class ScanOutcome:
         }
 
 
+def score_entries(
+    entries: Sequence[BurstEntry], *, min_density: float = 0.0
+) -> list[tuple[BurstEntry, float]]:
+    """Every positive entry at or above ``min_density``, with its robust z.
+
+    The z-score is taken against the median/MAD of *all* positive
+    densities in the batch.
+    """
+    positives = [e for e in entries if e.density > 0]
+    densities = [e.density for e in positives]
+    mid = median(densities) if densities else 0.0
+    mad = median(abs(d - mid) for d in densities) if densities else 0.0
+    return [
+        (entry, modified_z_score(entry.density, mid, mad))
+        for entry in positives
+        if entry.density >= min_density
+    ]
+
+
 def flag_entries(
     entries: Sequence[BurstEntry],
     *,
@@ -137,29 +157,24 @@ def flag_entries(
     max_interval_fraction: float = 0.2,
     min_density: float = 0.0,
 ) -> list[tuple[BurstEntry, float]]:
-    """The detector's outlier rule over confirmed entries, with scores.
+    """The outlier rule over confirmed entries, with scores.
 
     Returns ``(entry, z)`` pairs for entries whose density is a robust
     outlier against the batch median *and* whose interval is short.
-    Mirrors :meth:`repro.anomaly.detector.BurstDetector._flag` —
-    including its "fewer than 3 positives is not a distribution" guard —
-    so mining and case-study scans agree on what counts as anomalous.
+    Fewer than 3 positive densities is not a distribution: nothing is
+    flagged.  :meth:`repro.anomaly.detector.BurstDetector.scan` flags
+    through this function too, so mining and case-study scans agree on
+    what counts as anomalous.
     """
-    positives = [e for e in entries if e.density > 0]
-    if len(positives) < 3:
+    if sum(1 for e in entries if e.density > 0) < 3:
         return []
-    densities = [e.density for e in positives]
-    mid = median(densities)
-    mad = median(abs(d - mid) for d in densities)
     max_length = max(1, int(horizon * max_interval_fraction))
-    flagged = []
-    for entry in positives:
-        if entry.density < min_density:
-            continue
-        z = modified_z_score(entry.density, mid, mad)
-        length = entry.interval[1] - entry.interval[0]
-        if z >= outlier_score and length <= max_length:
-            flagged.append((entry, z))
+    flagged = [
+        (entry, z)
+        for entry, z in score_entries(entries, min_density=min_density)
+        if z >= outlier_score
+        and entry.interval[1] - entry.interval[0] <= max_length
+    ]
     flagged.sort(key=lambda item: -item[0].density)
     return flagged
 
@@ -400,31 +415,16 @@ class MiningPipeline:
         funnel.solves = len(candidate_pairs)
         funnel.confirmed = len(entries)
 
-        horizon = (
-            self.network.t_max - self.network.t_min
-            if self.network.num_edges
-            else 0
-        )
         if persist == "flagged":
             selected = flag_entries(
                 entries,
-                horizon=horizon,
+                horizon=self.network.time_span,
                 outlier_score=config.outlier_score,
                 max_interval_fraction=config.max_interval_fraction,
                 min_density=config.min_density,
             )
         else:
-            positives = [e for e in entries if e.density > 0]
-            densities = [e.density for e in positives]
-            mid = median(densities) if densities else 0.0
-            mad = (
-                median(abs(d - mid) for d in densities) if densities else 0.0
-            )
-            selected = [
-                (entry, modified_z_score(entry.density, mid, mad))
-                for entry in positives
-                if entry.density >= config.min_density
-            ]
+            selected = score_entries(entries, min_density=config.min_density)
         funnel.flagged = len(selected)
 
         records, new_ids, deduped = persist_entries(

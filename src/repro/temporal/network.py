@@ -216,6 +216,12 @@ class TemporalFlowNetwork:
             raise InvalidTimestampError(None, "network has no edges")
         return stamps[-1]
 
+    @property
+    def time_span(self) -> int:
+        """``t_max - t_min``, or 0 when the network has no edges."""
+        stamps = self.timestamps
+        return stamps[-1] - stamps[0] if stamps else 0
+
     def has_node(self, node: NodeId) -> bool:
         """Whether the node exists in the network."""
         return node in self._nodes

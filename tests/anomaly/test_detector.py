@@ -3,6 +3,7 @@
 import pytest
 
 from repro.anomaly import BurstDetector, ScanFinding
+from repro.core import BurstingFlowQuery, find_bursting_flow
 from repro.datasets import make_case_study, uniform_network, planted_burst
 from repro.exceptions import InvalidQueryError
 from repro.temporal import TemporalFlowNetwork
@@ -101,6 +102,32 @@ class TestDetectorEdgeCases:
         detector = BurstDetector(network, max_interval_fraction=0.2)
         report = detector.scan(["n0"], ["n1"], [3])
         assert report.flagged == []
+
+
+class TestScanMatchesIndependentQueries:
+    def test_findings_equal_per_query_bfq(self, burst_network):
+        deltas = [1, 2, 3, 6, 12]
+        sources, sinks = ["s", "a", "b"], ["t", "a", "c"]
+        report = BurstDetector(burst_network).scan(sources, sinks, deltas)
+        expected = []
+        for source in sources:
+            for sink in sinks:
+                if source == sink:
+                    continue
+                for delta in deltas:
+                    result = find_bursting_flow(
+                        burst_network,
+                        BurstingFlowQuery(source, sink, delta),
+                        algorithm="bfq",
+                    )
+                    expected.append(
+                        ScanFinding(
+                            source, sink, delta, result.density,
+                            result.interval, result.flow_value,
+                        )
+                    )
+        assert report.findings == expected
+        assert any(finding.density > 0 for finding in report.findings)
 
 
 class TestScanFinding:

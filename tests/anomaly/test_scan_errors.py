@@ -20,17 +20,17 @@ def network(burst_network):
 
 
 def poisoned(monkeypatch, fail_on):
-    """Patch the detector's engine to fail for one (source, sink) pair."""
+    """Patch the detector's planner to fail for one (source, sink) pair."""
     from repro.anomaly import detector as detector_mod
 
-    real = detector_mod.find_bursting_flow
+    real = detector_mod.answer_planned
 
-    def selective(network, query, **kwargs):
-        if (query.source, query.sink) == fail_on:
+    def selective(network, queries, **kwargs):
+        if any((query.source, query.sink) == fail_on for query in queries):
             raise RuntimeError("engine exploded")
-        return real(network, query, **kwargs)
+        return real(network, queries, **kwargs)
 
-    monkeypatch.setattr(detector_mod, "find_bursting_flow", selective)
+    monkeypatch.setattr(detector_mod, "answer_planned", selective)
 
 
 class TestRaiseMode:
@@ -68,6 +68,21 @@ class TestRecordMode:
         # The healthy combinations were all still answered.
         assert {(f.source, f.sink) for f in report.findings} == {("a", "t")}
         assert len(report.findings) == 2
+
+    def test_invalid_delta_fails_alone(self, network):
+        report = BurstDetector(network).scan(
+            ["s", "a"], ["t"], [0, 2], on_error="record"
+        )
+        assert [(e.source, e.sink, e.delta) for e in report.errors] == [
+            ("s", "t", 0),
+            ("a", "t", 0),
+        ]
+        assert all(e.error.startswith("InvalidQueryError") for e in report.errors)
+        # delta=2 is still answered for both pairs.
+        assert [(f.source, f.sink, f.delta) for f in report.findings] == [
+            ("s", "t", 2),
+            ("a", "t", 2),
+        ]
 
     def test_clean_sweep_has_no_error_rows(self, network):
         report = BurstDetector(network).scan(

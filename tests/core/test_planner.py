@@ -23,6 +23,7 @@ from repro.core import (
     answer_planned,
     find_bursting_flow,
     group_queries,
+    merge_query_stats,
     planner_bfq,
     top_k_bursts,
 )
@@ -126,6 +127,10 @@ class TestPlannerEquivalence:
         assert 1 <= report.skeletons_compiled <= report.groups
         assert report.windows_reused > 0
         assert report.amortization > 1.0
+        # Every solved window is attributed to the kernel that ran it.
+        merged = merge_query_stats(result.stats for result in planned)
+        assert merged.kernel_runs == {"persistent": merged.maxflow_runs}
+        assert merged.maxflow_runs == report.windows_solved
 
     def test_process_pool_matches_sequential(self):
         if "fork" not in multiprocessing.get_all_start_methods():

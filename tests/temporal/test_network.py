@@ -39,11 +39,13 @@ class TestConstruction:
     def test_t_min_t_max(self, small):
         assert small.t_min == 1
         assert small.t_max == 5
+        assert small.time_span == 4
 
     def test_empty_network_has_no_horizon(self):
         network = TemporalFlowNetwork()
         with pytest.raises(InvalidTimestampError):
             _ = network.t_min
+        assert network.time_span == 0
 
     def test_isolated_node(self):
         network = TemporalFlowNetwork()
