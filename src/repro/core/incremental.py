@@ -24,18 +24,31 @@ incremental lemmas describe:
   formulation reaches the same state through the
   ``(N_f ⊎ N(P)) \\ (N_[tau_s,tau_s'] \\ N_[tau_s',tau_s'])`` algebra).
 
+The state *is* its residual arena (:class:`~repro.flownet.residual.
+ResidualArena`): the flat ``heads`` / ``caps`` / ``rev`` / ``slots`` /
+``level`` arrays the persistent Dinic kernel runs on, laid out like
+:meth:`~repro.core.skeleton.WindowSkeleton.materialize`'s windows — each
+edge is a forward arc in an even slot ``k`` and its reverse in ``k + 1``,
+and a node's slots are listed in insertion order.  Every move above writes
+those arrays directly; there is no second representation to keep in step.
+:meth:`to_flow_network` exports the state, routed flow included, as the
+object-graph :class:`~repro.core.transform.TransformedNetwork` for
+certificates and debugging.
+
 Flow-value accounting uses the invariant measure ``|f| =`` flow leaving the
 *active* source timeline on capacity edges, which survives both moves.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 from repro.exceptions import GraphError, InvalidIntervalError
 from repro.flownet.algorithms.base import MaxflowRun
-from repro.flownet.algorithms.dinic_flat_persistent import dinic_flat_persistent
+from repro.flownet.algorithms.dinic_flat_persistent import arena_maxflow
 from repro.flownet.network import EdgeKind, EdgeRef, FlowNetwork
+from repro.flownet.residual import ARENA_RETIRED, ARENA_UNREACHED, ResidualArena
 from repro.core.skeleton import WindowSkeleton
 from repro.core.transform import TransformedNetwork, reachable_edges
 from repro.temporal.edge import NodeId, Timestamp
@@ -44,14 +57,15 @@ from repro.temporal.network import TemporalFlowNetwork
 #: Tolerance when asserting complete withdrawal of boundary-crossing flow.
 _WITHDRAW_TOLERANCE = 1e-6
 
+_INF = math.inf
+
 
 class IncrementalTransformedNetwork:
     """A transformed network that can grow at the end and shrink at the start.
 
     Every Maxflow run is the persistent arena Dinic
-    (:func:`~repro.flownet.algorithms.dinic_flat_persistent.
-    dinic_flat_persistent`) on the network's attached residual arena,
-    built lazily on the first run and maintained incrementally afterwards.
+    (:func:`~repro.flownet.algorithms.dinic_flat_persistent.arena_maxflow`)
+    on the state's own :attr:`arena`.
 
     Edge inclusion follows the caller's input.  With a compiled
     ``skeleton`` (BFQ+/BFQ* share one per query) every extension is a
@@ -85,13 +99,19 @@ class IncrementalTransformedNetwork:
         # source, which keeps edge inclusion sound (a superset of the
         # edges reachable from the current source is materialised).
         self._arrival: dict[NodeId, float] = {}
-        self.network = FlowNetwork()
+        self.arena = ResidualArena([], [], [], [])
+        # Node index -> label ``(node, tau)`` (withdrawal nodes carry a
+        # 3-tuple label), and its inverse.  Retired labels stay mapped.
+        self._labels: list[tuple] = []
+        self._index_of: dict[tuple, int] = {}
+        self._active = 0
         # Sorted active timeline stamps per temporal node.
         self._timeline: dict[NodeId, list[Timestamp]] = {}
-        # Hold-edge handle per (node, index into timeline): the edge from
-        # timeline[i] to timeline[i+1] keyed by its *head* stamp.
-        self._hold_into: dict[tuple[NodeId, Timestamp], EdgeRef] = {}
-        self.source_capacity_arcs: list[EdgeRef] = []
+        # Forward slot of the hold edge into ``<node, stamp>``, keyed by
+        # its *head* label.
+        self._hold_into: dict[tuple[NodeId, Timestamp], int] = {}
+        # Forward slots of every capacity edge leaving the source timeline.
+        self.source_arcs: list[int] = []
         # Order matters: the source boundary node comes first (its event
         # stamps are >= tau_s, so the timeline appends monotonically), the
         # sink boundary node last (its event stamps are <= tau_e).
@@ -105,34 +125,23 @@ class IncrementalTransformedNetwork:
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
-        """``|V'|`` — active transformed nodes."""
-        return self.network.num_active_nodes
+        """``|V'|`` — active transformed nodes (a live count, O(1))."""
+        return self._active
 
-    def as_transformed(self) -> TransformedNetwork:
-        """A read-compatible :class:`TransformedNetwork` view of the state."""
-        return TransformedNetwork(
-            flow_network=self.network,
-            source=self.source,
-            sink=self.sink,
-            tau_s=self.tau_s,
-            tau_e=self.tau_e,
-            source_index=self.source_index,
-            sink_index=self.sink_index,
-            source_capacity_arcs=self.source_capacity_arcs,
-        )
+    @property
+    def num_edges(self) -> int:
+        """Edges ever inserted (arc pairs), retired ones included."""
+        return len(self.arena.heads) // 2
 
     def flow_value(self) -> float:
-        """``|f|`` for the current residual state."""
-        total = 0.0
-        network = self.network
-        for ref in self.source_capacity_arcs:
-            if network.is_retired(ref.tail):
-                continue
-            arc = network.forward_arc(ref)
-            if network.is_retired(arc.head):
-                continue
-            total += network.flow_on(ref)
-        return total
+        """``|f|`` for the current residual state.
+
+        :meth:`advance_start` drops source arcs whose tail it retires, and
+        a capacity edge's endpoints share one stamp, so every listed arc
+        is live.
+        """
+        caps = self.arena.caps
+        return sum(caps[slot + 1] for slot in self.source_arcs)
 
     def run_maxflow(self, *, value_bound: float | None = None) -> MaxflowRun:
         """Resume Dinic on the current residual state (Lemma 3 / Lemma 4).
@@ -142,20 +151,102 @@ class IncrementalTransformedNetwork:
         Maxflow).  The kernel uses it to certify maximality without its
         final failed BFS.
         """
-        return dinic_flat_persistent(
-            self.network, self.source_index, self.sink_index,
+        return arena_maxflow(
+            self.arena, self.source_index, self.sink_index,
             value_bound=value_bound,
         )
+
+    def to_flow_network(self) -> TransformedNetwork:
+        """Export the state as an object-graph transform, routed flow included.
+
+        Node indices, per-node arc order and residual capacities are the
+        arena's, and retired nodes stay present but retired, so
+        ``source_index`` / ``sink_index`` carry over and the export
+        certifies exactly the flow the kernel routed.  An export is a
+        snapshot: later moves on the state do not reach it.
+        """
+        network = FlowNetwork()
+        labels = self._labels
+        for label in labels:
+            network.add_node(label)
+        arena = self.arena
+        heads = arena.heads
+        caps = arena.caps
+        refs: dict[int, EdgeRef] = {}
+        for slot in range(0, len(heads), 2):
+            tail = heads[slot + 1]
+            head = heads[slot]
+            tail_label = labels[tail]
+            head_label = labels[head]
+            if len(tail_label) != 2 or len(head_label) != 2:
+                kind, meta = EdgeKind.VIRTUAL, "withdrawal"
+            elif tail_label[0] == head_label[0]:
+                kind, meta = EdgeKind.HOLD, tail_label[0]
+            else:
+                kind = EdgeKind.CAPACITY
+                meta = (tail_label[0], head_label[0], tail_label[1])
+            ref = network.add_edge(tail, head, 0.0, kind=kind, meta=meta)
+            network.forward_arc(ref).cap = caps[slot]
+            network.reverse_arc(ref).cap = caps[slot + 1]
+            refs[slot] = ref
+        for index, mark in enumerate(arena.level):
+            if mark == ARENA_RETIRED:
+                network.retire_node(index)
+        return TransformedNetwork(
+            flow_network=network,
+            source=self.source,
+            sink=self.sink,
+            tau_s=self.tau_s,
+            tau_e=self.tau_e,
+            source_index=self.source_index,
+            sink_index=self.sink_index,
+            source_capacity_arcs=[refs[slot] for slot in self.source_arcs],
+        )
+
+    #: A read-compatible :class:`TransformedNetwork` view of the state.
+    as_transformed = to_flow_network
 
     def clone(self) -> "IncrementalTransformedNetwork":
         """Deep copy of the state (BFQ*'s mid-sweep snapshot).
 
         The copy is *compacted*: nodes retired by earlier
-        :meth:`advance_start` calls are dropped and every stored edge
-        handle is remapped, so successive BFQ* generations do not inherit
-        dead prefixes (this mirrors the paper's operator semantics, where
-        the subtracted prefix simply no longer exists in the new network).
+        :meth:`advance_start` calls and every arc touching them are dropped
+        and the surviving slots renumbered, so successive BFQ* generations
+        do not inherit dead prefixes (this mirrors the paper's operator
+        semantics, where the subtracted prefix simply no longer exists in
+        the new network).  Each surviving node keeps its arcs in the same
+        order, so the kernel scans — and augments — exactly as it would on
+        the original.  The copy's kernel scratch state starts fresh.
         """
+        arena = self.arena
+        level = arena.level
+        heads = arena.heads
+        caps = arena.caps
+        node_map = [-1] * len(level)
+        labels: list[tuple] = []
+        for index, mark in enumerate(level):
+            if mark != ARENA_RETIRED:
+                node_map[index] = len(labels)
+                labels.append(self._labels[index])
+        slot_map = [-1] * len(heads)
+        new_heads: list[int] = []
+        new_caps: list[float] = []
+        for slot in range(0, len(heads), 2):
+            head = node_map[heads[slot]]
+            tail = node_map[heads[slot + 1]]
+            if head < 0 or tail < 0:
+                continue
+            new_slot = len(new_heads)
+            slot_map[slot] = new_slot
+            slot_map[slot + 1] = new_slot + 1
+            new_heads += (head, tail)
+            new_caps += (caps[slot], caps[slot + 1])
+        new_slots = [
+            [slot_map[slot] for slot in row if slot_map[slot] >= 0]
+            for row, mark in zip(arena.slots, level)
+            if mark != ARENA_RETIRED
+        ]
+
         other = IncrementalTransformedNetwork.__new__(IncrementalTransformedNetwork)
         other._skeleton = self._skeleton  # compiled index; safely shared
         other.temporal = self.temporal
@@ -164,21 +255,28 @@ class IncrementalTransformedNetwork:
         other.tau_s = self.tau_s
         other.tau_e = self.tau_e
         other._arrival = dict(self._arrival)
-        other.network, ref_map = self.network.compacted_clone()
-        other._timeline = {
-            node: [tau for tau in tl if other.network.has_node((node, tau))]
-            for node, tl in self._timeline.items()
+        other.arena = ResidualArena(
+            new_heads,
+            new_caps,
+            [slot ^ 1 for slot in range(len(new_heads))],
+            new_slots,
+        )
+        other._labels = labels
+        other._index_of = {label: index for index, label in enumerate(labels)}
+        other._active = len(labels)
+        index_of = other._index_of
+        other._timeline = {}
+        for node, timeline in self._timeline.items():
+            kept = [tau for tau in timeline if (node, tau) in index_of]
+            if kept:
+                other._timeline[node] = kept
+        other._hold_into = {
+            key: slot_map[slot]
+            for key, slot in self._hold_into.items()
+            if slot_map[slot] >= 0
         }
-        other._timeline = {node: tl for node, tl in other._timeline.items() if tl}
-        other._hold_into = {}
-        for key, ref in self._hold_into.items():
-            mapped = ref_map.get((ref.tail, ref.index))
-            if mapped is not None:
-                other._hold_into[key] = mapped
-        other.source_capacity_arcs = [
-            ref_map[(ref.tail, ref.index)]
-            for ref in self.source_capacity_arcs
-            if (ref.tail, ref.index) in ref_map
+        other.source_arcs = [
+            slot_map[slot] for slot in self.source_arcs if slot_map[slot] >= 0
         ]
         other._sync_endpoints()
         return other
@@ -214,14 +312,23 @@ class IncrementalTransformedNetwork:
         canonical, which the deletion case relies on: withdrawal paths
         trace the flow *backwards from the current sink*.
         """
-        old_index = self.network.index_of((self.sink, old_tau_e))
-        excess = self.network.in_flow(old_index) - self.network.out_flow(old_index)
+        caps = self.arena.caps
+        # Reverse arcs (odd slots) hold the flow entering the node, forward
+        # arcs' partners the flow leaving it.
+        inflow = 0.0
+        outflow = 0.0
+        for slot in self.arena.slots[self._index_of[(self.sink, old_tau_e)]]:
+            if slot & 1:
+                inflow += caps[slot]
+            else:
+                outflow += caps[slot + 1]
+        excess = inflow - outflow
         if excess <= 0:
             return
         timeline = self._timeline[self.sink]
         position = timeline.index(old_tau_e)
         for stamp in timeline[position + 1 :]:
-            self.network.push_on(self._hold_into[(self.sink, stamp)], excess)
+            self._push_hold(self._hold_into[(self.sink, stamp)], excess)
 
     # ------------------------------------------------------------------
     # Deletion case (Lemma 4/5)
@@ -247,16 +354,9 @@ class IncrementalTransformedNetwork:
 
         virtual_index: int | None = None
         if total_crossing > _WITHDRAW_TOLERANCE:
-            virtual_label = ("__virtual__", self.tau_s, new_tau_s)
-            virtual_index = self.network.add_node(virtual_label)
+            virtual_index = self._add_node(("__virtual__", self.tau_s, new_tau_s))
             for boundary_index, flow in crossings:
-                self.network.add_edge(
-                    boundary_index,
-                    virtual_index,
-                    flow,
-                    kind=EdgeKind.VIRTUAL,
-                    meta="withdrawal",
-                )
+                self._add_edge(boundary_index, virtual_index, flow)
 
         # Retire the prefix *before* withdrawing so withdrawal paths stay in
         # the surviving suffix (see module docstring).
@@ -264,9 +364,7 @@ class IncrementalTransformedNetwork:
 
         withdrawn = 0.0
         if virtual_index is not None:
-            run = dinic_flat_persistent(
-                self.network, self.sink_index, virtual_index
-            )
+            run = arena_maxflow(self.arena, self.sink_index, virtual_index)
             withdrawn = run.value
             if abs(withdrawn - total_crossing) > _WITHDRAW_TOLERANCE * max(
                 1.0, total_crossing
@@ -275,7 +373,7 @@ class IncrementalTransformedNetwork:
                     f"withdrawal incomplete: absorbed {withdrawn} of "
                     f"{total_crossing} boundary-crossing flow"
                 )
-            self.network.retire_node(virtual_index)
+            self._retire(virtual_index)
 
         self.tau_s = new_tau_s
         self._ensure_timeline_node(self.source, new_tau_s)
@@ -291,11 +389,66 @@ class IncrementalTransformedNetwork:
         return withdrawn
 
     # ------------------------------------------------------------------
+    # Arena primitives
+    # ------------------------------------------------------------------
+    def _add_node(self, label: tuple) -> int:
+        arena = self.arena
+        index = len(arena.slots)
+        arena.slots.append([])
+        arena.level.append(ARENA_UNREACHED)
+        arena.iters.append(0)
+        self._labels.append(label)
+        self._index_of[label] = index
+        self._active += 1
+        return index
+
+    def _add_edge(self, tail: int, head: int, capacity: float) -> int:
+        """Append edge ``tail -> head``; returns its (even) forward slot.
+
+        Keeps the arena's min-cut certificate honest: a positive-capacity
+        arc from outside the recorded sink side T into it pierces the cut.
+        New nodes carry ``ARENA_UNREACHED`` and so sit outside T.
+        """
+        arena = self.arena
+        heads = arena.heads
+        slot = len(heads)
+        heads += (head, tail)
+        arena.caps.extend((capacity, 0.0))
+        arena.rev.extend((slot + 1, slot))
+        slots = arena.slots
+        slots[tail].append(slot)
+        slots[head].append(slot + 1)
+        if arena.cut_closed and capacity > 0:
+            level = arena.level
+            if level[head] >= 0 and level[tail] < 0:
+                arena.cut_closed = False
+        return slot
+
+    def _push_hold(self, slot: int, amount: float) -> None:
+        """Route ``amount > 0`` more along the hold edge at ``slot``.
+
+        Hold edges have infinite forward residual, so only the reverse arc
+        changes.  That opens residual capacity head -> tail, which pierces
+        the min-cut certificate if it enters T from outside.
+        """
+        arena = self.arena
+        arena.caps[slot + 1] += amount
+        if arena.cut_closed:
+            level = arena.level
+            heads = arena.heads
+            if level[heads[slot + 1]] >= 0 and level[heads[slot]] < 0:
+                arena.cut_closed = False
+
+    def _retire(self, index: int) -> None:
+        self.arena.level[index] = ARENA_RETIRED
+        self._active -= 1
+
+    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _sync_endpoints(self) -> None:
-        self.source_index = self.network.index_of((self.source, self.tau_s))
-        self.sink_index = self.network.index_of((self.sink, self.tau_e))
+        self.source_index = self._index_of[(self.source, self.tau_s)]
+        self.sink_index = self._index_of[(self.sink, self.tau_e)]
 
     def _include_window(self, tau_lo: Timestamp, tau_hi: Timestamp) -> None:
         """Materialise reachable edges with timestamps in [tau_lo, tau_hi]."""
@@ -313,16 +466,17 @@ class IncrementalTransformedNetwork:
             included = reachable_edges(
                 self.temporal, self.source, tau_lo, tau_hi, arrival=self._arrival
             )
+        source = self.source
+        sink = self.sink
+        node_at = self._ensure_timeline_node
+        add_edge = self._add_edge
+        source_arcs = self.source_arcs
         for u, v, tau, capacity in included:
-            if u == self.sink or v == self.source:
+            if u == sink or v == source:
                 continue  # cannot carry s-t flow (see transform.assemble)
-            tail = self._ensure_timeline_node(u, tau)
-            head = self._ensure_timeline_node(v, tau)
-            ref = self.network.add_edge(
-                tail, head, capacity, kind=EdgeKind.CAPACITY, meta=(u, v, tau)
-            )
-            if u == self.source:
-                self.source_capacity_arcs.append(ref)
+            slot = add_edge(node_at(u, tau), node_at(v, tau), capacity)
+            if u == source:
+                source_arcs.append(slot)
 
     def _ensure_timeline_node(self, node: NodeId, tau: Timestamp) -> int:
         """Get or create ``<node, tau>``, chaining it into the timeline.
@@ -333,17 +487,17 @@ class IncrementalTransformedNetwork:
         only ever appear through timestamp injection.
         """
         label = (node, tau)
-        if self.network.has_node(label):
-            return self.network.index_of(label)
+        index = self._index_of.get(label)
+        if index is not None:
+            return index
         timeline = self._timeline.setdefault(node, [])
         if timeline and timeline[0] > tau:
             # Prepend: a fresh boundary node ahead of the first stamp.
-            index = self.network.add_node(label)
+            index = self._add_node(label)
             first = timeline[0]
-            ref = self.network.add_edge_labeled(
-                label, (node, first), math.inf, kind=EdgeKind.HOLD, meta=node
+            self._hold_into[(node, first)] = self._add_edge(
+                index, self._index_of[(node, first)], _INF
             )
-            self._hold_into[(node, first)] = ref
             timeline.insert(0, tau)
             return index
         if timeline and timeline[-1] > tau:
@@ -351,13 +505,11 @@ class IncrementalTransformedNetwork:
                 f"timeline of {node!r} only grows at its ends: cannot add "
                 f"{tau} inside [{timeline[0]}, {timeline[-1]}]"
             )
-        index = self.network.add_node(label)
+        index = self._add_node(label)
         if timeline:
-            previous = timeline[-1]
-            ref = self.network.add_edge_labeled(
-                (node, previous), label, math.inf, kind=EdgeKind.HOLD, meta=node
+            self._hold_into[label] = self._add_edge(
+                self._index_of[(node, timeline[-1])], index, _INF
             )
-            self._hold_into[(node, tau)] = ref
         timeline.append(tau)
         return index
 
@@ -368,28 +520,26 @@ class IncrementalTransformedNetwork:
         flow: each half carries the original flow, realised by zeroing out
         the spanning edge and manually pushing the flow onto the halves.
         """
+        caps = self.arena.caps
+        index_of = self._index_of
         for node, timeline in self._timeline.items():
             position = _span_position(timeline, tau)
             if position is None:
                 continue
             before = timeline[position]
             after = timeline[position + 1]
-            old_ref = self._hold_into.pop((node, after))
-            routed = self.network.flow_on(old_ref)
+            old = self._hold_into.pop((node, after))
+            routed = caps[old + 1]
             # Disable the spanning edge entirely (capacity and flow to 0).
-            self.network.disable_edge(old_ref)
+            caps[old] = 0.0
+            caps[old + 1] = 0.0
 
-            middle_label = (node, tau)
-            self.network.add_node(middle_label)
-            first = self.network.add_edge_labeled(
-                (node, before), middle_label, math.inf, kind=EdgeKind.HOLD, meta=node
-            )
-            second = self.network.add_edge_labeled(
-                middle_label, (node, after), math.inf, kind=EdgeKind.HOLD, meta=node
-            )
+            middle = self._add_node((node, tau))
+            first = self._add_edge(index_of[(node, before)], middle, _INF)
+            second = self._add_edge(middle, index_of[(node, after)], _INF)
             if routed > 0:
-                self.network.push_on(first, routed)
-                self.network.push_on(second, routed)
+                self._push_hold(first, routed)
+                self._push_hold(second, routed)
             self._hold_into[(node, tau)] = first
             self._hold_into[(node, after)] = second
             timeline.insert(position + 1, tau)
@@ -400,16 +550,17 @@ class IncrementalTransformedNetwork:
         After injection, all flow crossing the new start boundary does so on
         a hold edge whose head is exactly ``<u, tau>``.
         """
+        caps = self.arena.caps
         crossings: list[tuple[int, float]] = []
-        for node, timeline in self._timeline.items():
+        for node in self._timeline:
             if node == self.source:
                 continue
-            ref = self._hold_into.get((node, tau))
-            if ref is None:
+            slot = self._hold_into.get((node, tau))
+            if slot is None:
                 continue
-            routed = self.network.flow_on(ref)
+            routed = caps[slot + 1]
             if routed > _WITHDRAW_TOLERANCE:
-                crossings.append((self.network.index_of((node, tau)), routed))
+                crossings.append((self._index_of[(node, tau)], routed))
         return crossings
 
     def _rebuild_arrival(self) -> None:
@@ -422,56 +573,62 @@ class IncrementalTransformedNetwork:
         exact: ``<u, tau>`` is reachable from ``<s, tau_s>`` iff value
         could sit at ``u`` by time ``tau``.
         """
-        network = self.network
-        adj = network._adj  # noqa: SLF001 - hot path
-        retired = network._retired  # noqa: SLF001
+        arena = self.arena
+        heads = arena.heads
+        caps = arena.caps
+        level = arena.level
+        slots = arena.slots
+        labels = self._labels
         start = self.source_index
         seen = {start}
         stack = [start]
         arrival: dict[NodeId, float] = {}
         while stack:
             index = stack.pop()
-            node, tau = network.label_of(index)
+            node, tau = labels[index]
             known = arrival.get(node)
             if known is None or tau < known:
                 arrival[node] = float(tau)
-            for arc in adj[index]:
-                if not arc.forward or retired[arc.head] or arc.head in seen:
+            for slot in slots[index]:
+                if slot & 1:
+                    continue  # reverse arc
+                head = heads[slot]
+                if level[head] == ARENA_RETIRED or head in seen:
                     continue
                 # Structural presence: residual or routed flow positive
                 # (injection-disabled hold edges have both at zero).
-                if arc.cap <= 0 and adj[arc.head][arc.rev].cap <= 0:
+                if caps[slot] <= 0 and caps[slot + 1] <= 0:
                     continue
-                seen.add(arc.head)
-                stack.append(arc.head)
+                seen.add(head)
+                stack.append(head)
         self._arrival = arrival
 
     def _retire_prefix(self, new_tau_s: Timestamp) -> None:
         """Retire all ``<u, tau>`` nodes with ``tau < new_tau_s``."""
+        index_of = self._index_of
+        hold_into = self._hold_into
         for node, timeline in self._timeline.items():
             cut = 0
             while cut < len(timeline) and timeline[cut] < new_tau_s:
-                self.network.retire_node(
-                    self.network.index_of((node, timeline[cut]))
-                )
-                self._hold_into.pop((node, timeline[cut]), None)
+                self._retire(index_of[(node, timeline[cut])])
+                hold_into.pop((node, timeline[cut]), None)
                 cut += 1
             if cut:
                 # The hold edge into the first surviving stamp now dangles.
                 if cut < len(timeline):
-                    self._hold_into.pop((node, timeline[cut]), None)
+                    hold_into.pop((node, timeline[cut]), None)
                 del timeline[:cut]
-        self.source_capacity_arcs = [
-            ref
-            for ref in self.source_capacity_arcs
-            if not self.network.is_retired(ref.tail)
+        level = self.arena.level
+        heads = self.arena.heads
+        self.source_arcs = [
+            slot
+            for slot in self.source_arcs
+            if level[heads[slot + 1]] != ARENA_RETIRED
         ]
 
 
 def _span_position(timeline: list[Timestamp], tau: Timestamp) -> int | None:
     """Index i with timeline[i] < tau < timeline[i+1], or None."""
-    import bisect
-
     position = bisect.bisect_left(timeline, tau)
     if position < len(timeline) and timeline[position] == tau:
         return None  # node already has this stamp

@@ -20,7 +20,7 @@ so after ``O(d)`` sweeps (one per start; the same asymptotics BFQ+ pays)
 every one of the ``O(d^2)`` windows is two binary searches away.
 
 :meth:`WindowSkeleton.materialize` then builds the window **directly as a
-detached** :class:`~repro.flownet.residual.ResidualArena` — flat
+residual arena** (:class:`~repro.flownet.residual.ResidualArena`) — flat
 ``heads`` / ``caps`` / ``rev`` / ``slots`` arrays the persistent Dinic
 kernel consumes natively — bypassing :class:`~repro.flownet.network.
 FlowNetwork` entirely on the hot path.  The node set, hold chains and
@@ -232,7 +232,7 @@ class WindowSkeleton:
             yield (eu[p], ev[p], taus[k], ecap[p])
 
     def materialize(self, tau_s: Timestamp, tau_e: Timestamp) -> "SkeletonWindow":
-        """Slice ``N_[tau_s, tau_e]`` directly into a detached residual arena.
+        """Slice ``N_[tau_s, tau_e]`` directly into a fresh residual arena.
 
         One pass over the bisect-found position prefix builds the flat
         ``heads`` / ``caps`` / ``rev`` / ``slots`` arrays the persistent
@@ -325,7 +325,7 @@ class WindowSkeleton:
         # reuses the existing node when the last sink stamp is already tau_e.
         sink_index = timeline_node(sink, tau_e)
 
-        arena = ResidualArena.detached(heads, caps, rev, slots)
+        arena = ResidualArena(heads, caps, rev, slots)
         return SkeletonWindow(
             skeleton=self,
             tau_s=tau_s,
@@ -340,7 +340,7 @@ class WindowSkeleton:
 
 
 class SkeletonWindow:
-    """One candidate window, materialised as a detached residual arena.
+    """One candidate window, materialised as a residual arena.
 
     The arena is private to this window (fresh zero-flow residual state);
     :meth:`maxflow` runs the persistent flat Dinic kernel on it directly.
@@ -385,7 +385,7 @@ class SkeletonWindow:
         self.source_arc_slots = source_arc_slots
 
     def maxflow(self, *, value_bound: float | None = None) -> MaxflowRun:
-        """Run the persistent arena Dinic on this window's detached arena."""
+        """Run the persistent arena Dinic on this window's arena."""
         return arena_maxflow(
             self.arena,
             self.source_index,

@@ -23,7 +23,6 @@ def capacity_scaling(network: FlowNetwork, source: int, sink: int) -> MaxflowRun
     """Scaling Ford-Fulkerson: DFS augmenting paths above a falling threshold."""
     if source == sink:
         return MaxflowRun(value=0.0)
-    network.detach_arena()  # writes Arc.cap directly; a stale mirror is worse than none
     adj = network._adj  # noqa: SLF001 - hot path
     retired = network._retired  # noqa: SLF001
 

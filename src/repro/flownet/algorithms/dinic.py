@@ -42,9 +42,6 @@ def dinic(
     """
     if source == sink:
         return MaxflowRun(value=0.0)
-    # This solver writes Arc.cap directly; a stale flat mirror would be
-    # worse than none, so drop any attached arena (rebuilt on next use).
-    network.detach_arena()
     total = 0.0
     phases = 0
     n_paths = 0

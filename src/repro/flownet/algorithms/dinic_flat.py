@@ -11,9 +11,9 @@ on CPython 3.11 a *per-run* flatten buys nothing (slotted attribute access
 is as fast as list indexing, and the O(|E|) flatten/write-back is pure
 overhead for light runs), so this variant is at parity with ``dinic`` and
 is not the default.  What does pay is making the flat arrays *persistent*:
-:func:`~repro.flownet.algorithms.dinic_flat_persistent.dinic_flat_persistent`
-keeps them alive across runs in a
-:class:`~repro.flownet.residual.ResidualArena` and adds sink-rooted levels,
+:func:`~repro.flownet.algorithms.dinic_flat_persistent.arena_maxflow`
+runs on a :class:`~repro.flownet.residual.ResidualArena` that the engine
+keeps alive across runs, and adds sink-rooted levels,
 and on the EXP-3 incremental-maxflow workload (BENCH_PR2.json: btc2011 /
 ctu13 / prosper, BFQ+ and BFQ*) that cuts aggregate maxflow time from
 4.45 s to 2.08 s — a measured 2.1x over the object walker, with ctu13 at
@@ -40,7 +40,6 @@ def dinic_flat(network: FlowNetwork, source: int, sink: int) -> MaxflowRun:
     """Run Dinic on a flattened copy of the residual state."""
     if source == sink:
         return MaxflowRun(value=0.0)
-    network.detach_arena()  # the write-back bypasses the arena hooks
     adj = network._adj  # noqa: SLF001
     retired = network._retired  # noqa: SLF001
     n = len(adj)

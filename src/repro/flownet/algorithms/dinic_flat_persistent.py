@@ -2,20 +2,16 @@
 
 ``dinic_flat`` already showed that the CSR layout itself is not the win on
 CPython — its per-run O(|E|) flatten/write-back is pure overhead.  This
-kernel removes that overhead structurally: the flat arrays live in a
-:class:`~repro.flownet.residual.ResidualArena` attached to the network and
-maintained *incrementally* through the network's mutation hooks, so a
-resumed run (the BFQ+/BFQ* hot path — dozens of runs over one growing and
-shrinking network) touches no per-run conversion at all.  After a run,
-only the arcs actually saturated or relaxed are written back to the object
-graph, keeping both views byte-equivalent for ``flow_value()``,
-``certify_maxflow`` and the differential oracle.
-
-The core loop is exposed as :func:`arena_maxflow`, which runs on *any*
-:class:`ResidualArena` — attached to a network or **detached**: the
-transform compiler (:mod:`repro.core.skeleton`) materialises candidate
-windows straight into detached arenas with no object graph behind them,
-and the kernel's write-back simply no-ops (``arena.arcs is None``).
+kernel removes that overhead structurally: it runs on a
+:class:`~repro.flownet.residual.ResidualArena` that its owner keeps alive
+across runs, so a resumed run (the BFQ+/BFQ* hot path — dozens of runs
+over one growing and shrinking network) converts nothing at all.  The
+arena is the engine's only representation of the transformed network:
+BFQ's compiled windows are materialised straight into one
+(:mod:`repro.core.skeleton`), and the incremental BFQ+/BFQ* state
+(:mod:`repro.core.incremental`) owns one and mutates it in place.  There is
+no object graph to keep in step — no journal, no write-back; certificates
+and the differential oracle read an on-demand object-graph export.
 
 On top of the persistence, the kernel folds three constant-factor wins the
 object-graph walker cannot have:
@@ -40,21 +36,24 @@ persistent arena cuts aggregate maxflow time from 4.45 s to 2.08 s — a
 the maxflow: BFQ still built a dict-backed ``FlowNetwork`` per candidate
 window before this kernel saw an arc.  The EXP-4 transform-compiler
 workload (BENCH_PR4.json: same datasets, BFQ end-to-end) removes that too
-— skeleton-sliced detached arenas beat the per-window object-graph
-transform by 4.1x aggregate (per-dataset 2.8-4.2x), with BFQ+/BFQ* no
-slower on any dataset (1.05-1.87x).
+— skeleton-sliced arenas beat the per-window object-graph transform by
+4.1x aggregate (per-dataset 2.8-4.2x), with BFQ+/BFQ* no slower on any
+dataset (1.05-1.87x).
 
-It is the engine's only maxflow kernel: BFQ+/BFQ* states enter it through
-:func:`dinic_flat_persistent` (attached arena) and BFQ's compiled windows
-through :func:`arena_maxflow` (detached arena).  Every engine run is
-stamped ``kernel="persistent"`` so per-kernel profiles keep one row.
+The kernel proper is :func:`arena_maxflow`; every engine run is stamped
+``kernel="persistent"`` so per-kernel profiles keep one row.
+:func:`dinic_flat_persistent` is the same kernel for a classical
+:class:`~repro.flownet.network.FlowNetwork` (the registry's
+``dinic-flat-persistent`` solver, a Table-4 column): it flattens the
+network into a one-shot arena, runs, and writes the residual capacities
+back.
 
-The computed flow *value*, the certified min cut, and the arena/object
-byte-equivalence all match :func:`~repro.flownet.algorithms.dinic.dinic`
-exactly; the residual flow *assignment* may differ (both are maximum
-flows — sink-rooted and source-rooted level graphs admit different
-blocking flows), which the differential oracle accounts for by comparing
-values and certificates, not raw residuals.
+The computed flow *value* and the certified min cut match
+:func:`~repro.flownet.algorithms.dinic.dinic` exactly; the residual flow
+*assignment* may differ (both are maximum flows — sink-rooted and
+source-rooted level graphs admit different blocking flows), which the
+differential oracle accounts for by comparing values and certificates,
+not raw residuals.
 """
 
 from __future__ import annotations
@@ -70,39 +69,33 @@ KERNEL = "persistent"
 
 
 def dinic_flat_persistent(
-    network: FlowNetwork,
-    source: int,
-    sink: int,
-    *,
-    value_bound: float | None = None,
+    network: FlowNetwork, source: int, sink: int
 ) -> MaxflowRun:
-    """Resume Dinic on the network's persistent residual arena.
+    """Run the arena kernel on a :class:`FlowNetwork`: flatten, run, write back.
 
-    The first call builds and attaches the arena (one O(|V| + |E|) sweep);
-    every later call reuses it, provided all intervening mutations went
-    through the :class:`~repro.flownet.network.FlowNetwork` API (the
-    in-place object-graph solvers detach the arena defensively, forcing a
-    rebuild here rather than running on stale arrays).
-
-    ``value_bound`` is an optional *proof of maximality*: a caller-supplied
-    upper bound on how much this run can add (for the insertion sweep, the
-    Observation-2 sink capacity added since the last computed Maxflow —
-    place every new timeline node on the source side of the old min cut and
-    the only new crossing arcs are the sink-window arcs).  Once the run's
-    gain reaches the bound, no augmenting path can remain, so the kernel
-    returns without the otherwise-mandatory final failed BFS — the single
-    most expensive sweep of a resumed run.  A bound of zero certifies the
-    resumed state as already maximal in O(1).
+    Resumable like every in-place solver: the routed flow round-trips
+    through the network's ``Arc`` capacities, so a later call (of this or
+    any other mutating solver) finds only the missing augmenting paths.
     """
-    if source == sink:
-        return MaxflowRun(value=0.0, kernel=KERNEL)
-    arena = network.arena
-    if arena is None:
-        arena = ResidualArena(network)
-        network.attach_arena(arena)
-    else:
-        arena.sync(network)  # replay the structural journal in one batch
-    return arena_maxflow(arena, source, sink, value_bound=value_bound)
+    adj = network._adj  # noqa: SLF001 - one-shot flatten
+    offsets = [0]
+    for row in adj:
+        offsets.append(offsets[-1] + len(row))
+    arcs = [arc for row in adj for arc in row]
+    arena = ResidualArena(
+        [arc.head for arc in arcs],
+        [arc.cap for arc in arcs],
+        [offsets[arc.head] + arc.rev for arc in arcs],
+        [list(range(offsets[i], offsets[i + 1])) for i in range(len(adj))],
+    )
+    level = arena.level
+    for i, retired in enumerate(network._retired):  # noqa: SLF001
+        if retired:
+            level[i] = ARENA_RETIRED
+    run = arena_maxflow(arena, source, sink)
+    for arc, cap in zip(arcs, arena.caps):
+        arc.cap = cap
+    return run
 
 
 def arena_maxflow(
@@ -114,11 +107,15 @@ def arena_maxflow(
 ) -> MaxflowRun:
     """The kernel proper: resumable Dinic over an arena's flat arrays.
 
-    Works identically on attached arenas (entered via
-    :func:`dinic_flat_persistent`, which syncs the journal first) and on
-    detached arenas built by the transform compiler — the only difference
-    is the final write-back, which is skipped when there are no ``Arc``
-    objects to mirror (``arena.arcs is None``).
+    ``value_bound`` is an optional *proof of maximality*: a caller-supplied
+    upper bound on how much this run can add (for the insertion sweep, the
+    Observation-2 sink capacity added since the last computed Maxflow —
+    place every new timeline node on the source side of the old min cut and
+    the only new crossing arcs are the sink-window arcs).  Once the run's
+    gain reaches the bound, no augmenting path can remain, so the kernel
+    returns without the otherwise-mandatory final failed BFS — the single
+    most expensive sweep of a resumed run.  A bound of zero certifies the
+    resumed state as already maximal in O(1).
     """
     if source == sink:
         return MaxflowRun(value=0.0, kernel=KERNEL)
@@ -134,7 +131,6 @@ def arena_maxflow(
     total = 0.0
     n_paths = 0
     phases = 0
-    touched: list[int] = []
     # Hot-loop locals: global/attribute lookups cost a dict probe per use on
     # CPython, and the loops below execute millions of steps per workload.
     eps = FLOW_EPSILON
@@ -207,8 +203,7 @@ def arena_maxflow(
 
         remaining = (value_bound - total) if bounded else math.inf
         gained, phase_paths, maximal_by_bound = run_blocking_flow(
-            heads, caps, rev, slots, level, iters, source, sink, touched,
-            remaining,
+            heads, caps, rev, slots, level, iters, source, sink, remaining,
         )
         total += gained
         n_paths += phase_paths
@@ -227,15 +222,6 @@ def arena_maxflow(
         # BFS if nothing pierces it.
         arena.cut_closed = True
         arena.cut_sink = sink
-
-    # ------------------------------------------------------------------
-    # Write back only the arcs this run actually touched.  Detached
-    # arenas (transform-compiler windows) have no object graph to mirror.
-    # ------------------------------------------------------------------
-    arcs = arena.arcs
-    if arcs is not None:
-        for k in touched:
-            arcs[k].cap = caps[k]
     return MaxflowRun(
         value=total, augmenting_paths=n_paths, phases=phases, kernel=KERNEL
     )
@@ -250,18 +236,16 @@ def run_blocking_flow(
     iters: list[int],
     source: int,
     sink: int,
-    touched: list[int],
     remaining_bound: float,
 ) -> tuple[float, int, bool]:
     """One blocking-flow phase over an admissible (sink-rooted) level graph.
 
     The levels come from the early-stopping backward BFS; the DFS below
-    only needs ``level[head] == level[node] - 1`` admissibility.  Mutates ``caps`` / ``iters`` /
-    ``level`` in place, appends every modified slot to ``touched`` and
-    returns ``(gained, paths, hit_bound)`` where ``hit_bound`` reports
-    that the accumulated gain reached ``remaining_bound`` (pass
-    ``math.inf`` for unbounded runs) and the caller may skip the final
-    certifying BFS.
+    only needs ``level[head] == level[node] - 1`` admissibility.  Mutates
+    ``caps`` / ``iters`` / ``level`` in place and returns ``(gained, paths,
+    hit_bound)`` where ``hit_bound`` reports that the accumulated gain
+    reached ``remaining_bound`` (pass ``math.inf`` for unbounded runs) and
+    the caller may skip the final certifying BFS.
 
     Iterative advance/retreat DFS over slot ids.  Unlike the object
     walker, the stack survives an augmentation: the walk retreats only to
@@ -296,8 +280,6 @@ def run_blocking_flow(
             reverse_slots = list(map(rev_item, path_slots))
             for k in reverse_slots:
                 caps[k] += bottleneck
-            touched += path_slots
-            touched += reverse_slots
             total += bottleneck
             n_paths += 1
             if total >= remaining_bound - eps:

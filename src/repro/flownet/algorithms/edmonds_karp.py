@@ -17,7 +17,6 @@ def edmonds_karp(network: FlowNetwork, source: int, sink: int) -> MaxflowRun:
     """Augment along BFS-shortest residual paths until none remain."""
     if source == sink:
         return MaxflowRun(value=0.0)
-    network.detach_arena()  # writes Arc.cap directly; a stale mirror is worse than none
     adj = network._adj  # noqa: SLF001 - hot path
     retired = network._retired  # noqa: SLF001
     total = 0.0

@@ -1,7 +1,11 @@
 """Arc-based flow network with residual semantics.
 
-This is the workhorse data structure shared by every Maxflow solver and by
-the incremental delta-BFlow algorithms.  Design points:
+This is the object-graph flow network: the classical Maxflow solvers (the
+Table-4 columns), the baselines, the min-cut certificates and the
+differential oracle work on it.  The delta-BFlow engine does not — it runs
+on flat residual arenas (:class:`~repro.flownet.residual.ResidualArena`)
+and exports a ``FlowNetwork`` only on demand, for certificates and
+debugging.  Design points:
 
 * **Paired arcs.**  Every edge is stored as a pair of arcs: the forward arc
   starts with residual capacity equal to the edge capacity, the reverse arc
@@ -12,18 +16,15 @@ the incremental delta-BFlow algorithms.  Design points:
   handled natively (the paper's footnote-2 node-splitting rewrite is not
   needed).
 
-* **Dynamic growth.**  Nodes and edges can be appended at any time; the
-  incremental insertion case (Lemma 3) extends a live network while keeping
-  the residual state of the flow found so far.
+* **Dynamic growth.**  Nodes and edges can be appended at any time, and the
+  in-place solvers are resumable: a re-run on a grown network finds only
+  the missing augmenting paths (the Lemma-3 insertion argument).
 
-* **Node retirement.**  The deletion case (Lemma 4) removes a prefix of the
-  transformed network.  Rather than physically deleting arcs, nodes are
+* **Node retirement.**  Rather than physically deleting arcs, nodes are
   marked *retired*; all traversals skip them.  This is O(1) per node and
-  keeps arc handles stable.
+  keeps arc handles stable (the Lemma-4 deletion case retires a prefix).
 
-* **Snapshots.**  :meth:`clone` deep-copies the residual state so BFQ* can
-  branch the network at the moment the zig-zag pattern (Figure 5(c))
-  requires it.
+* **Snapshots.**  :meth:`clone` deep-copies the residual state.
 
 * **Infinite capacities.**  Hold ("timestamp-inline") edges have capacity
   ``math.inf``.  Every augmenting path also crosses a finite capacity edge,
@@ -106,43 +107,15 @@ class FlowNetwork:
         self._index_of: dict[Label, int] = {}
         self._retired: list[bool] = []
         self._num_edges = 0
-        self._arena = None
-        # Monotone mutation counter, bumped by the same hooks that journal
-        # into an attached arena (structure and capacity changes alike).
-        # Lets observers fingerprint a network state without diffing arcs.
+        # Monotone mutation counter, bumped by every structural or capacity
+        # change.  Lets observers fingerprint a network state without
+        # diffing arcs.
         self._epoch = 0
 
     @property
     def epoch(self) -> int:
         """Monotone mutation counter; bumps on any structural/capacity change."""
         return self._epoch
-
-    # ------------------------------------------------------------------
-    # Residual arena (persistent CSR mirror)
-    # ------------------------------------------------------------------
-    @property
-    def arena(self):
-        """The attached :class:`~repro.flownet.residual.ResidualArena`."""
-        return self._arena
-
-    def attach_arena(self, arena) -> None:
-        """Attach a flat residual mirror; mutation hooks keep it in sync.
-
-        Structural growth is journaled lazily (``add_edge`` records the
-        endpoints; the arena catches up at the next kernel entry), while
-        capacity changes and retirements are applied eagerly.  The arena
-        stays synchronised only while every capacity change goes through
-        this class's API (:meth:`add_edge`, :meth:`push_on`,
-        :meth:`set_capacity`, :meth:`disable_edge`, :meth:`clear_flow`) or
-        through the persistent kernel.  Solvers that write ``Arc.cap``
-        directly must call :meth:`detach_arena` first — the in-place
-        object-graph solvers do so defensively.
-        """
-        self._arena = arena
-
-    def detach_arena(self) -> None:
-        """Drop the attached arena (it will be rebuilt on next kernel use)."""
-        self._arena = None
 
     # ------------------------------------------------------------------
     # Nodes
@@ -158,8 +131,6 @@ class FlowNetwork:
         self._retired.append(False)
         self._index_of[label] = index
         self._epoch += 1
-        # No arena hook: an attached arena discovers new nodes by length
-        # during its next sync().
         return index
 
     def has_node(self, label: Label) -> bool:
@@ -196,8 +167,6 @@ class FlowNetwork:
         """Mark a node as deleted; traversals will skip it."""
         self._retired[index] = True
         self._epoch += 1
-        if self._arena is not None:
-            self._arena.on_retire_node(index)
 
     def retire_label(self, label: Label) -> None:
         """Retire a node by label."""
@@ -244,25 +213,6 @@ class FlowNetwork:
         self._adj[head].append(reverse)
         self._num_edges += 1
         self._epoch += 1
-        arena = self._arena
-        if arena is not None:
-            # Journal only; the arena mirrors the batch at kernel entry.
-            dirty = arena.dirty
-            dirty.append(tail)
-            dirty.append(head)
-            if arena.cut_closed and capacity > 0:
-                # Does the new arc pierce the recorded sink-side cut (head
-                # inside T, tail outside)?  Indices beyond the level array
-                # are nodes added after the certificate — outside T by
-                # construction.
-                level = arena.level
-                n_level = len(level)
-                if (
-                    head < n_level
-                    and level[head] >= 0
-                    and not (tail < n_level and level[tail] >= 0)
-                ):
-                    arena.cut_closed = False
         return EdgeRef(tail, fwd_pos)
 
     def add_edge_labeled(
@@ -321,23 +271,6 @@ class FlowNetwork:
             forward.cap -= amount
         reverse.cap += amount
         self._epoch += 1
-        arena = self._arena
-        if arena is not None:
-            arena.on_edge_caps_changed(ref.tail, ref.index)
-            if arena.cut_closed:
-                # A push opens residual capacity in one direction: residual
-                # head -> tail for amount > 0, tail -> head for amount < 0.
-                # Invalidate the cut certificate if that arc *enters* the
-                # recorded sink side T from outside.
-                level = arena.level
-                n_level = len(level)
-                tail_in = ref.tail < n_level and level[ref.tail] >= 0
-                head_in = forward.head < n_level and level[forward.head] >= 0
-                if amount > 0:
-                    if tail_in and not head_in:
-                        arena.cut_closed = False
-                elif head_in and not tail_in:
-                    arena.cut_closed = False
 
     def set_capacity(self, ref: EdgeRef, capacity: float) -> None:
         """Reset an edge's capacity, preserving currently routed flow."""
@@ -349,25 +282,6 @@ class FlowNetwork:
             )
         forward.cap = capacity - routed if not math.isinf(capacity) else math.inf
         self._epoch += 1
-        arena = self._arena
-        if arena is not None:
-            arena.on_edge_caps_changed(ref.tail, ref.index)
-            # A capacity raise can open a residual arc out of S; this call
-            # is rare, so invalidate without checking endpoints.
-            arena.cut_closed = False
-
-    def disable_edge(self, ref: EdgeRef) -> None:
-        """Zero both residual directions of an edge (capacity *and* flow).
-
-        Used by timestamp injection (the spanning hold edge is replaced by
-        its two halves) and by single-edge deletion in
-        :class:`~repro.flownet.dynamic.DynamicMaxflow`.
-        """
-        self.forward_arc(ref).cap = 0.0
-        self.reverse_arc(ref).cap = 0.0
-        self._epoch += 1
-        if self._arena is not None:
-            self._arena.on_edge_caps_changed(ref.tail, ref.index)
 
     def iter_edges(self) -> Iterator[tuple[int, Arc]]:
         """Iterate (tail index, forward arc) for every edge."""
@@ -409,8 +323,6 @@ class FlowNetwork:
                         arc.cap += reverse.cap
                     reverse.cap = 0.0
         self._epoch += 1
-        if self._arena is not None:
-            self._arena.resync()
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -418,7 +330,6 @@ class FlowNetwork:
     def clone(self) -> "FlowNetwork":
         """Deep copy of the full residual state (labels, arcs, retirements)."""
         other = FlowNetwork.__new__(FlowNetwork)
-        other._arena = None  # arenas hold arc references; never shared
         other._epoch = self._epoch
         other._labels = list(self._labels)
         other._index_of = dict(self._index_of)
@@ -429,69 +340,6 @@ class FlowNetwork:
             for arcs in self._adj
         ]
         return other
-
-    def compacted_clone(
-        self,
-    ) -> tuple["FlowNetwork", dict[tuple[int, int], EdgeRef]]:
-        """Deep copy that drops retired nodes and their incident arcs.
-
-        Returns the compacted network together with a handle map from
-        ``(old tail index, old arc position)`` of every surviving *forward*
-        arc to its new :class:`EdgeRef`, so callers can remap stored edge
-        handles.  Dangling arcs (one retired endpoint) disappear; because
-        retirement always removes a consistent prefix whose boundary flow
-        has been withdrawn, dropping them never unbalances a surviving
-        node.
-        """
-        other = FlowNetwork.__new__(FlowNetwork)
-        other._arena = None
-        other._epoch = self._epoch
-        node_map: dict[int, int] = {}
-        other._labels = []
-        other._index_of = {}
-        other._retired = []
-        for old_index, retired in enumerate(self._retired):
-            if retired:
-                continue
-            node_map[old_index] = len(other._labels)
-            label = self._labels[old_index]
-            other._index_of[label] = len(other._labels)
-            other._labels.append(label)
-            other._retired.append(False)
-
-        arc_map: dict[tuple[int, int], tuple[int, int]] = {}
-        other._adj = [[] for _ in range(len(other._labels))]
-        for old_tail, arcs in enumerate(self._adj):
-            new_tail = node_map.get(old_tail)
-            if new_tail is None:
-                continue
-            for old_pos, arc in enumerate(arcs):
-                new_head = node_map.get(arc.head)
-                if new_head is None:
-                    continue
-                arc_map[(old_tail, old_pos)] = (new_tail, len(other._adj[new_tail]))
-                other._adj[new_tail].append(
-                    Arc(new_head, arc.cap, -1, arc.forward, arc.kind, arc.meta)
-                )
-        # Second pass: rewire reverse-arc indices through the mapping.
-        edge_count = 0
-        for old_tail, arcs in enumerate(self._adj):
-            for old_pos, arc in enumerate(arcs):
-                position = arc_map.get((old_tail, old_pos))
-                if position is None:
-                    continue
-                new_tail, new_pos = position
-                partner = arc_map[(arc.head, arc.rev)]
-                other._adj[new_tail][new_pos].rev = partner[1]
-                if arc.forward:
-                    edge_count += 1
-        other._num_edges = edge_count
-        ref_map = {
-            (old_tail, old_pos): EdgeRef(new_tail, new_pos)
-            for (old_tail, old_pos), (new_tail, new_pos) in arc_map.items()
-            if self._adj[old_tail][old_pos].forward
-        }
-        return other, ref_map
 
     # ------------------------------------------------------------------
     # Debug / validation helpers

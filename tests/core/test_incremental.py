@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import IncrementalTransformedNetwork, build_transformed_network
 from repro.exceptions import InvalidIntervalError
-from repro.flownet import dinic
+from repro.flownet import dinic, validate_classical_flow
 from repro.temporal import TemporalFlowNetwork
 
 
@@ -149,9 +149,11 @@ class TestClone:
         state = IncrementalTransformedNetwork(network, "s", "t", 1, 6)
         state.run_maxflow()
         state.advance_start(5)
-        before = state.network.num_nodes
+        before = state.to_flow_network().flow_network.num_nodes
         snapshot = state.clone()
-        assert snapshot.network.num_nodes < before  # retired prefix dropped
+        after = snapshot.to_flow_network().flow_network.num_nodes
+        assert after < before  # retired prefix dropped
+        assert snapshot.num_nodes == state.num_nodes == after
         snapshot.run_maxflow()
         assert snapshot.flow_value() == pytest.approx(scratch_value(network, 5, 6))
 
@@ -169,7 +171,22 @@ class TestClone:
 class TestAsTransformed:
     def test_view_fields(self, network):
         state = IncrementalTransformedNetwork(network, "s", "t", 1, 4)
+        state.run_maxflow()
         view = state.as_transformed()
         assert view.tau_s == 1 and view.tau_e == 4
         assert view.source_index == state.source_index
-        assert view.flow_value() == state.flow_value()
+        assert view.sink_index == state.sink_index
+        assert view.num_nodes == state.num_nodes
+        assert view.flow_value() == state.flow_value() == 5.0
+
+    def test_export_carries_routed_flow_after_advance(self, network):
+        state = IncrementalTransformedNetwork(network, "s", "t", 1, 6)
+        state.run_maxflow()
+        state.advance_start(3)
+        state.run_maxflow()
+        export = state.to_flow_network()
+        assert export.num_nodes == state.num_nodes
+        assert export.flow_value() == state.flow_value()
+        assert validate_classical_flow(
+            export.flow_network, export.source_index, export.sink_index
+        ) == pytest.approx(scratch_value(network, 3, 6))

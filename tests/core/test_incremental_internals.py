@@ -43,13 +43,15 @@ class TestTimestampInjection:
         state.run_maxflow()
         # 'a' holds 4 units across [1, 6]; inject tau=3 mid-hold.
         state._inject_timestamp(3)
-        fn = state.network
+        fn = state.to_flow_network().flow_network
         assert fn.has_node(("a", 3))
+        caps = state.arena.caps
+        # Hold-edge forward slots: the flow sits on the partner slot.
         first = state._hold_into[("a", 3)]
         second = state._hold_into[("a", 6)]
-        assert fn.flow_on(first) == pytest.approx(4.0)
-        assert fn.flow_on(second) == pytest.approx(4.0)
-        assert math.isinf(fn.forward_arc(first).cap)
+        assert caps[first + 1] == pytest.approx(4.0)
+        assert caps[second + 1] == pytest.approx(4.0)
+        assert math.isinf(caps[first])
         # The old spanning edge is disabled entirely.
         disabled = [
             arc
@@ -72,11 +74,11 @@ class TestTimestampInjection:
 
     def test_injection_at_existing_stamp_is_noop(self, network):
         state = IncrementalTransformedNetwork(network, "s", "t", 1, 8)
-        nodes_before = state.network.num_nodes
+        nodes_before = state.num_nodes
         state._inject_timestamp(6)  # 'a' and 't' already have tau=6 nodes
         # Only nodes lacking the stamp get one ('s' spans 1..8).
-        assert state.network.num_nodes == nodes_before + 1
-        assert state.network.has_node(("s", 6))
+        assert state.num_nodes == nodes_before + 1
+        assert state.to_flow_network().flow_network.has_node(("s", 6))
 
 
 class TestBoundaryCrossings:
@@ -85,9 +87,8 @@ class TestBoundaryCrossings:
         state.run_maxflow()
         state._inject_timestamp(3)
         crossings = state._boundary_crossings(3)
-        labels = {
-            state.network.label_of(index): flow for index, flow in crossings
-        }
+        fn = state.to_flow_network().flow_network
+        labels = {fn.label_of(index): flow for index, flow in crossings}
         assert labels == {("a", 3): pytest.approx(4.0)}
 
     def test_source_chain_excluded(self, network):
@@ -95,8 +96,9 @@ class TestBoundaryCrossings:
         state.run_maxflow()
         state._inject_timestamp(7)
         crossings = state._boundary_crossings(7)
+        fn = state.to_flow_network().flow_network
         for index, _ in crossings:
-            node, _tau = state.network.label_of(index)
+            node, _tau = fn.label_of(index)
             assert node != "s"
 
 

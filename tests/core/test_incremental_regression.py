@@ -1,0 +1,72 @@
+"""Pinned BFQ+/BFQ* answers and work counters on replica queries.
+
+The incremental state runs directly on its residual arena, and the kernel's
+augmenting paths depend on the order each node's arcs are scanned in.  These
+values were recorded before the state moved off the object graph; they pin
+the answers *exactly* (``==`` on floats) and the per-query work, so any
+change to arc order, pruning, withdrawal or the live node count shows up
+here.  ``network_size`` is the sum of ``IntervalSample.network_size`` over
+the query's samples (the live ``|V'|`` at every candidate).
+"""
+
+import pytest
+
+from repro.core.bfq_plus import bfq_plus
+from repro.core.bfq_star import bfq_star
+from repro.core.query import BurstingFlowQuery
+from repro.datasets import make_dataset
+
+COUNTERS = (
+    "candidates_enumerated",
+    "maxflow_runs",
+    "augmenting_paths",
+    "pruned_intervals",
+    "incremental_insertions",
+    "incremental_deletions",
+)
+
+# (dataset, source, sink, delta, algorithm, density, interval, flow value,
+#  counters in COUNTERS order, network_size)
+PINNED = [
+    ("prosper", "n12", "n112", 4, "bfq+", 13.183772340000003, (97, 112),
+     197.75658510000005, (130, 73, 57, 57, 119, 0), 182108),
+    ("prosper", "n12", "n112", 4, "bfq*", 13.183772340000003, (97, 112),
+     197.75658510000005, (130, 73, 57, 57, 129, 10), 191414),
+    ("prosper", "n72", "n6", 4, "bfq+", 16.691219664453566, (38, 43),
+     83.45609832226783, (94, 49, 165, 45, 75, 0), 104958),
+    ("prosper", "n72", "n6", 4, "bfq*", 16.691219664453566, (38, 43),
+     83.45609832226783, (94, 49, 165, 45, 92, 17), 109273),
+    ("ctu13", "n690", "n281", 9, "bfq+", 1.1191765898291768, (203, 296),
+     104.08342285411345, (8, 8, 30, 0, 4, 0), 5218),
+    ("ctu13", "n690", "n281", 9, "bfq*", 1.1191765898291768, (203, 296),
+     104.08342285411345, (8, 8, 31, 0, 7, 3), 5462),
+]
+
+ALGORITHMS = {"bfq+": bfq_plus, "bfq*": bfq_star}
+
+
+@pytest.fixture(scope="module")
+def replicas():
+    # The full-scale prosper queries are the ones whose BFQ* path count moves
+    # when a clone scans any node's arcs in a different order.
+    return {
+        "prosper": make_dataset("prosper", scale=1.0),
+        "ctu13": make_dataset("ctu13", scale=0.5),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", PINNED, ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[4]}" for c in PINNED]
+)
+def test_answers_and_counters_are_pinned(replicas, case):
+    (dataset, source, sink, delta, algorithm, density, interval, flow_value,
+     counters, network_size) = case
+    result = ALGORITHMS[algorithm](
+        replicas[dataset], BurstingFlowQuery(source, sink, delta)
+    )
+    assert result.density == density
+    assert result.interval == interval
+    assert result.flow_value == flow_value
+    stats = result.stats
+    assert tuple(getattr(stats, name) for name in COUNTERS) == counters
+    assert sum(sample.network_size for sample in stats.samples) == network_size

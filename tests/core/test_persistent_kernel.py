@@ -1,6 +1,6 @@
 """Property tests for the persistent residual arena inside the engine.
 
-The incremental engine keeps a flat residual arena alive across
+The incremental engine keeps its flat residual arena alive across
 ``extend_end`` / ``advance_start`` / ``run_maxflow`` calls.  Hypothesis
 drives random operation sequences against twin states — one fed by a
 compiled :class:`~repro.core.skeleton.WindowSkeleton`, one reading
@@ -9,10 +9,9 @@ reachability from the live network — and asserts, after every step:
 * both twins hold the Maxflow of their current window, as computed from
   scratch by the object-graph transform and the object Dinic (the
   *assignments* may differ — all are maximum flows);
-* each arena still mirrors its object graph exactly (structure, residual
-  capacities, levels never out of range) — ``ResidualArena.mirrors`` is a
-  byte-level comparison of every parallel array against the adjacency
-  lists.
+* each state's ``to_flow_network()`` export is a valid classical flow
+  (capacities, conservation at every active node) whose value equals both
+  ``flow_value()`` and that from-scratch Maxflow.
 """
 
 import pytest
@@ -25,7 +24,7 @@ from repro.core.incremental import IncrementalTransformedNetwork
 from repro.core.query import BurstingFlowQuery
 from repro.core.skeleton import WindowSkeleton
 from repro.core.transform import build_transformed_network
-from repro.flownet import dinic
+from repro.flownet import dinic, validate_classical_flow
 from repro.temporal import TemporalEdge, TemporalFlowNetwork
 
 TOLERANCE = 1e-7
@@ -74,10 +73,14 @@ def _check_step(*states):
     first = states[0]
     expected = _fresh_maxflow(first.temporal, first.tau_s, first.tau_e)
     for state in states:
-        assert state.flow_value() == pytest.approx(expected, abs=TOLERANCE)
-        arena = state.network.arena
-        if arena is not None:  # attached lazily on the first kernel run
-            assert arena.mirrors(state.network)
+        value = state.flow_value()
+        assert value == pytest.approx(expected, abs=TOLERANCE)
+        export = state.to_flow_network()
+        certified = validate_classical_flow(
+            export.flow_network, export.source_index, export.sink_index
+        )
+        assert certified == pytest.approx(value, abs=TOLERANCE)
+        assert certified == pytest.approx(expected, abs=TOLERANCE)
 
 
 @settings(max_examples=60, deadline=None)
@@ -86,7 +89,7 @@ def _check_step(*states):
     st.data(),
 )
 def test_operation_sequences_keep_twins_equivalent(network, data):
-    """Random extend/advance/run interleavings: value + mirror invariants."""
+    """Random extend/advance/run interleavings: value + export invariants."""
     t_min, t_max = network.t_min, network.t_max
     if t_max - t_min < 2:
         return
@@ -172,3 +175,33 @@ def test_every_engine_run_is_tallied_as_persistent(burst_network, algorithm):
     result = algorithm(burst_network, BurstingFlowQuery("s", "t", 3))
     assert result.stats.kernel_runs == {"persistent": result.stats.maxflow_runs}
     assert result.stats.kernel_seconds.keys() == {"persistent"}
+
+
+def _certified_state():
+    """``s -> a`` (cap 4) is the min cut; ``<a, 2>`` -> ``<a, 3>`` leaves T."""
+    network = TemporalFlowNetwork.from_tuples(
+        [("s", "a", 1, 4.0), ("a", "t", 2, 9.0), ("a", "c", 3, 1.0)]
+    )
+    state = IncrementalTransformedNetwork(network, "s", "t", 1, 3)
+    assert state.run_maxflow().value == 4.0
+    assert state.arena.cut_closed
+    return state
+
+
+def test_inserted_edge_into_the_sink_side_pierces_the_cut():
+    state = _certified_state()
+    state._add_edge(state.source_index, state.sink_index, 2.0)  # noqa: SLF001
+    assert not state.arena.cut_closed
+    # The resumed run must search again and find the new path.
+    assert state.run_maxflow().value == 2.0
+
+
+def test_push_opening_an_arc_into_the_sink_side_pierces_the_cut():
+    state = _certified_state()
+    level = state.arena.level
+    hold = state._hold_into[("a", 3)]  # noqa: SLF001 - <a, 2> -> <a, 3>
+    heads = state.arena.heads
+    assert level[heads[hold + 1]] >= 0 > level[heads[hold]]
+    # Routing flow on it opens the residual arc <a, 3> -> <a, 2> into T.
+    state._push_hold(hold, 1.0)  # noqa: SLF001
+    assert not state.arena.cut_closed

@@ -199,40 +199,3 @@ class TestClone:
         net.retire_label("a")
         copy = net.clone()
         assert copy.is_retired(copy.index_of("a"))
-
-
-class TestCompactedClone:
-    def test_drops_retired_nodes_and_remaps(self):
-        net = FlowNetwork()
-        net.add_edge_labeled("dead", "mid", 5.0)
-        keep = net.add_edge_labeled("mid", "live", 7.0)
-        net.push_on(keep, 2.0)
-        net.retire_label("dead")
-        compact, ref_map = net.compacted_clone()
-        assert compact.num_nodes == 2
-        assert not compact.has_node("dead")
-        new_ref = ref_map[(keep.tail, keep.index)]
-        assert compact.flow_on(new_ref) == 2.0
-        assert compact.edge_capacity(new_ref) == 7.0
-        assert compact.num_edges == 1
-
-    def test_dangling_edges_disappear_from_map(self):
-        net = FlowNetwork()
-        dangling = net.add_edge_labeled("dead", "live", 5.0)
-        net.retire_label("dead")
-        _, ref_map = net.compacted_clone()
-        assert (dangling.tail, dangling.index) not in ref_map
-
-    def test_reverse_indices_rewired(self):
-        net = FlowNetwork()
-        net.add_edge_labeled("dead", "a", 1.0)
-        ref = net.add_edge_labeled("a", "b", 3.0)
-        net.retire_label("dead")
-        compact, ref_map = net.compacted_clone()
-        new_ref = ref_map[(ref.tail, ref.index)]
-        forward = compact.forward_arc(new_ref)
-        reverse = compact.reverse_arc(new_ref)
-        # The pair must point at each other.
-        assert compact.arcs_of(forward.head)[forward.rev] is reverse
-        compact.push_on(new_ref, 1.5)
-        assert compact.flow_on(new_ref) == 1.5
