@@ -11,10 +11,11 @@ fruitless) Dinic pass per inserted capacity edge — each at least a BFS
 over the network — versus a single resumed pass for the batch.
 
 The per-edge side runs the object-graph ``dinic`` on the incremental
-state's ``to_flow_network()`` export, taken once per extension.  The
-arena kernel would be the wrong baseline: its min-cut certificate turns
-every fruitless re-run into an O(1) no-op, which hides exactly the
-per-pass cost the paper's argument is about.  The state itself never runs
+state's ``to_flow_network()`` export, taken once per extension: the
+classical BFS-per-pass Dinic the dynamic-Maxflow papers adapt, so each
+fruitless pass costs the full search the paper's argument is about.  The
+arena kernel's bidirectional search would shrink that per-pass cost with
+a trick orthogonal to the per-edge vs per-window question.  The state itself never runs
 a Maxflow on this side, so each export carries only the minimal window's
 flow, and the first pass of an extension also re-finds the flow of the
 earlier extensions.

@@ -149,7 +149,7 @@ class IncrementalTransformedNetwork:
         ``value_bound`` optionally caps how much this run can possibly add
         (Observation 2: sink capacity inserted since the last computed
         Maxflow).  The kernel uses it to certify maximality without its
-        final failed BFS.
+        final failed level search.
         """
         return arena_maxflow(
             self.arena, self.source_index, self.sink_index,
@@ -403,12 +403,7 @@ class IncrementalTransformedNetwork:
         return index
 
     def _add_edge(self, tail: int, head: int, capacity: float) -> int:
-        """Append edge ``tail -> head``; returns its (even) forward slot.
-
-        Keeps the arena's min-cut certificate honest: a positive-capacity
-        arc from outside the recorded sink side T into it pierces the cut.
-        New nodes carry ``ARENA_UNREACHED`` and so sit outside T.
-        """
+        """Append edge ``tail -> head``; returns its (even) forward slot."""
         arena = self.arena
         heads = arena.heads
         slot = len(heads)
@@ -418,26 +413,15 @@ class IncrementalTransformedNetwork:
         slots = arena.slots
         slots[tail].append(slot)
         slots[head].append(slot + 1)
-        if arena.cut_closed and capacity > 0:
-            level = arena.level
-            if level[head] >= 0 and level[tail] < 0:
-                arena.cut_closed = False
         return slot
 
     def _push_hold(self, slot: int, amount: float) -> None:
         """Route ``amount > 0`` more along the hold edge at ``slot``.
 
         Hold edges have infinite forward residual, so only the reverse arc
-        changes.  That opens residual capacity head -> tail, which pierces
-        the min-cut certificate if it enters T from outside.
+        changes.
         """
-        arena = self.arena
-        arena.caps[slot + 1] += amount
-        if arena.cut_closed:
-            level = arena.level
-            heads = arena.heads
-            if level[heads[slot + 1]] >= 0 and level[heads[slot]] < 0:
-                arena.cut_closed = False
+        self.arena.caps[slot + 1] += amount
 
     def _retire(self, index: int) -> None:
         self.arena.level[index] = ARENA_RETIRED

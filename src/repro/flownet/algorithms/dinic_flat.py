@@ -13,7 +13,7 @@ overhead for light runs), so this variant is at parity with ``dinic`` and
 is not the default.  What does pay is making the flat arrays *persistent*:
 :func:`~repro.flownet.algorithms.dinic_flat_persistent.arena_maxflow`
 runs on a :class:`~repro.flownet.residual.ResidualArena` that the engine
-keeps alive across runs, and adds sink-rooted levels,
+keeps alive across runs, and adds its own level search,
 and on the EXP-3 incremental-maxflow workload (BENCH_PR2.json: btc2011 /
 ctu13 / prosper, BFQ+ and BFQ*) that cuts aggregate maxflow time from
 4.45 s to 2.08 s — a measured 2.1x over the object walker, with ctu13 at

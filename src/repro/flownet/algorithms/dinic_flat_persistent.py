@@ -19,14 +19,18 @@ object-graph walker cannot have:
 * **retirement folded into levels** — retired nodes permanently carry the
   :data:`~repro.flownet.residual.ARENA_RETIRED` sentinel, so the hot loops
   need no per-arc ``retired[]`` lookup;
-* **sink-rooted levels** — the phase BFS runs *backwards from the sink*
-  and stops the moment the source is labelled, so every labelled node has
-  an admissible arc chain to the sink and the blocking-flow DFS only
-  dead-ends on arcs the phase itself saturated (source-rooted levels send
-  the DFS into the whole source-reachable set, which on transformed
-  temporal networks is mostly dead ends);
+* **bidirectional levels** — each phase's level search grows a backward
+  search from the sink and a forward one from the source, one whole layer
+  of the cheaper frontier at a time, and stops where they meet.  Nodes
+  the forward side alone reached get ``level = d - dist``: exact on every
+  shortest path, a dead end the DFS retires (touching no capacity)
+  everywhere else, so the augmenting paths are exactly those of a
+  one-sided BFS from the sink.  Shortest paths on transformed temporal
+  networks are long hold chains, so meeting in the middle scans a
+  fraction of the arcs; a frontier running dry ends the run, after
+  searching only the smaller side;
 * **O(labelled) scratch resets** — ``level``/``iters`` are persistent
-  arrays cleared only where the previous BFS dirtied them, and the
+  arrays cleared only where the previous search labelled them, and the
   ``isinf`` guard disappears because ``inf - finite == inf``.
 
 **Measured honestly** (CPython 3.11): on the EXP-3 incremental-maxflow
@@ -50,8 +54,8 @@ back.
 
 The computed flow *value* and the certified min cut match
 :func:`~repro.flownet.algorithms.dinic.dinic` exactly; the residual flow
-*assignment* may differ (both are maximum flows — sink-rooted and
-source-rooted level graphs admit different blocking flows), which the
+*assignment* may differ (both are maximum flows — the object walker's
+source-rooted level graph admits different blocking flows), which the
 differential oracle accounts for by comparing values and certificates,
 not raw residuals.
 """
@@ -113,9 +117,8 @@ def arena_maxflow(
     place every new timeline node on the source side of the old min cut and
     the only new crossing arcs are the sink-window arcs).  Once the run's
     gain reaches the bound, no augmenting path can remain, so the kernel
-    returns without the otherwise-mandatory final failed BFS — the single
-    most expensive sweep of a resumed run.  A bound of zero certifies the
-    resumed state as already maximal in O(1).
+    returns without the otherwise-mandatory final failed level search.  A
+    bound of zero certifies the resumed state as already maximal in O(1).
     """
     if source == sink:
         return MaxflowRun(value=0.0, kernel=KERNEL)
@@ -135,34 +138,24 @@ def arena_maxflow(
     # CPython, and the loops below execute millions of steps per workload.
     eps = FLOW_EPSILON
     stale_append = stale.append
+    row_of = slots.__getitem__
 
     if level[source] == ARENA_RETIRED or level[sink] == ARENA_RETIRED:
-        return MaxflowRun(value=0.0, kernel=KERNEL)
-
-    # Min-cut certificate fast path: the previous run towards this sink
-    # left a closed sink-side cut that no mutation has pierced since, and
-    # the source is outside it — no augmenting path can exist, skip the
-    # BFS.
-    if arena.cut_closed and arena.cut_sink == sink and level[source] < 0:
         return MaxflowRun(value=0.0, kernel=KERNEL)
 
     bounded = value_bound is not None
     if bounded and value_bound <= eps:
         return MaxflowRun(value=0.0, kernel=KERNEL)
 
-    maximal_by_bound = False
     while True:
         # ------------------------------------------------------------------
-        # BFS levels *backwards from the sink* (``level[i]`` = residual
-        # distance to the sink), clearing only what the previous BFS
-        # dirtied.  Sink-rooted levels are what kills dead-end exploration
-        # in the blocking flow below: at phase start every labelled node
-        # has, by construction of the backward BFS, an admissible arc
-        # chain to the sink, so the DFS only ever dead-ends on arcs this
-        # phase itself saturated.  Source-rooted levels (what the object
-        # walker uses) label the whole source-reachable set, most of which
-        # leads nowhere — on transformed temporal networks the DFS then
-        # burns the bulk of its time retiring those nodes one by one.
+        # Bidirectional level search.  Each step expands one whole layer of
+        # the cheaper frontier (fewer arcs to scan): backward from the sink
+        # into ``level`` (residual distance to the sink), or forward from
+        # the source into ``dist``.  After the first meeting node ``met``
+        # the layers searched so far sum to the shortest distance ``d``,
+        # and every node on a shortest path is labelled by at least one
+        # side.  A dry frontier proves that no augmenting path is left.
         # ------------------------------------------------------------------
         for i in stale:
             if level[i] >= 0:
@@ -170,33 +163,68 @@ def arena_maxflow(
         del stale[:]
         level[sink] = 0
         stale_append(sink)
-        queue = [sink]
-        queue_append = queue.append
-        head_ptr = 0
-        source_found = False
-        while head_ptr < len(queue):
-            node = queue[head_ptr]
-            head_ptr += 1
-            next_level = level[node] + 1
-            for k in slots[node]:
-                # The arc *into* ``node`` from ``heads[k]`` is the partner
-                # slot ``rev[k]``.  Test the level first: most scanned arcs
-                # lead to nodes this BFS already labelled, so the cheaper
-                # reject comes from the visited check.
-                other = heads[k]
-                if level[other] == ARENA_UNREACHED and caps[rev[k]] > eps:
-                    level[other] = next_level
-                    stale_append(other)
-                    if other == source:
-                        # Every interior node of a shortest augmenting
-                        # path is levelled already; stop here.
-                        source_found = True
+        dist = {source: 0}
+        back = [sink]
+        fore = [source]
+        back_depth = fore_depth = 0
+        back_arcs = len(slots[sink])
+        fore_arcs = len(slots[source])
+        met = -1
+        while back and fore:
+            if back_arcs <= fore_arcs:
+                back_depth += 1
+                layer: list[int] = []
+                layer_append = layer.append
+                for node in back:
+                    for k in slots[node]:
+                        # The arc *into* ``node`` from ``heads[k]`` is the
+                        # partner slot ``rev[k]``.  Test the level first:
+                        # most scanned arcs lead to nodes already labelled.
+                        other = heads[k]
+                        if level[other] == ARENA_UNREACHED and caps[rev[k]] > eps:
+                            level[other] = back_depth
+                            stale_append(other)
+                            if other in dist:
+                                met = other
+                                break
+                            layer_append(other)
+                    if met >= 0:
                         break
-                    queue_append(other)
-            if source_found:
+                back = layer
+                back_arcs = sum(map(len, map(row_of, layer)))
+            else:
+                fore_depth += 1
+                layer = []
+                layer_append = layer.append
+                for node in fore:
+                    for k in slots[node]:
+                        if caps[k] > eps:
+                            other = heads[k]
+                            mark = level[other]
+                            if mark >= 0:
+                                met = other
+                                dist[other] = fore_depth
+                                break
+                            if mark == ARENA_UNREACHED and other not in dist:
+                                dist[other] = fore_depth
+                                layer_append(other)
+                    if met >= 0:
+                        break
+                fore = layer
+                fore_arcs = sum(map(len, map(row_of, layer)))
+            if met >= 0:
                 break
-        if not source_found:
+        if met < 0:
             break
+        # A forward-only node at ``dist < d`` gets level ``d - dist``: exact
+        # on a shortest path, and a dead end the blocking-flow DFS retires
+        # otherwise (a level-descending walk from it to the sink would be
+        # a residual path shorter than its distance to the sink).
+        shortest = dist[met] + level[met]
+        for node, depth in dist.items():
+            if depth < shortest and level[node] < 0:
+                level[node] = shortest - depth
+                stale_append(node)
         phases += 1
         for i in stale:
             iters[i] = 0
@@ -210,18 +238,6 @@ def arena_maxflow(
         if maximal_by_bound:
             break
 
-    if maximal_by_bound:
-        # Termination came from the capacity argument, not a failed BFS, so
-        # there is no fresh cut to certify — and this run's augmentations
-        # may have pierced whatever older cut was recorded.
-        arena.cut_closed = False
-    else:
-        # The loop exits on a failed backward BFS, so the labels left in
-        # ``level`` are exactly the can-reach-sink set T — a closed cut
-        # certificate that lets the next run towards this sink skip its
-        # BFS if nothing pierces it.
-        arena.cut_closed = True
-        arena.cut_sink = sink
     return MaxflowRun(
         value=total, augmenting_paths=n_paths, phases=phases, kernel=KERNEL
     )
@@ -238,14 +254,14 @@ def run_blocking_flow(
     sink: int,
     remaining_bound: float,
 ) -> tuple[float, int, bool]:
-    """One blocking-flow phase over an admissible (sink-rooted) level graph.
+    """One blocking-flow phase over an admissible level graph.
 
-    The levels come from the early-stopping backward BFS; the DFS below
+    The levels come from the bidirectional level search; the DFS below
     only needs ``level[head] == level[node] - 1`` admissibility.  Mutates
     ``caps`` / ``iters`` / ``level`` in place and returns ``(gained, paths,
     hit_bound)`` where ``hit_bound`` reports that the accumulated gain
     reached ``remaining_bound`` (pass ``math.inf`` for unbounded runs) and
-    the caller may skip the final certifying BFS.
+    the caller may skip the final failed level search.
 
     Iterative advance/retreat DFS over slot ids.  Unlike the object
     walker, the stack survives an augmentation: the walk retreats only to
@@ -285,7 +301,7 @@ def run_blocking_flow(
             if total >= remaining_bound - eps:
                 # The gain hit the caller's capacity bound: the flow is
                 # maximal, so skip the rest of this phase *and* the
-                # final failed BFS.
+                # final failed level search.
                 return total, n_paths, True
             # Retreat to the first saturated arc (pre-push capacity
             # within eps of the bottleneck); the prefix before it is

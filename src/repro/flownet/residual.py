@@ -51,23 +51,8 @@ class ResidualArena:
     ``level`` and ``iters`` are the kernel's scratch state, kept here so a
     resumed run allocates nothing: ``level`` doubles as the retirement mask
     (:data:`ARENA_RETIRED`), and ``stale_labels`` remembers which entries
-    the previous BFS dirtied so clearing costs O(labelled), not O(n).
-
-    **Min-cut certificate.**  Every completed kernel run ends with a
-    *backward* BFS from the sink that fails to reach the source, leaving
-    T = ``{i : level[i] >= 0}`` as the residual can-reach-sink side: no
-    positive residual arc enters T from outside.  The certificate
-    (:attr:`cut_closed` / :attr:`cut_sink`) stays valid until a mutation
-    *pierces* the cut — a new positive-capacity edge from outside T into
-    it, or a manual push that opens such a residual arc; whoever mutates
-    the arena between runs checks exactly this (the incremental state's
-    edge-insert and push paths).  Nodes appended later are outside T by
-    construction, and retiring a T-member only shrinks the set considered
-    "inside"; a retired node cannot lie on an augmenting path, so arcs into
-    it need no monitoring.  While the certificate holds, a kernel re-run
-    towards ``cut_sink`` from any source outside T is a no-op and returns
-    without touching the arrays — this is what makes resumed runs on
-    unpierced states O(1) instead of O(|V| + |E|).
+    the previous level search labelled so clearing costs O(labelled), not
+    O(n).
     """
 
     __slots__ = (
@@ -78,8 +63,6 @@ class ResidualArena:
         "level",
         "iters",
         "stale_labels",
-        "cut_closed",
-        "cut_sink",
     )
 
     def __init__(
@@ -97,8 +80,6 @@ class ResidualArena:
         self.level = [ARENA_UNREACHED] * n
         self.iters = [0] * n
         self.stale_labels: list[int] = []
-        self.cut_closed = False
-        self.cut_sink = -1
 
 
 def extract_flow(

@@ -177,31 +177,31 @@ def test_every_engine_run_is_tallied_as_persistent(burst_network, algorithm):
     assert result.stats.kernel_seconds.keys() == {"persistent"}
 
 
-def _certified_state():
-    """``s -> a`` (cap 4) is the min cut; ``<a, 2>`` -> ``<a, 3>`` leaves T."""
+def _solved_state():
+    """``s -> a`` (cap 4) is the min cut; the hold ``<a, 2> -> <a, 3>`` is idle."""
     network = TemporalFlowNetwork.from_tuples(
         [("s", "a", 1, 4.0), ("a", "t", 2, 9.0), ("a", "c", 3, 1.0)]
     )
     state = IncrementalTransformedNetwork(network, "s", "t", 1, 3)
     assert state.run_maxflow().value == 4.0
-    assert state.arena.cut_closed
     return state
 
 
-def test_inserted_edge_into_the_sink_side_pierces_the_cut():
-    state = _certified_state()
+def test_resumed_run_finds_an_inserted_edge():
+    state = _solved_state()
+    assert state.run_maxflow().value == 0.0
     state._add_edge(state.source_index, state.sink_index, 2.0)  # noqa: SLF001
-    assert not state.arena.cut_closed
     # The resumed run must search again and find the new path.
     assert state.run_maxflow().value == 2.0
 
 
-def test_push_opening_an_arc_into_the_sink_side_pierces_the_cut():
-    state = _certified_state()
-    level = state.arena.level
+def test_resumed_run_finds_the_arc_a_hold_push_opens():
+    state = _solved_state()
     hold = state._hold_into[("a", 3)]  # noqa: SLF001 - <a, 2> -> <a, 3>
-    heads = state.arena.heads
-    assert level[heads[hold + 1]] >= 0 > level[heads[hold]]
-    # Routing flow on it opens the residual arc <a, 3> -> <a, 2> into T.
+    # Routing flow on it opens the residual arc <a, 3> -> <a, 2>.
     state._push_hold(hold, 1.0)  # noqa: SLF001
-    assert not state.arena.cut_closed
+    assert state.run_maxflow().value == 0.0  # the source arc is saturated
+    a3 = state.arena.heads[hold]
+    state._add_edge(state.source_index, a3, 2.0)  # noqa: SLF001
+    # Only the opened arc leads on to the sink: s -> <a, 3> -> <a, 2> -> t.
+    assert state.run_maxflow().value == 1.0
