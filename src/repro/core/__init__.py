@@ -17,7 +17,7 @@ from repro.core.profile import (
     density_profile,
     suggest_delta,
 )
-from repro.core.skeleton import SkeletonWindow, WindowSkeleton
+from repro.core.skeleton import WindowSkeleton
 from repro.core.intervals import CandidatePlan, enumerate_candidates, is_core_interval
 from repro.core.planner import (
     BurstEntry,
@@ -74,7 +74,6 @@ __all__ = [
     "PhaseBreakdown",
     "ProfilePoint",
     "WindowSkeleton",
-    "SkeletonWindow",
     "bursting_flow_trails",
     "trails_for_interval",
     "FlowTrail",

@@ -7,10 +7,11 @@ its interval, is the query answer.
 
 The network is compiled once per query into a
 :class:`~repro.core.skeleton.WindowSkeleton`, and every candidate window
-is sliced directly into a detached residual arena that the persistent
-Dinic kernel consumes natively; no per-window ``FlowNetwork`` object graph
-is built at all.  With a non-Dinic ``solver=``, each window goes through
-the skeleton's ``to_flow_network()`` escape hatch — still amortising the
+is a fresh :class:`~repro.core.incremental.IncrementalTransformedNetwork`
+built from the skeleton's slice: a residual arena the persistent Dinic
+kernel consumes natively, with no per-window ``FlowNetwork`` object graph.
+With a non-Dinic ``solver=``, each window is the skeleton's slice handed
+to :func:`~repro.core.transform.assemble` — still amortising the
 per-window reachability sweep.  The from-scratch per-window
 :func:`~repro.core.transform.build_transformed_network` construction
 remains the independent reference of the naive and NetworkX baselines.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import time
 from typing import Iterable
 
+from repro.core.incremental import IncrementalTransformedNetwork
 from repro.core.intervals import CandidatePlan, enumerate_candidates
 from repro.core.query import (
     BurstingFlowQuery,
@@ -33,6 +35,7 @@ from repro.core.query import (
 )
 from repro.core.record import BestRecord
 from repro.core.skeleton import WindowSkeleton
+from repro.core.transform import assemble
 from repro.flownet.algorithms.registry import get_solver
 from repro.temporal.edge import Timestamp
 from repro.temporal.network import TemporalFlowNetwork
@@ -101,21 +104,28 @@ def evaluate_windows(
     """
     solve = get_solver(solver)
     use_arena = solver == "dinic"
+    source, sink = query.source, query.sink
     for tau_s, tau_e in intervals:
         stats.candidates_enumerated += 1
         t0 = time.perf_counter()
         if skeleton is None:
             # Lazy compile: charged to the first window's transform
             # time (it replaces that window's reachability sweep).
-            skeleton = WindowSkeleton(network, query.source, query.sink)
-        window = skeleton.materialize(tau_s, tau_e)
+            skeleton = WindowSkeleton(network, source, sink)
         if use_arena:
+            state = IncrementalTransformedNetwork(
+                network, source, sink, tau_s, tau_e, skeleton=skeleton
+            )
             t1 = time.perf_counter()
-            run = window.maxflow()
+            run = state.run_maxflow()
             t2 = time.perf_counter()
-            size = window.num_nodes
+            size = state.num_nodes
         else:
-            transformed = window.to_flow_network()
+            # The byte-identical object graph of build_transformed_network.
+            transformed = assemble(
+                network, source, sink, tau_s, tau_e,
+                skeleton.included_between(tau_s, tau_s, tau_e),
+            )
             t1 = time.perf_counter()
             run = solve(
                 transformed.flow_network,

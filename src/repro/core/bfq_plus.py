@@ -197,9 +197,12 @@ def _evaluate_corner(
     tau_s, tau_e = plan.corner
     stats.candidates_enumerated += 1
     t0 = time.perf_counter()
-    window = skeleton.materialize(tau_s, tau_e)
+    state = IncrementalTransformedNetwork(
+        skeleton.temporal, skeleton.source, skeleton.sink, tau_s, tau_e,
+        skeleton=skeleton,
+    )
     t1 = time.perf_counter()
-    run = window.maxflow()
+    run = state.run_maxflow()
     t2 = time.perf_counter()
     stats.maxflow_runs += 1
     stats.note_kernel(run.kernel, t2 - t1)
@@ -207,7 +210,7 @@ def _evaluate_corner(
     stats.record_sample(
         IntervalSample(
             interval=(tau_s, tau_e),
-            network_size=window.num_nodes,
+            network_size=state.num_nodes,
             mode="dinic",
             maxflow_seconds=t2 - t1,
             transform_seconds=t1 - t0,

@@ -1,9 +1,9 @@
 """Incrementally maintained transformed networks (Section 5).
 
-:class:`IncrementalTransformedNetwork` is the engine room of BFQ+ and BFQ*.
-It maintains a live transformed network together with the residual state of
-the Maxflow found so far, and supports the two structural moves the paper's
-incremental lemmas describe:
+:class:`IncrementalTransformedNetwork` is the engine room of all three
+algorithms.  It maintains a live transformed network together with the
+residual state of the Maxflow found so far, and supports the two
+structural moves the paper's incremental lemmas describe:
 
 * :meth:`extend_end` — the **insertion case** (Lemma 3).  Increasing
   ``tau_e`` only inserts nodes and edges, so the residual state (and with it
@@ -24,16 +24,23 @@ incremental lemmas describe:
   formulation reaches the same state through the
   ``(N_f ⊎ N(P)) \\ (N_[tau_s,tau_s'] \\ N_[tau_s',tau_s'])`` algebra).
 
+Because Lemma 3 grows ``N_[tau_s, tau_e]`` only by insertions, BFQ's
+independent window is simply a fresh state: the constructor's first
+extension.  BFQ, the planner and the BFQ+ corner case build their windows
+that way, so this module holds the engine's one arena builder.
+
 The state *is* its residual arena (:class:`~repro.flownet.residual.
-ResidualArena`): the flat ``heads`` / ``caps`` / ``rev`` / ``slots`` /
-``level`` arrays the persistent Dinic kernel runs on, laid out like
-:meth:`~repro.core.skeleton.WindowSkeleton.materialize`'s windows — each
-edge is a forward arc in an even slot ``k`` and its reverse in ``k + 1``,
-and a node's slots are listed in insertion order.  Every move above writes
-those arrays directly; there is no second representation to keep in step.
-:meth:`to_flow_network` exports the state, routed flow included, as the
-object-graph :class:`~repro.core.transform.TransformedNetwork` for
-certificates and debugging.
+ResidualArena`): the flat ``heads`` / ``caps`` / ``slots`` / ``level``
+arrays the persistent Dinic kernel runs on.  Each edge is a forward arc in
+an even slot ``k`` and its reverse in ``k ^ 1``, and a node's slots are
+listed in insertion order.  Every move above writes those arrays directly;
+there is no second representation to keep in step.  The state's own
+bookkeeping is integer state on the arena's node indices: each temporal
+node's timeline (its active arena nodes in stamp order) and latest node,
+and per arena node its owner, stamp and the slot of the hold edge into
+it.  :meth:`to_flow_network` exports the state, routed flow
+included, as the object-graph :class:`~repro.core.transform.
+TransformedNetwork` for certificates and debugging.
 
 Flow-value accounting uses the invariant measure ``|f| =`` flow leaving the
 *active* source timeline on capacity edges, which survives both moves.
@@ -68,13 +75,38 @@ class IncrementalTransformedNetwork:
     on the state's own :attr:`arena`.
 
     Edge inclusion follows the caller's input.  With a compiled
-    ``skeleton`` (BFQ+/BFQ* share one per query) every extension is a
+    ``skeleton`` (one per query or planner group) every extension is a
     binary-searched slice of the per-start reachability index.  With
     ``skeleton=None`` each extension runs
     :func:`~repro.core.transform.reachable_edges` against the live temporal
     network, which is what a network that keeps growing after the state is
     built needs (a skeleton is a frozen snapshot).
+
+    Raises:
+        InvalidIntervalError: unless ``tau_s < tau_e``.
+        GraphError: when ``skeleton`` was compiled for another network or
+            another (source, sink) pair.
     """
+
+    __slots__ = (
+        "_skeleton",
+        "temporal",
+        "source",
+        "sink",
+        "tau_s",
+        "tau_e",
+        "_arrival",
+        "arena",
+        "_owner",
+        "_stamps",
+        "_hold",
+        "_active",
+        "_timelines",
+        "_last",
+        "source_arcs",
+        "source_index",
+        "sink_index",
+    )
 
     def __init__(
         self,
@@ -88,6 +120,16 @@ class IncrementalTransformedNetwork:
     ) -> None:
         if tau_e <= tau_s:
             raise InvalidIntervalError(f"window [{tau_s}, {tau_e}] is degenerate")
+        if skeleton is not None and (
+            skeleton.temporal is not temporal
+            or skeleton.source != source
+            or skeleton.sink != sink
+        ):
+            raise GraphError(
+                "skeleton was compiled for another network or (source, sink) "
+                f"pair: ({skeleton.source!r}, {skeleton.sink!r}) vs "
+                f"({source!r}, {sink!r})"
+            )
         self._skeleton = skeleton
         self.temporal = temporal
         self.source = source
@@ -99,26 +141,27 @@ class IncrementalTransformedNetwork:
         # source, which keeps edge inclusion sound (a superset of the
         # edges reachable from the current source is materialised).
         self._arrival: dict[NodeId, float] = {}
-        self.arena = ResidualArena([], [], [], [])
-        # Node index -> label ``(node, tau)`` (withdrawal nodes carry a
-        # 3-tuple label), and its inverse.  Retired labels stay mapped.
-        self._labels: list[tuple] = []
-        self._index_of: dict[tuple, int] = {}
-        self._active = 0
-        # Sorted active timeline stamps per temporal node.
-        self._timeline: dict[NodeId, list[Timestamp]] = {}
-        # Forward slot of the hold edge into ``<node, stamp>``, keyed by
-        # its *head* label.
-        self._hold_into: dict[tuple[NodeId, Timestamp], int] = {}
+        # Order matters: the arena starts with the source boundary node
+        # <s, tau_s> (its event stamps are >= tau_s, so the timeline appends
+        # monotonically); the window's edges follow, and the sink boundary
+        # node comes last (its event stamps are <= tau_e).
+        self.arena = ResidualArena([], [], [[]])
+        # Per arena node: its temporal node and stamp (a withdrawal node
+        # has its whole label as owner and stamp None), and the forward
+        # slot of the hold edge into it (-1 for none).  Retired nodes keep
+        # their entries.
+        self._owner: list = [source]
+        self._stamps: list[Timestamp | None] = [tau_s]
+        self._hold: list[int] = [-1]
+        self._active = 1
+        # Per temporal node: its active arena nodes in stamp order, and the
+        # index of its latest one (absent once all are retired).
+        self._timelines: dict[NodeId, list[int]] = {source: [0]}
+        self._last: dict[NodeId, int] = {source: 0}
         # Forward slots of every capacity edge leaving the source timeline.
         self.source_arcs: list[int] = []
-        # Order matters: the source boundary node comes first (its event
-        # stamps are >= tau_s, so the timeline appends monotonically), the
-        # sink boundary node last (its event stamps are <= tau_e).
-        self._ensure_timeline_node(source, tau_s)
-        self._include_window(tau_s, tau_e)
-        self._ensure_timeline_node(sink, tau_e)
-        self._sync_endpoints()
+        self.source_index = 0
+        self.sink_index = self._include_window(tau_s, tau_e)
 
     # ------------------------------------------------------------------
     # Public views
@@ -166,7 +209,10 @@ class IncrementalTransformedNetwork:
         snapshot: later moves on the state do not reach it.
         """
         network = FlowNetwork()
-        labels = self._labels
+        labels = [
+            owner if stamp is None else (owner, stamp)
+            for owner, stamp in zip(self._owner, self._stamps)
+        ]
         for label in labels:
             network.add_node(label)
         arena = self.arena
@@ -223,11 +269,9 @@ class IncrementalTransformedNetwork:
         heads = arena.heads
         caps = arena.caps
         node_map = [-1] * len(level)
-        labels: list[tuple] = []
-        for index, mark in enumerate(level):
-            if mark != ARENA_RETIRED:
-                node_map[index] = len(labels)
-                labels.append(self._labels[index])
+        kept = [index for index, mark in enumerate(level) if mark != ARENA_RETIRED]
+        for new_index, index in enumerate(kept):
+            node_map[index] = new_index
         slot_map = [-1] * len(heads)
         new_heads: list[int] = []
         new_caps: list[float] = []
@@ -255,30 +299,27 @@ class IncrementalTransformedNetwork:
         other.tau_s = self.tau_s
         other.tau_e = self.tau_e
         other._arrival = dict(self._arrival)
-        other.arena = ResidualArena(
-            new_heads,
-            new_caps,
-            [slot ^ 1 for slot in range(len(new_heads))],
-            new_slots,
-        )
-        other._labels = labels
-        other._index_of = {label: index for index, label in enumerate(labels)}
-        other._active = len(labels)
-        index_of = other._index_of
-        other._timeline = {}
-        for node, timeline in self._timeline.items():
-            kept = [tau for tau in timeline if (node, tau) in index_of]
-            if kept:
-                other._timeline[node] = kept
-        other._hold_into = {
-            key: slot_map[slot]
-            for key, slot in self._hold_into.items()
-            if slot_map[slot] >= 0
+        other.arena = ResidualArena(new_heads, new_caps, new_slots)
+        other._owner = [self._owner[index] for index in kept]
+        other._stamps = [self._stamps[index] for index in kept]
+        # A live node's hold edge starts at a live node (retirement resets
+        # the one dangling hold), so its slot survives the compaction.
+        hold = self._hold
+        other._hold = [
+            -1 if hold[index] < 0 else slot_map[hold[index]] for index in kept
+        ]
+        other._active = len(kept)
+        other._timelines = {
+            node: [node_map[index] for index in timeline]
+            for node, timeline in self._timelines.items()
+            if timeline
         }
+        other._last = {node: node_map[index] for node, index in self._last.items()}
         other.source_arcs = [
             slot_map[slot] for slot in self.source_arcs if slot_map[slot] >= 0
         ]
-        other._sync_endpoints()
+        other.source_index = node_map[self.source_index]
+        other.sink_index = node_map[self.sink_index]
         return other
 
     # ------------------------------------------------------------------
@@ -294,16 +335,14 @@ class IncrementalTransformedNetwork:
             raise InvalidIntervalError(
                 f"extend_end must move forward: {new_tau_e} <= {self.tau_e}"
             )
-        old_tau_e = self.tau_e
+        old_sink = self.sink_index
         # New edges live strictly after the old end (an edge exactly at the
         # old end was already included).
-        self._include_window(self.tau_e + 1, new_tau_e)
+        self.sink_index = self._include_window(self.tau_e + 1, new_tau_e)
         self.tau_e = new_tau_e
-        self._ensure_timeline_node(self.sink, new_tau_e)
-        self._re_terminate_sink_flow(old_tau_e)
-        self._sync_endpoints()
+        self._re_terminate_sink_flow(old_sink)
 
-    def _re_terminate_sink_flow(self, old_tau_e: Timestamp) -> None:
+    def _re_terminate_sink_flow(self, old_sink: int) -> None:
         """Push flow stored at the old sink node forward to the new one.
 
         Lemma 3's proof re-terminates every previously found augmenting
@@ -317,7 +356,7 @@ class IncrementalTransformedNetwork:
         # arcs' partners the flow leaving it.
         inflow = 0.0
         outflow = 0.0
-        for slot in self.arena.slots[self._index_of[(self.sink, old_tau_e)]]:
+        for slot in self.arena.slots[old_sink]:
             if slot & 1:
                 inflow += caps[slot]
             else:
@@ -325,10 +364,10 @@ class IncrementalTransformedNetwork:
         excess = inflow - outflow
         if excess <= 0:
             return
-        timeline = self._timeline[self.sink]
-        position = timeline.index(old_tau_e)
-        for stamp in timeline[position + 1 :]:
-            self._push_hold(self._hold_into[(self.sink, stamp)], excess)
+        timeline = self._timelines[self.sink]
+        hold = self._hold
+        for index in timeline[timeline.index(old_sink) + 1 :]:
+            self._push_hold(hold[index], excess)
 
     # ------------------------------------------------------------------
     # Deletion case (Lemma 4/5)
@@ -354,7 +393,9 @@ class IncrementalTransformedNetwork:
 
         virtual_index: int | None = None
         if total_crossing > _WITHDRAW_TOLERANCE:
-            virtual_index = self._add_node(("__virtual__", self.tau_s, new_tau_s))
+            virtual_index = self._add_node(
+                ("__virtual__", self.tau_s, new_tau_s), None
+            )
             for boundary_index, flow in crossings:
                 self._add_edge(boundary_index, virtual_index, flow)
 
@@ -376,8 +417,7 @@ class IncrementalTransformedNetwork:
             self._retire(virtual_index)
 
         self.tau_s = new_tau_s
-        self._ensure_timeline_node(self.source, new_tau_s)
-        self._sync_endpoints()
+        self.source_index = self._source_boundary(new_tau_s)
         if self._skeleton is None:
             self._rebuild_arrival()
         # A skeleton needs no arrival rebuild: later extensions slice the
@@ -391,14 +431,15 @@ class IncrementalTransformedNetwork:
     # ------------------------------------------------------------------
     # Arena primitives
     # ------------------------------------------------------------------
-    def _add_node(self, label: tuple) -> int:
+    def _add_node(self, owner: NodeId | tuple, stamp: Timestamp | None) -> int:
         arena = self.arena
         index = len(arena.slots)
         arena.slots.append([])
         arena.level.append(ARENA_UNREACHED)
         arena.iters.append(0)
-        self._labels.append(label)
-        self._index_of[label] = index
+        self._owner.append(owner)
+        self._stamps.append(stamp)
+        self._hold.append(-1)
         self._active += 1
         return index
 
@@ -409,7 +450,6 @@ class IncrementalTransformedNetwork:
         slot = len(heads)
         heads += (head, tail)
         arena.caps.extend((capacity, 0.0))
-        arena.rev.extend((slot + 1, slot))
         slots = arena.slots
         slots[tail].append(slot)
         slots[head].append(slot + 1)
@@ -427,17 +467,27 @@ class IncrementalTransformedNetwork:
         self.arena.level[index] = ARENA_RETIRED
         self._active -= 1
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _sync_endpoints(self) -> None:
-        self.source_index = self._index_of[(self.source, self.tau_s)]
-        self.sink_index = self._index_of[(self.sink, self.tau_e)]
+    def _node_at(self, node: NodeId, tau: Timestamp) -> int | None:
+        """Arena index of the active ``<node, tau>``, or None."""
+        timeline = self._timelines.get(node, ())
+        position = bisect.bisect_left(timeline, tau, key=self._stamps.__getitem__)
+        if position < len(timeline) and self._stamps[timeline[position]] == tau:
+            return timeline[position]
+        return None
 
-    def _include_window(self, tau_lo: Timestamp, tau_hi: Timestamp) -> None:
-        """Materialise reachable edges with timestamps in [tau_lo, tau_hi]."""
-        if tau_hi < tau_lo:
-            return
+    # ------------------------------------------------------------------
+    # The builder
+    # ------------------------------------------------------------------
+    def _include_window(self, tau_lo: Timestamp, tau_hi: Timestamp) -> int:
+        """Append the reachable edges with stamps in [tau_lo, tau_hi].
+
+        Edges arrive in stamp order and every stamp lies past the existing
+        timelines' ends, so each endpoint is either its node's latest
+        timeline node or a new one appended behind it, chained by an
+        infinite hold edge.  Edges out of the sink or into the source are
+        skipped: they cannot carry s-t flow (see ``transform.assemble``).
+        The sink boundary ``<t, tau_hi>`` comes last; returns its index.
+        """
         if self._skeleton is not None:
             # The compiled per-start index: the same included-edge list, in
             # the same order, as the reachable_edges call below — any
@@ -450,53 +500,122 @@ class IncrementalTransformedNetwork:
             included = reachable_edges(
                 self.temporal, self.source, tau_lo, tau_hi, arrival=self._arrival
             )
+        # Hot loop: every lookup is a local, and the endpoint code is
+        # written out twice rather than called (a call per endpoint costs
+        # about as much as the rest of the loop body).
+        arena = self.arena
+        heads = arena.heads
+        caps = arena.caps
+        slots = arena.slots
+        owner = self._owner
+        stamps = self._stamps
+        hold = self._hold
+        timelines = self._timelines
+        last = self._last
+        source_arcs = self.source_arcs
         source = self.source
         sink = self.sink
-        node_at = self._ensure_timeline_node
-        add_edge = self._add_edge
-        source_arcs = self.source_arcs
+        first_new = len(slots)
+        slot = len(heads)  # the next free slot
         for u, v, tau, capacity in included:
             if u == sink or v == source:
-                continue  # cannot carry s-t flow (see transform.assemble)
-            slot = add_edge(node_at(u, tau), node_at(v, tau), capacity)
+                continue
+            previous = last.get(u)
+            if previous is not None and stamps[previous] == tau:
+                tail = previous
+            else:
+                tail = len(slots)
+                if previous is None:
+                    slots.append([])
+                    hold.append(-1)
+                    timelines[u] = [tail]
+                else:
+                    heads.append(tail)
+                    heads.append(previous)
+                    caps.append(_INF)
+                    caps.append(0.0)
+                    slots[previous].append(slot)
+                    slots.append([slot + 1])
+                    hold.append(slot)
+                    timelines[u].append(tail)
+                    slot += 2
+                owner.append(u)
+                stamps.append(tau)
+                last[u] = tail
+            previous = last.get(v)
+            if previous is not None and stamps[previous] == tau:
+                head = previous
+            else:
+                head = len(slots)
+                if previous is None:
+                    slots.append([])
+                    hold.append(-1)
+                    timelines[v] = [head]
+                else:
+                    heads.append(head)
+                    heads.append(previous)
+                    caps.append(_INF)
+                    caps.append(0.0)
+                    slots[previous].append(slot)
+                    slots.append([slot + 1])
+                    hold.append(slot)
+                    timelines[v].append(head)
+                    slot += 2
+                owner.append(v)
+                stamps.append(tau)
+                last[v] = head
+            heads.append(head)
+            heads.append(tail)
+            caps.append(capacity)
+            caps.append(0.0)
+            slots[tail].append(slot)
+            slots[head].append(slot + 1)
             if u == source:
                 source_arcs.append(slot)
+            slot += 2
+        added = len(slots) - first_new
+        arena.level += [ARENA_UNREACHED] * added
+        arena.iters += [0] * added
+        self._active += added
+        # The sink boundary <t, tau_hi> closes the window.
+        previous = last.get(sink)
+        if previous is not None and stamps[previous] == tau_hi:
+            return previous
+        return self._append_node(sink, tau_hi)
 
-    def _ensure_timeline_node(self, node: NodeId, tau: Timestamp) -> int:
-        """Get or create ``<node, tau>``, chaining it into the timeline.
-
-        New stamps are appended at the end (edges arrive in timestamp order
-        and the window grows rightward) or — for the source boundary after
-        an :meth:`advance_start` — prepended at the front.  Interior stamps
-        only ever appear through timestamp injection.
-        """
-        label = (node, tau)
-        index = self._index_of.get(label)
-        if index is not None:
-            return index
-        timeline = self._timeline.setdefault(node, [])
-        if timeline and timeline[0] > tau:
-            # Prepend: a fresh boundary node ahead of the first stamp.
-            index = self._add_node(label)
-            first = timeline[0]
-            self._hold_into[(node, first)] = self._add_edge(
-                index, self._index_of[(node, first)], _INF
-            )
-            timeline.insert(0, tau)
-            return index
-        if timeline and timeline[-1] > tau:
-            raise GraphError(
-                f"timeline of {node!r} only grows at its ends: cannot add "
-                f"{tau} inside [{timeline[0]}, {timeline[-1]}]"
-            )
-        index = self._add_node(label)
-        if timeline:
-            self._hold_into[label] = self._add_edge(
-                self._index_of[(node, timeline[-1])], index, _INF
-            )
-        timeline.append(tau)
+    def _append_node(self, node: NodeId, tau: Timestamp) -> int:
+        """Append ``<node, tau>`` behind the node's latest timeline node."""
+        index = self._add_node(node, tau)
+        previous = self._last.get(node)
+        if previous is None:
+            self._timelines[node] = [index]
+        else:
+            self._hold[index] = self._add_edge(previous, index, _INF)
+            self._timelines[node].append(index)
+        self._last[node] = index
         return index
 
+    def _source_boundary(self, tau: Timestamp) -> int:
+        """Get or create ``<s, tau>`` at the front of the source's timeline.
+
+        After :meth:`_retire_prefix` every surviving source stamp is
+        ``>= tau``: the first is ``tau`` itself, or a fresh node is
+        prepended (chained by a hold edge into the old first).
+        """
+        timeline = self._timelines[self.source]
+        if not timeline:
+            return self._append_node(self.source, tau)
+        first = timeline[0]
+        if self._stamps[first] == tau:
+            return first
+        index = self._add_node(self.source, tau)
+        self._hold[first] = self._add_edge(index, first, _INF)
+        timeline.insert(0, index)
+        return index
+
+    # ------------------------------------------------------------------
+    # Internals of the deletion case
+    # ------------------------------------------------------------------
     def _inject_timestamp(self, tau: Timestamp) -> None:
         """``Δ_tau``: split every hold edge spanning ``tau`` (live version).
 
@@ -505,28 +624,29 @@ class IncrementalTransformedNetwork:
         the spanning edge and manually pushing the flow onto the halves.
         """
         caps = self.arena.caps
-        index_of = self._index_of
-        for node, timeline in self._timeline.items():
-            position = _span_position(timeline, tau)
+        hold = self._hold
+        stamp = self._stamps.__getitem__
+        for node, timeline in self._timelines.items():
+            position = _span_position(timeline, tau, key=stamp)
             if position is None:
                 continue
             before = timeline[position]
             after = timeline[position + 1]
-            old = self._hold_into.pop((node, after))
+            old = hold[after]
             routed = caps[old + 1]
             # Disable the spanning edge entirely (capacity and flow to 0).
             caps[old] = 0.0
             caps[old + 1] = 0.0
 
-            middle = self._add_node((node, tau))
-            first = self._add_edge(index_of[(node, before)], middle, _INF)
-            second = self._add_edge(middle, index_of[(node, after)], _INF)
+            middle = self._add_node(node, tau)
+            first = self._add_edge(before, middle, _INF)
+            second = self._add_edge(middle, after, _INF)
             if routed > 0:
                 self._push_hold(first, routed)
                 self._push_hold(second, routed)
-            self._hold_into[(node, tau)] = first
-            self._hold_into[(node, after)] = second
-            timeline.insert(position + 1, tau)
+            hold[middle] = first
+            hold[after] = second
+            timeline.insert(position + 1, middle)
 
     def _boundary_crossings(self, tau: Timestamp) -> list[tuple[int, float]]:
         """Positive flow entering ``<u, tau>`` along u's hold chain, u != s.
@@ -535,16 +655,17 @@ class IncrementalTransformedNetwork:
         a hold edge whose head is exactly ``<u, tau>``.
         """
         caps = self.arena.caps
+        hold = self._hold
         crossings: list[tuple[int, float]] = []
-        for node in self._timeline:
+        for node in self._timelines:
             if node == self.source:
                 continue
-            slot = self._hold_into.get((node, tau))
-            if slot is None:
+            index = self._node_at(node, tau)
+            if index is None or hold[index] < 0:
                 continue
-            routed = caps[slot + 1]
+            routed = caps[hold[index] + 1]
             if routed > _WITHDRAW_TOLERANCE:
-                crossings.append((self._index_of[(node, tau)], routed))
+                crossings.append((index, routed))
         return crossings
 
     def _rebuild_arrival(self) -> None:
@@ -562,14 +683,16 @@ class IncrementalTransformedNetwork:
         caps = arena.caps
         level = arena.level
         slots = arena.slots
-        labels = self._labels
+        owner = self._owner
+        stamps = self._stamps
         start = self.source_index
         seen = {start}
         stack = [start]
         arrival: dict[NodeId, float] = {}
         while stack:
             index = stack.pop()
-            node, tau = labels[index]
+            node = owner[index]
+            tau = stamps[index]
             known = arrival.get(node)
             if known is None or tau < known:
                 arrival[node] = float(tau)
@@ -589,18 +712,19 @@ class IncrementalTransformedNetwork:
 
     def _retire_prefix(self, new_tau_s: Timestamp) -> None:
         """Retire all ``<u, tau>`` nodes with ``tau < new_tau_s``."""
-        index_of = self._index_of
-        hold_into = self._hold_into
-        for node, timeline in self._timeline.items():
+        stamps = self._stamps
+        hold = self._hold
+        for node, timeline in self._timelines.items():
             cut = 0
-            while cut < len(timeline) and timeline[cut] < new_tau_s:
-                self._retire(index_of[(node, timeline[cut])])
-                hold_into.pop((node, timeline[cut]), None)
+            while cut < len(timeline) and stamps[timeline[cut]] < new_tau_s:
+                self._retire(timeline[cut])
                 cut += 1
             if cut:
-                # The hold edge into the first surviving stamp now dangles.
                 if cut < len(timeline):
-                    hold_into.pop((node, timeline[cut]), None)
+                    # The hold edge into the first surviving node dangles.
+                    hold[timeline[cut]] = -1
+                else:
+                    del self._last[node]
                 del timeline[:cut]
         level = self.arena.level
         heads = self.arena.heads
@@ -611,11 +735,15 @@ class IncrementalTransformedNetwork:
         ]
 
 
-def _span_position(timeline: list[Timestamp], tau: Timestamp) -> int | None:
-    """Index i with timeline[i] < tau < timeline[i+1], or None."""
-    position = bisect.bisect_left(timeline, tau)
-    if position < len(timeline) and timeline[position] == tau:
-        return None  # node already has this stamp
+def _span_position(timeline: list, tau: Timestamp, key=None) -> int | None:
+    """Index i with timeline[i] < tau < timeline[i+1], or None.
+
+    ``key`` maps an entry to its stamp, as in :func:`bisect.bisect_left`.
+    """
+    position = bisect.bisect_left(timeline, tau, key=key)
     if position == 0 or position >= len(timeline):
         return None  # tau is outside the timeline span
+    at = timeline[position]
+    if (at if key is None else key(at)) == tau:
+        return None  # node already has this stamp
     return position - 1

@@ -50,6 +50,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from repro.core._pool import run_pool
+from repro.core.incremental import IncrementalTransformedNetwork
 from repro.core.intervals import enumerate_candidates
 from repro.core.query import (
     BurstingFlowQuery,
@@ -190,19 +191,21 @@ def _solve_group(
                     # point 1 (vs once per query independently).
                     skeleton = WindowSkeleton(network, source, sink)
                     report.skeletons_compiled += 1
-                window = skeleton.materialize(tau_s, tau_e)
+                state = IncrementalTransformedNetwork(
+                    network, source, sink, tau_s, tau_e, skeleton=skeleton
+                )
                 t1 = time.perf_counter()
-                run = window.maxflow()
+                run = state.run_maxflow()
                 t2 = time.perf_counter()
                 value = run.value
-                memo.put((tau_s, tau_e), value, window.num_nodes)
+                memo.put((tau_s, tau_e), value, state.num_nodes)
                 stats.maxflow_runs += 1
                 stats.augmenting_paths += run.augmenting_paths
                 stats.note_kernel(run.kernel, t2 - t1)
                 stats.record_sample(
                     IntervalSample(
                         interval=(tau_s, tau_e),
-                        network_size=window.num_nodes,
+                        network_size=state.num_nodes,
                         mode="dinic",
                         maxflow_seconds=t2 - t1,
                         transform_seconds=t1 - t0,

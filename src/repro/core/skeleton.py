@@ -19,28 +19,25 @@ on edges with stamps ``<= tau``, the included-edge list of *any* window
 so after ``O(d)`` sweeps (one per start; the same asymptotics BFQ+ pays)
 every one of the ``O(d^2)`` windows is two binary searches away.
 
-:meth:`WindowSkeleton.materialize` then builds the window **directly as a
-residual arena** (:class:`~repro.flownet.residual.ResidualArena`) — flat
-``heads`` / ``caps`` / ``rev`` / ``slots`` arrays the persistent Dinic
-kernel consumes natively — bypassing :class:`~repro.flownet.network.
-FlowNetwork` entirely on the hot path.  The node set, hold chains and
-capacity edges are constructed in one pass over the sliced positions and
-match :func:`~repro.core.transform.assemble` exactly; the lazy
-:meth:`SkeletonWindow.to_flow_network` escape hatch rebuilds the
-byte-identical object graph on demand for certificates, the differential
-oracle and debugging.
+The skeleton only answers *which* edges a window includes.  The one arena
+builder, :class:`~repro.core.incremental.IncrementalTransformedNetwork`,
+turns a slice into the flat residual arena the persistent Dinic kernel
+runs on: a BFQ window is a fresh state built with the skeleton, and
+BFQ+/BFQ* extend one state slice by slice.  The arena has the same node
+set, edge set and Maxflow value as :func:`~repro.core.transform.assemble`
+over the same slice, but not the same node order (the builder numbers
+nodes as edges arrive, ``assemble`` groups them by temporal node).  Where a
+byte-identical object graph is needed — BFQ with a classical solver — the
+caller hands :meth:`WindowSkeleton.included_between` to ``assemble``
+directly.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Iterator
 
-from repro.exceptions import GraphError, InvalidIntervalError
-from repro.flownet.algorithms.base import MaxflowRun
-from repro.flownet.algorithms.dinic_flat_persistent import arena_maxflow
-from repro.flownet.residual import ResidualArena
+from repro.exceptions import GraphError
 from repro.temporal.edge import NodeId, Timestamp
 from repro.temporal.network import TemporalFlowNetwork
 
@@ -50,13 +47,12 @@ _INF = math.inf
 class _StartIndex:
     """The (resumable) reachability index for one starting timestamp.
 
-    ``positions[i]`` is the i-th included edge's position in the skeleton's
-    global edge arrays; ``taus[i]`` is its timestamp.  ``taus`` is
-    non-decreasing (the fixpoint emits whole timestamp groups in order), so
-    the included set of ``[tau_s, tau_e]`` is ``positions[:bisect_right(
-    taus, tau_e)]`` and an incremental extension ``(lo, hi]`` is an interior
-    slice — exactly what ``reachable_edges`` would have produced, in the
-    same order.
+    ``edges[i]`` is the i-th included edge as ``(u, v, tau, capacity)``;
+    ``taus[i]`` is its timestamp.  ``taus`` is non-decreasing (the fixpoint
+    emits whole timestamp groups in order), so the included set of
+    ``[tau_s, tau_e]`` is ``edges[:bisect_right(taus, tau_e)]`` and an
+    incremental extension ``(lo, hi]`` is an interior slice — exactly what
+    ``reachable_edges`` would have produced, in the same order.
 
     The sweep is *lazy*: ``arrival`` and ``next_pos`` carry its state, and
     the skeleton advances it only up to the highest stamp a window has
@@ -64,10 +60,10 @@ class _StartIndex:
     never pays for the rest of the horizon.
     """
 
-    __slots__ = ("positions", "taus", "arrival", "next_pos")
+    __slots__ = ("edges", "taus", "arrival", "next_pos")
 
     def __init__(self, source: NodeId, tau_s: Timestamp, next_pos: int) -> None:
-        self.positions: list[int] = []
+        self.edges: list[tuple[NodeId, NodeId, Timestamp, float]] = []
         self.taus: list[Timestamp] = []
         self.arrival: dict[NodeId, float] = {source: float(tau_s)}
         #: Global array position of the first unswept edge (whole timestamp
@@ -94,7 +90,6 @@ class WindowSkeleton:
         "_ev",
         "_etau",
         "_ecap",
-        "_keep",
         "_start_cache",
     )
 
@@ -112,22 +107,16 @@ class WindowSkeleton:
         ev: list[NodeId] = []
         etau: list[Timestamp] = []
         ecap: list[float] = []
-        keep: list[bool] = []
         if temporal.num_timestamps:
             for edge in temporal.edges_in_window(temporal.t_min, temporal.t_max):
                 eu.append(edge.u)
                 ev.append(edge.v)
                 etau.append(edge.tau)
                 ecap.append(edge.capacity)
-                # assemble() drops edges out of the sink / into the source
-                # (they can never carry s-t flow); they still propagate
-                # arrival labels, so they stay in the sweep below.
-                keep.append(edge.u != sink and edge.v != source)
         self._eu = eu
         self._ev = ev
         self._etau = etau
         self._ecap = ecap
-        self._keep = keep
         self._start_cache: dict[Timestamp, _StartIndex] = {}
 
     # ------------------------------------------------------------------
@@ -171,9 +160,10 @@ class WindowSkeleton:
         eu = self._eu
         ev = self._ev
         etau = self._etau
+        ecap = self._ecap
         arrival = index.arrival
         arrival_get = arrival.get
-        positions = index.positions
+        edges = index.edges
         taus = index.taus
         i = index.next_pos
         n = len(etau)
@@ -192,10 +182,11 @@ class WindowSkeleton:
                 progressed = False
                 remaining: list[int] = []
                 for p in work:
-                    if arrival_get(eu[p], _INF) <= tau:
-                        positions.append(p)
-                        taus.append(tau)
+                    u = eu[p]
+                    if arrival_get(u, _INF) <= tau:
                         v = ev[p]
+                        edges.append((u, v, tau, ecap[p]))
+                        taus.append(tau)
                         if tau < arrival_get(v, _INF):
                             arrival[v] = float(tau)
                         progressed = True
@@ -210,215 +201,20 @@ class WindowSkeleton:
     # ------------------------------------------------------------------
     def included_between(
         self, tau_s: Timestamp, lo: Timestamp, hi: Timestamp
-    ) -> Iterator[tuple[NodeId, NodeId, Timestamp, float]]:
+    ) -> list[tuple[NodeId, NodeId, Timestamp, float]]:
         """Included edges with stamps in ``[lo, hi]`` for start ``tau_s``.
 
-        Unfiltered (sink-out / source-in edges are present, as from
-        :func:`~repro.core.transform.reachable_edges`); callers apply the
-        assemble filter themselves.  This is the incremental engine's
-        replacement for its per-extension ``reachable_edges`` call.
-        """
-        if hi < lo:
-            return
-        index = self.start_index(tau_s, upto=hi)
-        eu = self._eu
-        ev = self._ev
-        ecap = self._ecap
-        taus = index.taus
-        start = bisect_left(taus, lo)
-        stop = bisect_right(taus, hi)
-        for k in range(start, stop):
-            p = index.positions[k]
-            yield (eu[p], ev[p], taus[k], ecap[p])
-
-    def materialize(self, tau_s: Timestamp, tau_e: Timestamp) -> "SkeletonWindow":
-        """Slice ``N_[tau_s, tau_e]`` directly into a fresh residual arena.
-
-        One pass over the bisect-found position prefix builds the flat
-        ``heads`` / ``caps`` / ``rev`` / ``slots`` arrays the persistent
-        Dinic kernel runs on — no :class:`FlowNetwork`, no ``Arc`` objects,
-        no per-node label dicts beyond one current-timeline-position map.
+        Lists ``(u, v, tau, capacity)`` in stamp order, exactly as
+        :func:`~repro.core.transform.reachable_edges` would.  Unfiltered:
+        sink-out / source-in edges are present (they still propagate
+        arrival labels in the sweep), and callers apply the assemble
+        filter themselves.
 
         Raises:
-            InvalidIntervalError: when ``tau_e < tau_s``.
             GraphError: when the temporal network mutated after compile.
         """
-        if tau_e < tau_s:
-            raise InvalidIntervalError(f"window [{tau_s}, {tau_e}] is reversed")
-        index = self.start_index(tau_s, upto=tau_e)
+        if hi < lo:
+            return []
+        index = self.start_index(tau_s, upto=hi)
         taus = index.taus
-        positions = index.positions
-        stop = bisect_right(taus, tau_e)
-
-        eu = self._eu
-        ev = self._ev
-        ecap = self._ecap
-        keep = self._keep
-        source = self.source
-        sink = self.sink
-
-        heads: list[int] = []
-        caps: list[float] = []
-        rev: list[int] = []
-        slots: list[list[int]] = [[]]
-        heads_append = heads.append
-        caps_append = caps.append
-        rev_append = rev.append
-
-        # Timeline state per temporal node: the arena index and stamp of
-        # its latest materialised timeline node.  The source is pre-seeded
-        # at tau_s (assemble always gives it that stamp).
-        cur_node: dict[NodeId, int] = {source: 0}
-        cur_tau: dict[NodeId, Timestamp] = {source: tau_s}
-        n_nodes = 1
-        n_edges = 0
-        source_arcs: list[int] = []
-
-        def timeline_node(node: NodeId, tau: Timestamp) -> int:
-            """Arena index of ``<node, tau>``, chaining hold edges."""
-            nonlocal n_nodes, n_edges
-            at = cur_node.get(node)
-            if at is not None and cur_tau[node] == tau:
-                return at
-            index_new = n_nodes
-            n_nodes += 1
-            slots.append([])
-            if at is not None:
-                # Hold edge <node, prev> -> <node, tau>, capacity inf.
-                k = len(heads)
-                heads_append(index_new)
-                caps_append(_INF)
-                rev_append(k + 1)
-                heads_append(at)
-                caps_append(0.0)
-                rev_append(k)
-                slots[at].append(k)
-                slots[index_new].append(k + 1)
-                n_edges += 1
-            cur_node[node] = index_new
-            cur_tau[node] = tau
-            return index_new
-
-        for k in range(stop):
-            p = positions[k]
-            if not keep[p]:
-                continue
-            u = eu[p]
-            v = ev[p]
-            tau = taus[k]
-            tail = timeline_node(u, tau)
-            head = timeline_node(v, tau)
-            slot = len(heads)
-            heads_append(head)
-            caps_append(ecap[p])
-            rev_append(slot + 1)
-            heads_append(tail)
-            caps_append(0.0)
-            rev_append(slot)
-            slots[tail].append(slot)
-            slots[head].append(slot + 1)
-            n_edges += 1
-            if u == source:
-                source_arcs.append(slot)
-
-        # assemble() always gives the sink the stamp tau_e; timeline_node
-        # reuses the existing node when the last sink stamp is already tau_e.
-        sink_index = timeline_node(sink, tau_e)
-
-        arena = ResidualArena(heads, caps, rev, slots)
-        return SkeletonWindow(
-            skeleton=self,
-            tau_s=tau_s,
-            tau_e=tau_e,
-            arena=arena,
-            source_index=0,
-            sink_index=sink_index,
-            num_nodes=n_nodes,
-            num_edges=n_edges,
-            source_arc_slots=source_arcs,
-        )
-
-
-class SkeletonWindow:
-    """One candidate window, materialised as a residual arena.
-
-    The arena is private to this window (fresh zero-flow residual state);
-    :meth:`maxflow` runs the persistent flat Dinic kernel on it directly.
-    :meth:`to_flow_network` lazily rebuilds the byte-identical
-    :class:`~repro.core.transform.TransformedNetwork` object graph for
-    certificates and debugging.
-    """
-
-    __slots__ = (
-        "skeleton",
-        "tau_s",
-        "tau_e",
-        "arena",
-        "source_index",
-        "sink_index",
-        "num_nodes",
-        "num_edges",
-        "source_arc_slots",
-    )
-
-    def __init__(
-        self,
-        *,
-        skeleton: WindowSkeleton,
-        tau_s: Timestamp,
-        tau_e: Timestamp,
-        arena: ResidualArena,
-        source_index: int,
-        sink_index: int,
-        num_nodes: int,
-        num_edges: int,
-        source_arc_slots: list[int],
-    ) -> None:
-        self.skeleton = skeleton
-        self.tau_s = tau_s
-        self.tau_e = tau_e
-        self.arena = arena
-        self.source_index = source_index
-        self.sink_index = sink_index
-        self.num_nodes = num_nodes
-        self.num_edges = num_edges
-        self.source_arc_slots = source_arc_slots
-
-    def maxflow(self, *, value_bound: float | None = None) -> MaxflowRun:
-        """Run the persistent arena Dinic on this window's arena."""
-        return arena_maxflow(
-            self.arena,
-            self.source_index,
-            self.sink_index,
-            value_bound=value_bound,
-        )
-
-    def flow_value(self) -> float:
-        """``|f|`` — flow routed on capacity edges leaving the source timeline."""
-        caps = self.arena.caps
-        rev = self.arena.rev
-        return sum(caps[rev[slot]] for slot in self.source_arc_slots)
-
-    def to_flow_network(self):
-        """The byte-identical object-graph transform (escape hatch).
-
-        Delegates to :func:`~repro.core.transform.assemble` over this
-        window's included-edge slice, so the result equals
-        :func:`~repro.core.transform.build_transformed_network` exactly —
-        node ordering, edge handles and all.  Routed flow is *not*
-        replayed; the object graph starts at zero flow.
-        """
-        from repro.core.transform import assemble
-
-        skeleton = self.skeleton
-        included = list(
-            skeleton.included_between(self.tau_s, self.tau_s, self.tau_e)
-        )
-        return assemble(
-            skeleton.temporal,
-            skeleton.source,
-            skeleton.sink,
-            self.tau_s,
-            self.tau_e,
-            included,
-        )
+        return index.edges[bisect_left(taus, lo) : bisect_right(taus, hi)]

@@ -15,7 +15,6 @@ from repro.flownet.algorithms import (
     push_relabel,
     solve_max_flow,
 )
-from repro.flownet.dynamic import DynamicMaxflow
 from repro.flownet.mincut import MinCut, certify_maxflow, min_cut
 from repro.flownet.rewrite import (
     RewriteReport,
@@ -45,7 +44,6 @@ __all__ = [
     "dinic_flat",
     "dinic_flat_persistent",
     "capacity_scaling",
-    "DynamicMaxflow",
     "RewriteReport",
     "has_antiparallel_edges",
     "split_antiparallel_edges",

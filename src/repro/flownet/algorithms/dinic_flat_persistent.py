@@ -6,10 +6,9 @@ kernel removes that overhead structurally: it runs on a
 :class:`~repro.flownet.residual.ResidualArena` that its owner keeps alive
 across runs, so a resumed run (the BFQ+/BFQ* hot path — dozens of runs
 over one growing and shrinking network) converts nothing at all.  The
-arena is the engine's only representation of the transformed network:
-BFQ's compiled windows are materialised straight into one
-(:mod:`repro.core.skeleton`), and the incremental BFQ+/BFQ* state
-(:mod:`repro.core.incremental`) owns one and mutates it in place.  There is
+arena is the engine's only representation of the transformed network: the
+incremental state (:mod:`repro.core.incremental`) builds every window into
+one — a BFQ window is a fresh state — and mutates it in place.  There is
 no object graph to keep in step — no journal, no write-back; certificates
 and the differential oracle read an on-demand object-graph export.
 
@@ -31,7 +30,10 @@ object-graph walker cannot have:
   searching only the smaller side;
 * **O(labelled) scratch resets** — ``level``/``iters`` are persistent
   arrays cleared only where the previous search labelled them, and the
-  ``isinf`` guard disappears because ``inf - finite == inf``.
+  ``isinf`` guard disappears because ``inf - finite == inf``;
+* **paired slots** — an edge's two arcs sit in slots ``k`` and ``k ^ 1``,
+  so the partner of an arc is one XOR away and the arena stores no
+  partner array.
 
 **Measured honestly** (CPython 3.11): on the EXP-3 incremental-maxflow
 workload (BENCH_PR2.json: btc2011 / ctu13 / prosper, BFQ+ and BFQ*) the
@@ -49,8 +51,9 @@ The kernel proper is :func:`arena_maxflow`; every engine run is stamped
 :func:`dinic_flat_persistent` is the same kernel for a classical
 :class:`~repro.flownet.network.FlowNetwork` (the registry's
 ``dinic-flat-persistent`` solver, a Table-4 column): it flattens the
-network into a one-shot arena, runs, and writes the residual capacities
-back.
+network into a one-shot arena — each edge's two arcs as a slot pair, every
+node's arcs in their adjacency order, so runs augment as on the network
+itself — runs, and writes the residual capacities back.
 
 The computed flow *value* and the certified min cut match
 :func:`~repro.flownet.algorithms.dinic.dinic` exactly; the residual flow
@@ -82,16 +85,22 @@ def dinic_flat_persistent(
     any other mutating solver) finds only the missing augmenting paths.
     """
     adj = network._adj  # noqa: SLF001 - one-shot flatten
-    offsets = [0]
-    for row in adj:
-        offsets.append(offsets[-1] + len(row))
-    arcs = [arc for row in adj for arc in row]
-    arena = ResidualArena(
-        [arc.head for arc in arcs],
-        [arc.cap for arc in arcs],
-        [offsets[arc.head] + arc.rev for arc in arcs],
-        [list(range(offsets[i], offsets[i + 1])) for i in range(len(adj))],
-    )
+    heads: list[int] = []
+    caps: list[float] = []
+    slots = [[0] * len(row) for row in adj]
+    arcs = []  # in slot order
+    for tail, row in enumerate(adj):
+        for position, arc in enumerate(row):
+            if not arc.forward:
+                continue
+            partner = adj[arc.head][arc.rev]
+            slot = len(heads)
+            heads += (arc.head, tail)
+            caps += (arc.cap, partner.cap)
+            slots[tail][position] = slot
+            slots[arc.head][arc.rev] = slot + 1
+            arcs += (arc, partner)
+    arena = ResidualArena(heads, caps, slots)
     level = arena.level
     for i, retired in enumerate(network._retired):  # noqa: SLF001
         if retired:
@@ -125,7 +134,6 @@ def arena_maxflow(
 
     heads = arena.heads
     caps = arena.caps
-    rev = arena.rev
     slots = arena.slots
     level = arena.level
     iters = arena.iters
@@ -178,10 +186,10 @@ def arena_maxflow(
                 for node in back:
                     for k in slots[node]:
                         # The arc *into* ``node`` from ``heads[k]`` is the
-                        # partner slot ``rev[k]``.  Test the level first:
+                        # partner slot ``k ^ 1``.  Test the level first:
                         # most scanned arcs lead to nodes already labelled.
                         other = heads[k]
-                        if level[other] == ARENA_UNREACHED and caps[rev[k]] > eps:
+                        if level[other] == ARENA_UNREACHED and caps[k ^ 1] > eps:
                             level[other] = back_depth
                             stale_append(other)
                             if other in dist:
@@ -231,7 +239,7 @@ def arena_maxflow(
 
         remaining = (value_bound - total) if bounded else math.inf
         gained, phase_paths, maximal_by_bound = run_blocking_flow(
-            heads, caps, rev, slots, level, iters, source, sink, remaining,
+            heads, caps, slots, level, iters, source, sink, remaining,
         )
         total += gained
         n_paths += phase_paths
@@ -246,7 +254,6 @@ def arena_maxflow(
 def run_blocking_flow(
     heads: list[int],
     caps: list[float],
-    rev: list[int],
     slots: list[list[int]],
     level: list[int],
     iters: list[int],
@@ -277,7 +284,7 @@ def run_blocking_flow(
     # long on transformed networks, so every per-arc interpreter step in
     # this section is paid dearly.
     caps_item = caps.__getitem__
-    rev_item = rev.__getitem__
+    partner = (1).__xor__
     total = 0.0
     n_paths = 0
     path_nodes = [source]
@@ -293,7 +300,7 @@ def run_blocking_flow(
                 )
             for k in path_slots:
                 caps[k] -= bottleneck  # inf - finite stays inf
-            reverse_slots = list(map(rev_item, path_slots))
+            reverse_slots = list(map(partner, path_slots))
             for k in reverse_slots:
                 caps[k] += bottleneck
             total += bottleneck

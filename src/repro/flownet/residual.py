@@ -8,13 +8,13 @@ to check Lemma 1 style equivalences.
 This module also hosts :class:`ResidualArena`, the flat residual state the
 persistent Dinic kernel (:func:`~repro.flownet.algorithms.
 dinic_flat_persistent.arena_maxflow`) runs on.  It is the engine's one
-representation of a transformed network: the transform compiler
-(:meth:`repro.core.skeleton.WindowSkeleton.materialize`) writes candidate
-windows straight into one, and the incremental BFQ+/BFQ* state
-(:class:`repro.core.incremental.IncrementalTransformedNetwork`) owns one
-and grows, shrinks and clones it in place.  No object graph shadows it, so
-there is no journal to replay and no write-back; the object graph is an
-on-demand export (``to_flow_network``) for certificates and debugging.
+representation of a transformed network: the incremental state
+(:class:`repro.core.incremental.IncrementalTransformedNetwork`), the one
+arena builder, writes every window into one — BFQ's independent windows
+are fresh states — and grows, shrinks and clones it in place.  No object
+graph shadows it, so there is no journal to replay and no write-back; the
+object graph is an on-demand export (``to_flow_network``) for
+certificates and debugging.
 """
 
 from __future__ import annotations
@@ -39,9 +39,12 @@ class ResidualArena:
     """Flat residual state of a flow network, persistent across kernel runs.
 
     Layout: every arc (both halves of every edge) occupies one *slot* of
-    the parallel arrays ``heads`` / ``caps`` / ``rev`` (``rev[k]`` is the
-    partner arc's slot).  ``slots[i]`` lists node *i*'s arc slots in
-    insertion order, which fixes the order the kernel scans them in.  A
+    the parallel arrays ``heads`` / ``caps``.  An edge's two arcs form a
+    slot pair: the forward arc sits in an even slot ``k`` and its reverse
+    in ``k + 1``, so the partner of any slot ``k`` is ``k ^ 1``: ``heads[k]``
+    is the arc's head and ``heads[k ^ 1]`` its tail.  ``slots[i]`` lists
+    node *i*'s arc slots in insertion order, which fixes the order the
+    kernel scans them in.  A
     list-of-lists costs more to build than a CSR offset array, but the hot
     loops iterate each row thousands of times per build, and CPython
     iterates a materialised int list with no per-step allocation —
@@ -58,7 +61,6 @@ class ResidualArena:
     __slots__ = (
         "heads",
         "caps",
-        "rev",
         "slots",
         "level",
         "iters",
@@ -69,13 +71,11 @@ class ResidualArena:
         self,
         heads: list[int],
         caps: list[float],
-        rev: list[int],
         slots: list[list[int]],
     ) -> None:
         n = len(slots)
         self.heads = heads
         self.caps = caps
-        self.rev = rev
         self.slots = slots
         self.level = [ARENA_UNREACHED] * n
         self.iters = [0] * n

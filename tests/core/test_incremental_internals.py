@@ -47,8 +47,8 @@ class TestTimestampInjection:
         assert fn.has_node(("a", 3))
         caps = state.arena.caps
         # Hold-edge forward slots: the flow sits on the partner slot.
-        first = state._hold_into[("a", 3)]
-        second = state._hold_into[("a", 6)]
+        first = state._hold[state._node_at("a", 3)]
+        second = state._hold[state._node_at("a", 6)]
         assert caps[first + 1] == pytest.approx(4.0)
         assert caps[second + 1] == pytest.approx(4.0)
         assert math.isinf(caps[first])

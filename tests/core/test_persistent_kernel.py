@@ -197,7 +197,7 @@ def test_resumed_run_finds_an_inserted_edge():
 
 def test_resumed_run_finds_the_arc_a_hold_push_opens():
     state = _solved_state()
-    hold = state._hold_into[("a", 3)]  # noqa: SLF001 - <a, 2> -> <a, 3>
+    hold = state._hold[state._node_at("a", 3)]  # noqa: SLF001 - <a, 2> -> <a, 3>
     # Routing flow on it opens the residual arc <a, 3> -> <a, 2>.
     state._push_hold(hold, 1.0)  # noqa: SLF001
     assert state.run_maxflow().value == 0.0  # the source arc is saturated
@@ -205,3 +205,58 @@ def test_resumed_run_finds_the_arc_a_hold_push_opens():
     state._add_edge(state.source_index, a3, 2.0)  # noqa: SLF001
     # Only the opened arc leads on to the sink: s -> <a, 3> -> <a, 2> -> t.
     assert state.run_maxflow().value == 1.0
+
+
+def _assert_slot_pairs(state):
+    """Slot ``k``'s partner is ``k ^ 1``: each arc sits in its tail's row."""
+    arena = state.arena
+    heads, slots = arena.heads, arena.slots
+    assert len(heads) % 2 == 0
+    rows = [set(row) for row in slots]
+    for k in range(len(heads)):
+        assert k in rows[heads[k ^ 1]]
+        assert k ^ 1 in rows[heads[k]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(temporal_networks(), st.data())
+def test_moves_and_clones_keep_slots_paired(network, data):
+    """The kernel reads an arc's partner as ``k ^ 1``; every move keeps that."""
+    t_min, t_max = network.t_min, network.t_max
+    if t_max - t_min < 2:
+        return
+    skeleton = (
+        WindowSkeleton(network, "n0", "n1")
+        if data.draw(st.booleans(), label="compiled")
+        else None
+    )
+    state = IncrementalTransformedNetwork(
+        network, "n0", "n1", t_min, t_min + 1, skeleton=skeleton
+    )
+    _assert_slot_pairs(state)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6), label="steps")):
+        options = ["clone", "run"]
+        if state.tau_e < t_max:
+            options.append("extend")
+        if state.tau_e - state.tau_s > 1:
+            options.append("advance")
+        op = data.draw(st.sampled_from(options), label="op")
+        if op == "extend":
+            state.extend_end(
+                data.draw(
+                    st.integers(min_value=state.tau_e + 1, max_value=t_max),
+                    label="new tau_e",
+                )
+            )
+        elif op == "advance":
+            state.advance_start(
+                data.draw(
+                    st.integers(min_value=state.tau_s + 1, max_value=state.tau_e - 1),
+                    label="new tau_s",
+                )
+            )
+        elif op == "clone":
+            state = state.clone()
+        else:
+            state.run_maxflow()
+        _assert_slot_pairs(state)

@@ -17,9 +17,14 @@ from hypothesis import strategies as st
 from repro import BurstingFlowQuery, bfq, bfq_plus, bfq_star, find_bursting_flow
 from repro.core import enumerate_candidates
 from repro.core.bfq_plus import bfq_plus as bfq_plus_direct
+from repro.core.incremental import IncrementalTransformedNetwork
 from repro.core.record import BestRecord
 from repro.core.skeleton import WindowSkeleton
-from repro.core.transform import build_transformed_network, reachable_edges
+from repro.core.transform import (
+    assemble,
+    build_transformed_network,
+    reachable_edges,
+)
 from repro.exceptions import GraphError, InvalidIntervalError
 from repro.flownet import dinic
 from repro.flownet.mincut import certify_maxflow
@@ -70,19 +75,21 @@ def object_bfq(network, query):
 
 
 class TestWindowEquality:
-    """materialize() vs build_transformed_network, window by window."""
+    """Fresh skeleton-built states vs build_transformed_network, window by window."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_same_nodes_value_and_certificate(self, seed):
         network = random_network(seed)
         skeleton = WindowSkeleton(network, "n0", "n1")
         for tau_s, tau_e in candidate_windows(network):
-            window = skeleton.materialize(tau_s, tau_e)
+            window = IncrementalTransformedNetwork(
+                network, "n0", "n1", tau_s, tau_e, skeleton=skeleton
+            )
             reference = build_transformed_network(network, "n0", "n1", tau_s, tau_e)
             assert window.num_nodes == reference.num_nodes
             assert window.num_edges == reference.num_edges
 
-            run = window.maxflow()
+            run = window.run_maxflow()
             ref_run = dinic(
                 reference.flow_network,
                 reference.source_index,
@@ -108,7 +115,10 @@ class TestWindowEquality:
         network = random_network(seed, edges=15)
         skeleton = WindowSkeleton(network, "n0", "n1")
         for tau_s, tau_e in candidate_windows(network)[:6]:
-            rebuilt = skeleton.materialize(tau_s, tau_e).to_flow_network()
+            rebuilt = assemble(
+                network, "n0", "n1", tau_s, tau_e,
+                skeleton.included_between(tau_s, tau_s, tau_e),
+            )
             reference = build_transformed_network(network, "n0", "n1", tau_s, tau_e)
             assert list(rebuilt.flow_network.labels()) == list(
                 reference.flow_network.labels()
@@ -121,7 +131,46 @@ class TestWindowEquality:
         network = random_network(0)
         skeleton = WindowSkeleton(network, "n0", "n1")
         with pytest.raises(InvalidIntervalError):
-            skeleton.materialize(5, 3)
+            IncrementalTransformedNetwork(
+                network, "n0", "n1", 5, 3, skeleton=skeleton
+            )
+
+
+class TestSkeletonMatchesState:
+    """A state refuses a skeleton compiled for other endpoints or data."""
+
+    @staticmethod
+    def _network():
+        network = TemporalFlowNetwork()
+        network.add_edge(TemporalEdge("s", "a", 1, 5.0))
+        network.add_edge(TemporalEdge("a", "t", 2, 5.0))
+        network.add_edge(TemporalEdge("x", "t", 1, 3.0))
+        return network
+
+    def test_live_state_value(self):
+        state = IncrementalTransformedNetwork(self._network(), "s", "t", 1, 2)
+        assert state.run_maxflow().value == 5.0
+
+    def test_skeleton_for_another_source_raises(self):
+        network = self._network()
+        with pytest.raises(GraphError, match="another network or"):
+            IncrementalTransformedNetwork(
+                network, "s", "t", 1, 2, skeleton=WindowSkeleton(network, "x", "t")
+            )
+
+    def test_skeleton_for_another_network_raises(self):
+        skeleton = WindowSkeleton(self._network(), "s", "t")
+        with pytest.raises(GraphError, match="another network or"):
+            IncrementalTransformedNetwork(
+                self._network(), "s", "t", 1, 2, skeleton=skeleton
+            )
+
+    def test_matching_skeleton_builds_the_live_window(self):
+        network = self._network()
+        state = IncrementalTransformedNetwork(
+            network, "s", "t", 1, 2, skeleton=WindowSkeleton(network, "s", "t")
+        )
+        assert state.run_maxflow().value == 5.0
 
 
 class TestLazySweep:
@@ -149,10 +198,15 @@ class TestLazySweep:
     def test_epoch_guard_fires_after_mutation(self):
         network = random_network(1)
         skeleton = WindowSkeleton(network, "n0", "n1")
-        skeleton.materialize(network.t_min, network.t_max)
+        IncrementalTransformedNetwork(
+            network, "n0", "n1", network.t_min, network.t_max, skeleton=skeleton
+        )
         network.add_edge(TemporalEdge("n0", "n1", network.t_max, 1.0))
         with pytest.raises(GraphError, match="mutated after skeleton compile"):
-            skeleton.materialize(network.t_min, network.t_max)
+            IncrementalTransformedNetwork(
+                network, "n0", "n1", network.t_min, network.t_max,
+                skeleton=skeleton,
+            )
 
 
 class TestAlgorithmEquality:

@@ -34,7 +34,7 @@ def _sink_rooted_maxflow(arena, source, sink, value_bound=None):
     """Resumable Dinic whose phase BFS runs back from the sink only."""
     if source == sink:
         return MaxflowRun(value=0.0, kernel=KERNEL)
-    heads, caps, rev, slots = arena.heads, arena.caps, arena.rev, arena.slots
+    heads, caps, slots = arena.heads, arena.caps, arena.slots
     level, iters, stale = arena.level, arena.iters, arena.stale_labels
     if level[source] == ARENA_RETIRED or level[sink] == ARENA_RETIRED:
         return MaxflowRun(value=0.0, kernel=KERNEL)
@@ -53,7 +53,7 @@ def _sink_rooted_maxflow(arena, source, sink, value_bound=None):
         for node in queue:
             for k in slots[node]:
                 other = heads[k]
-                if level[other] == ARENA_UNREACHED and caps[rev[k]] > FLOW_EPSILON:
+                if level[other] == ARENA_UNREACHED and caps[k ^ 1] > FLOW_EPSILON:
                     level[other] = level[node] + 1
                     stale.append(other)
                     if other == source:
@@ -69,7 +69,7 @@ def _sink_rooted_maxflow(arena, source, sink, value_bound=None):
             iters[i] = 0
         remaining = math.inf if value_bound is None else value_bound - total
         gained, paths, hit_bound = run_blocking_flow(
-            heads, caps, rev, slots, level, iters, source, sink, remaining
+            heads, caps, slots, level, iters, source, sink, remaining
         )
         total += gained
         n_paths += paths
@@ -82,7 +82,7 @@ def _sink_rooted_maxflow(arena, source, sink, value_bound=None):
 
 def _twin(arena):
     twin = ResidualArena(
-        list(arena.heads), list(arena.caps), list(arena.rev),
+        list(arena.heads), list(arena.caps),
         [list(row) for row in arena.slots],
     )
     twin.level = list(arena.level)
@@ -107,7 +107,6 @@ def _add_arc_pair(arena, tail, head, capacity, residual_back):
     slot = len(arena.heads)
     arena.heads.extend((head, tail))
     arena.caps.extend((capacity, residual_back))
-    arena.rev.extend((slot + 1, slot))
     arena.slots[tail].append(slot)
     arena.slots[head].append(slot + 1)
 
@@ -119,7 +118,7 @@ capacities = st.sampled_from([0.0, 1.0, 2.0, 3.0, 5.0, 0.5, math.inf])
 def residual_arenas(draw):
     """Arbitrary residual states: parallel arcs, retired nodes, flow on arcs."""
     n = draw(st.integers(min_value=2, max_value=12))
-    arena = ResidualArena([], [], [], [[] for _ in range(n)])
+    arena = ResidualArena([], [], [[] for _ in range(n)])
     source, sink = draw(
         st.lists(
             st.integers(min_value=0, max_value=n - 1),
