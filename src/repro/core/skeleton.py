@@ -7,9 +7,10 @@ window, ``O(d^2)`` times per query.  After PR 2 moved the Maxflow inner
 loop onto flat arrays, that per-window object-graph construction dominates
 BFQ wall time and a large share of BFQ+/BFQ*.
 
-:class:`WindowSkeleton` amortises it.  Per query it snapshots the temporal
-edge stream once into parallel arrays (timestamp-ordered, exactly the
-order ``edges_in_window`` yields), and lazily computes one *per-start
+:class:`WindowSkeleton` amortises it.  It reads the network's
+epoch-keyed edge columns (``TemporalFlowNetwork.edge_columns``: parallel
+arrays in ``edges_in_window`` order, built once per network state and
+shared by every skeleton), and lazily computes one *per-start
 reachability index* for each starting timestamp ``tau_s`` the query
 touches: a single earliest-arrival sweep over the suffix ``[tau_s, t_max]``
 that replays :func:`~repro.core.transform.reachable_edges`'s per-timestamp
@@ -75,10 +76,10 @@ class WindowSkeleton:
     """A per-query compilation of the temporal network (see module docs).
 
     Compile once per ``(network, source, sink)`` triple; windows of *any*
-    ``[tau_s, tau_e]`` can then be sliced out.  The skeleton snapshots the
-    edge stream at compile time and refuses to serve windows after the
-    temporal network mutates (the epoch check), since its arrays would be
-    stale.
+    ``[tau_s, tau_e]`` can then be sliced out.  The skeleton holds the
+    network's edge columns of its compile epoch and refuses to serve
+    windows after the temporal network mutates (the epoch check), since
+    those columns would be stale.
     """
 
     __slots__ = (
@@ -99,24 +100,11 @@ class WindowSkeleton:
         self.temporal = temporal
         self.source = source
         self.sink = sink
-        self._epoch = temporal.epoch
-        # Parallel snapshot of every temporal edge, in edges_in_window
-        # order (timestamp-major, insertion order within a timestamp) —
+        # The network's shared edge columns, in edges_in_window order —
         # the order the reachability fixpoint depends on.
-        eu: list[NodeId] = []
-        ev: list[NodeId] = []
-        etau: list[Timestamp] = []
-        ecap: list[float] = []
-        if temporal.num_timestamps:
-            for edge in temporal.edges_in_window(temporal.t_min, temporal.t_max):
-                eu.append(edge.u)
-                ev.append(edge.v)
-                etau.append(edge.tau)
-                ecap.append(edge.capacity)
-        self._eu = eu
-        self._ev = ev
-        self._etau = etau
-        self._ecap = ecap
+        self._epoch, self._eu, self._ev, self._etau, self._ecap = (
+            temporal.edge_columns()
+        )
         self._start_cache: dict[Timestamp, _StartIndex] = {}
 
     # ------------------------------------------------------------------

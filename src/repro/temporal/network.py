@@ -63,6 +63,11 @@ class TemporalFlowNetwork:
         # can fingerprint a network state as (id, epoch) and invalidate on
         # append without scanning edges.
         self._epoch = 0
+        # Epoch-keyed caches, rebuilt into new containers whenever the epoch
+        # moves (a published one is never mutated): the edge columns of
+        # edge_columns() and the per-node in-degree counts.
+        self._columns: tuple | None = None
+        self._in_deg: tuple[int, dict[NodeId, int]] | None = None
         for edge in edges:
             self.add_edge(edge)
 
@@ -141,12 +146,9 @@ class TemporalFlowNetwork:
     def _refresh_indexes(self) -> None:
         if not self._stamps_dirty:
             return
-        for stamps in self._out_stamps.values():
-            stamps.sort()
-            _dedupe_sorted(stamps)
-        for stamps in self._in_stamps.values():
-            stamps.sort()
-            _dedupe_sorted(stamps)
+        for per_node in (self._out_stamps, self._in_stamps):
+            for stamps in per_node.values():
+                stamps[:] = sorted(set(stamps))
         self._timestamps = sorted(self._edges_at)
         self._rebuild_in_prefix()
         self._stamps_dirty = False
@@ -250,6 +252,33 @@ class TemporalFlowNetwork:
             for u, v in self._edges_at[tau]:
                 yield TemporalEdge(u, v, tau, self._capacity[(u, v, tau)])
 
+    def edge_columns(
+        self,
+    ) -> tuple[int, list[NodeId], list[NodeId], list[Timestamp], list[float]]:
+        """Every edge as ``(epoch, us, vs, taus, caps)`` parallel lists.
+
+        The lists follow :meth:`edges_in_window` order (timestamp-major,
+        insertion order within a timestamp) and are built once per epoch,
+        so every :class:`~repro.core.skeleton.WindowSkeleton` of one network
+        state shares them.  Callers must not mutate them.
+        """
+        columns = self._columns
+        if columns is None or columns[0] != self._epoch:
+            epoch = self._epoch
+            self._refresh_indexes()
+            us: list[NodeId] = []
+            vs: list[NodeId] = []
+            taus: list[Timestamp] = []
+            caps: list[float] = []
+            for tau in self._timestamps:
+                for u, v in self._edges_at[tau]:
+                    us.append(u)
+                    vs.append(v)
+                    taus.append(tau)
+                    caps.append(self._capacity[(u, v, tau)])
+            columns = self._columns = (epoch, us, vs, taus, caps)
+        return columns
+
     def out_neighbours(self, u: NodeId, tau: Timestamp) -> Sequence[NodeId]:
         """Nodes ``v`` with an edge ``(u, v, tau)``."""
         return self._out_adj.get(u, {}).get(tau, [])
@@ -285,7 +314,7 @@ class TemporalFlowNetwork:
             return self.tistamp_in(u)
         self._require_node(u)
         self._refresh_indexes()
-        return _merge_sorted(self._out_stamps.get(u, []), self._in_stamps.get(u, []))
+        return sorted({*self._out_stamps.get(u, ()), *self._in_stamps.get(u, ())})
 
     def ti_in_window(
         self,
@@ -322,28 +351,17 @@ class TemporalFlowNetwork:
         return out_deg + self._in_degree_cache().get(u, 0)
 
     def _in_degree_cache(self) -> dict[NodeId, int]:
-        if self._stamps_dirty:
-            self._refresh_indexes()
-            self._in_deg = None
-        cache = getattr(self, "_in_deg", None)
-        if cache is None:
+        cached = self._in_deg
+        if cached is None or cached[0] != self._epoch:
             counts: dict[NodeId, int] = defaultdict(int)
             for (_, v, __) in self._capacity:
                 counts[v] += 1
-            self._in_deg = dict(counts)
-            cache = self._in_deg
-        return cache
+            cached = self._in_deg = (self._epoch, dict(counts))
+        return cached[1]
 
     def max_degree(self) -> int:
         """``d_max`` — the maximum total degree over all nodes."""
-        if not self._nodes:
-            return 0
-        in_deg = self._in_degree_cache()
-        best = 0
-        for node in self._nodes:
-            out_deg = sum(len(vs) for vs in self._out_adj.get(node, {}).values())
-            best = max(best, out_deg + in_deg.get(node, 0))
-        return best
+        return max(map(self.degree, self._nodes), default=0)
 
     def query_degree(self, source: NodeId, sink: NodeId) -> int:
         """``d = max(|Ti(s)|, |Ti(t)|)`` — the candidate-interval driver."""
@@ -398,6 +416,10 @@ class TemporalFlowNetwork:
                     total += self._capacity[(u, v, tau)]
         return total
 
+    def __getstate__(self) -> dict:
+        # The edge columns are rebuilt on demand; never ship them.
+        return {**self.__dict__, "_columns": None}
+
     def __contains__(self, node: NodeId) -> bool:
         return node in self._nodes
 
@@ -409,39 +431,3 @@ class TemporalFlowNetwork:
             f"TemporalFlowNetwork(|V|={self.num_nodes}, |E_T|={self.num_edges}, "
             f"|T|={self.num_timestamps})"
         )
-
-
-def _dedupe_sorted(values: list[Timestamp]) -> None:
-    """Remove duplicates from a sorted list in place."""
-    write = 0
-    for read in range(len(values)):
-        if write == 0 or values[read] != values[write - 1]:
-            values[write] = values[read]
-            write += 1
-    del values[write:]
-
-
-def _merge_sorted(a: Sequence[Timestamp], b: Sequence[Timestamp]) -> list[Timestamp]:
-    """Merge two sorted sequences into a sorted, de-duplicated list."""
-    merged: list[Timestamp] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] < b[j]:
-            value = a[i]
-            i += 1
-        elif b[j] < a[i]:
-            value = b[j]
-            j += 1
-        else:
-            value = a[i]
-            i += 1
-            j += 1
-        if not merged or merged[-1] != value:
-            merged.append(value)
-    for value in a[i:]:
-        if not merged or merged[-1] != value:
-            merged.append(value)
-    for value in b[j:]:
-        if not merged or merged[-1] != value:
-            merged.append(value)
-    return merged

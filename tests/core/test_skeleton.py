@@ -208,6 +208,19 @@ class TestLazySweep:
                 skeleton=skeleton,
             )
 
+    def test_stale_skeleton_keeps_its_columns(self):
+        network = random_network(2)
+        skeleton = WindowSkeleton(network, "n0", "n1")
+        columns = (skeleton._eu, skeleton._ev, skeleton._etau, skeleton._ecap)
+        frozen = tuple(list(column) for column in columns)
+        network.add_edge(TemporalEdge("n1", "n0", network.t_max + 1, 1.0))
+        network.add_edge(TemporalEdge("n0", "n1", network.t_min, 1.0))
+        fresh = WindowSkeleton(network, "n0", "n1")
+        assert len(fresh._etau) == len(frozen[2]) + 2
+        assert (skeleton._eu, skeleton._ev, skeleton._etau, skeleton._ecap) == frozen
+        with pytest.raises(GraphError, match="mutated after skeleton compile"):
+            skeleton.included_between(network.t_min, network.t_min, network.t_max)
+
 
 class TestAlgorithmEquality:
     """End-to-end: every algorithm agrees with the object-graph reference."""

@@ -1,7 +1,10 @@
 """Unit tests for the TemporalFlowNetwork structure and its indexes."""
 
+import pickle
+
 import pytest
 
+from repro.core.skeleton import WindowSkeleton
 from repro.exceptions import InvalidTimestampError, UnknownNodeError
 from repro.temporal import TemporalEdge, TemporalFlowNetwork
 
@@ -118,6 +121,16 @@ class TestDegrees:
         assert small.degree("s") == 4
         assert small.degree("t") == 4
 
+    def test_degree_tracks_append_after_index_refresh(self):
+        # The in-degree cache must follow the epoch: reading t_max clears
+        # the stamps-dirty flag the cache used to key on.
+        network = TemporalFlowNetwork.from_tuples([("a", "b", 1, 1.0)])
+        assert network.degree("b") == 1
+        network.add_edge(TemporalEdge("c", "b", 2, 1.0))
+        assert network.t_max == 2
+        assert network.degree("b") == 2
+        assert network.max_degree() == 2
+
 
 class TestWindowedAccess:
     def test_edges_in_window_is_time_ordered(self, small):
@@ -143,3 +156,77 @@ class TestWindowedAccess:
 
     def test_total_capacity(self, small):
         assert small.total_capacity() == 12.0
+
+
+def _window_columns(network: TemporalFlowNetwork) -> tuple[list, list, list, list]:
+    """The columns ``edges_in_window(t_min, t_max)`` implies, field by field."""
+    edges = (
+        list(network.edges_in_window(network.t_min, network.t_max))
+        if network.num_timestamps
+        else []
+    )
+    return (
+        [edge.u for edge in edges],
+        [edge.v for edge in edges],
+        [edge.tau for edge in edges],
+        [edge.capacity for edge in edges],
+    )
+
+
+def _assert_columns_match(network: TemporalFlowNetwork) -> None:
+    epoch, *columns = network.edge_columns()
+    assert epoch == network.epoch
+    assert tuple(columns) == _window_columns(network)
+
+
+class TestEdgeColumns:
+    def test_empty_network(self):
+        network = TemporalFlowNetwork()
+        assert network.edge_columns() == (0, [], [], [], [])
+
+    def test_match_edges_in_window(self, small):
+        _assert_columns_match(small)
+
+    def test_built_once_per_epoch(self, small):
+        assert small.edge_columns() is small.edge_columns()
+
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            TemporalEdge("t", "s", 5, 4.0),  # append at t_max
+            TemporalEdge("a", "s", 9, 4.0),  # append past t_max
+            TemporalEdge("t", "a", 2, 4.0),  # append before t_max
+            TemporalEdge("s", "a", 4, 4.0),  # duplicate key: capacity merge
+        ],
+    )
+    def test_rebuilt_into_new_lists_after_append(self, small, edge):
+        before = small.edge_columns()
+        frozen = tuple(list(column) for column in before[1:])
+        small.add_edge(edge)
+        after = small.edge_columns()
+        assert after[0] == before[0] + 1
+        assert all(new is not old for new, old in zip(after[1:], before[1:]))
+        assert tuple(before[1:]) == frozen  # published lists never mutate
+        _assert_columns_match(small)
+
+    def test_rebuilt_after_add_node_and_adopt_epoch(self, small):
+        first = small.edge_columns()
+        small.add_node("isolated")
+        second = small.edge_columns()
+        assert second[0] == first[0] + 1 and second[1:] == first[1:]
+        _assert_columns_match(small)
+        small.adopt_epoch(small.epoch + 10)
+        third = small.edge_columns()
+        assert third[0] == second[0] + 10 and third[1:] == second[1:]
+        _assert_columns_match(small)
+
+    def test_pickle_leaves_columns_out(self, small):
+        small.timestamps  # settle the lazily sorted indexes first
+        before = pickle.dumps(small)
+        WindowSkeleton(small, "s", "t")
+        assert small._columns is not None
+        after = pickle.dumps(small)
+        assert len(after) == len(before)
+        restored = pickle.loads(after)
+        assert restored._columns is None
+        assert restored.edge_columns() == small.edge_columns()
