@@ -1,9 +1,10 @@
 """The cluster coordinator: one client-facing port, N replicas behind it.
 
 :class:`ClusterCoordinator` speaks exactly the protocol a single
-:class:`~repro.service.BurstingFlowService` speaks — NDJSON over TCP and
-HTTP/1.1 sniffed on one port — so every existing client, the oracle
-backend and ``netcat`` work against a cluster unchanged.  Behind the
+:class:`~repro.service.BurstingFlowService` speaks — through the same
+front end, :class:`~repro.service.frontend.WireFrontEnd` — so every
+existing client, the oracle backend and ``netcat`` work against a
+cluster unchanged.  Behind the
 port it adds the replicated serving tier:
 
 * **Durable appends.**  An append is written to the shared
@@ -49,7 +50,6 @@ port it adds the replicated serving tier:
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -65,8 +65,10 @@ from repro.cluster.replication import (
     network_state_record,
 )
 from repro.cluster.router import ConsistentHashRouter
+from repro.core.planner import BurstEntry
 from repro.exceptions import ReproError
 from repro.service.client import RetryPolicy
+from repro.service.frontend import WireFrontEnd
 from repro.service.metrics import aggregate_snapshots
 from repro.service.protocol import (
     ERROR_INTERNAL,
@@ -74,6 +76,7 @@ from repro.service.protocol import (
     ERROR_OVERLOADED,
     ERROR_STALE,
     ERROR_UNSUPPORTED_VERSION,
+    OPS,
     AppendReply,
     AppendRequest,
     BatchAnswer,
@@ -88,29 +91,20 @@ from repro.service.protocol import (
     PatternsRequest,
     PingRequest,
     PongReply,
-    ProtocolError,
     QueryRequest,
     Reply,
     Request,
     ScanReply,
     ScanRequest,
-    TopKBurst,
     TopKReply,
     TopKRequest,
     encode,
     parse_reply,
-    parse_request,
-    reply_payload,
     request_payload,
 )
 from repro.mining.pipeline import flag_entries, persist_entries, score_entries
 from repro.mining.prefilter import NodeIntensity, rank_candidates_for_network
 from repro.mining.store import PatternStore
-from repro.service.server import (
-    _http_respond,
-    _http_status,
-    _patterns_message_from_target,
-)
 from repro.store.log import AppendLog
 from repro.store.snapshot import SnapshotStore
 
@@ -239,7 +233,7 @@ class _Counters:
     requests: dict[str, int] = field(default_factory=dict)
 
 
-class ClusterCoordinator:
+class ClusterCoordinator(WireFrontEnd):
     """A replicated delta-BFlow serving tier behind one port.
 
     Args:
@@ -339,7 +333,6 @@ class ClusterCoordinator:
         self._append_lock = asyncio.Lock()
         self._draining = False
         self._inflight = 0
-        self._server: asyncio.base_events.Server | None = None
         self._rejoin_tasks: set[asyncio.Task] = set()
         self.health = HealthMonitor(
             targets=self._live_ids,
@@ -387,15 +380,7 @@ class ClusterCoordinator:
                 f"{self.committed_epoch}"
             )
         self.health.start()
-        self._server = await asyncio.start_server(self._on_connection, host, port)
-        bound = self._server.sockets[0].getsockname()
-        return bound[0], bound[1]
-
-    async def serve_forever(self) -> None:
-        """Serve until cancelled (``start`` must have been called)."""
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
+        return await self._listen(host, port)
 
     async def drain(self, timeout: float = 30.0) -> bool:
         """Stop admitting work; wait for in-flight requests to finish."""
@@ -407,10 +392,7 @@ class ClusterCoordinator:
 
     async def stop(self) -> None:
         """Drainless shutdown: close the port, replicas and the log."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await self._close_listener()
         await self.health.stop()
         for task in list(self._rejoin_tasks):
             task.cancel()
@@ -530,19 +512,7 @@ class ClusterCoordinator:
         """Dispatch one parsed request (programmatic entry point)."""
         op = request.op
         self.counters.requests[op] = self.counters.requests.get(op, 0) + 1
-        if (
-            isinstance(
-                request,
-                (
-                    QueryRequest,
-                    BatchRequest,
-                    TopKRequest,
-                    AppendRequest,
-                    ScanRequest,
-                ),
-            )
-            and self._draining
-        ):
+        if self._draining and OPS[op].shed_when_draining:
             self.counters.shed += 1
             return ErrorReply(
                 request.id,
@@ -583,15 +553,6 @@ class ClusterCoordinator:
             )
         finally:
             self._inflight -= 1
-
-    async def handle_raw(self, line: bytes | str) -> bytes:
-        """Full serve path for one wire message: parse → handle → encode."""
-        try:
-            request = parse_request(line)
-        except ProtocolError as exc:
-            return encode(reply_payload(ErrorReply("", exc.kind, str(exc))))
-        reply = await self.handle_request(request)
-        return encode(reply_payload(reply))
 
     # ------------------------------------------------------------------
     # Queries: affinity route, failover at most once per replica
@@ -816,7 +777,7 @@ class ClusterCoordinator:
 
         shards = list(by_owner.values())
         replies = await asyncio.gather(*(solve_shard(pairs) for pairs in shards))
-        merged: list[TopKBurst] = []
+        merged: list[BurstEntry] = []
         cached = True
         epoch: int | None = None
         for pairs, reply in zip(shards, replies):
@@ -1236,90 +1197,3 @@ class ClusterCoordinator:
                 for replica_id, state in sorted(self._replicas.items())
             },
         }
-
-    # ------------------------------------------------------------------
-    # TCP / HTTP front end (same sniffing as the single service)
-    # ------------------------------------------------------------------
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            first = await reader.readline()
-            if not first:
-                return
-            head = first.split(b" ", 1)[0]
-            if head in (b"GET", b"POST", b"HEAD", b"PUT", b"DELETE"):
-                await self._serve_http(first, reader, writer)
-                return
-            line = first
-            while line:
-                if line.strip():
-                    writer.write(await self.handle_raw(line))
-                    await writer.drain()
-                line = await reader.readline()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            except asyncio.CancelledError:
-                pass
-
-    async def _serve_http(
-        self,
-        request_line: bytes,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        try:
-            method, target, _ = request_line.decode("latin-1").split(" ", 2)
-        except ValueError:
-            _http_respond(writer, 400, {"error": "malformed request line"})
-            await writer.drain()
-            return
-        content_length = 0
-        while True:
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    _http_respond(writer, 400, {"error": "bad Content-Length"})
-                    await writer.drain()
-                    return
-        body = await reader.readexactly(content_length) if content_length else b""
-
-        if method == "GET" and target in ("/metrics", "/metrics/"):
-            _http_respond(writer, 200, await self.snapshot())
-        elif method == "GET" and target in ("/healthz", "/healthz/"):
-            health = self.health_payload()
-            _http_respond(writer, 200 if health["ok"] else 503, health)
-        elif method == "POST" and target in ("/drain", "/drain/"):
-            self._draining = True
-            _http_respond(
-                writer, 200, {"draining": True, "inflight": self._inflight}
-            )
-        elif method == "GET" and (
-            target in ("/patterns", "/patterns/")
-            or target.startswith("/patterns?")
-        ):
-            message = _patterns_message_from_target(target)
-            payload = json.loads(await self.handle_raw(encode(message)))
-            status = 200 if payload.get("ok") else _http_status(payload)
-            _http_respond(writer, status, payload)
-        elif method == "POST" and target in (
-            "/query", "/append", "/batch", "/topk", "/scan", "/patterns",
-            "/query/", "/append/", "/batch/", "/topk/", "/scan/", "/patterns/",
-        ):
-            payload = json.loads(await self.handle_raw(body))
-            status = 200 if payload.get("ok") else _http_status(payload)
-            _http_respond(writer, status, payload)
-        else:
-            _http_respond(writer, 404, {"error": f"no route {method} {target}"})
-        await writer.drain()

@@ -2,10 +2,16 @@
 
 One request or reply per message.  Over raw TCP, messages are
 newline-delimited JSON objects (NDJSON); over HTTP, the same objects
-travel as request/response bodies (see :mod:`repro.service.server` for
+travel as request/response bodies (see :mod:`repro.service.frontend` for
 the endpoint map).  Every message carries the protocol version ``v`` and
 an opaque correlation ``id`` that the server echoes back, so clients may
 pipeline requests on one connection.
+
+:data:`OPS` is the one table of ops: each op's request and reply
+dataclasses, its HTTP ``POST`` route and whether a draining server sheds
+it.  The codecs walk the dataclasses' fields: the encoders emit them in
+declaration order (``None`` request fields omitted), and the decoders
+check each field with the one checker its name maps to.
 
 Requests (``op`` selects the type)::
 
@@ -58,9 +64,11 @@ in-process :func:`repro.core.engine.find_bursting_flow` answer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import MISSING, dataclass, fields
+from typing import Any
 
+from repro.core.planner import BurstEntry
 from repro.exceptions import ReproError
 from repro.temporal.edge import NodeId, Timestamp
 
@@ -356,23 +364,11 @@ class BatchReply:
 
 
 @dataclass(frozen=True, slots=True)
-class TopKBurst:
-    """One ranked entry of a :class:`TopKReply`."""
-
-    source: NodeId
-    sink: NodeId
-    delta: int
-    density: float
-    interval: tuple[Timestamp, Timestamp]
-    flow_value: float
-
-
-@dataclass(frozen=True, slots=True)
 class TopKReply:
     """The k densest bursts over the requested candidate pairs."""
 
     id: str
-    entries: tuple[TopKBurst, ...]
+    entries: tuple[BurstEntry, ...]
     epoch: int
     elapsed_ms: float
     cached: bool
@@ -480,51 +476,352 @@ Reply = (
 
 
 # ----------------------------------------------------------------------
-# Parsing
+# The op table
 # ----------------------------------------------------------------------
-def _require(payload: Mapping[str, Any], key: str) -> Any:
-    try:
-        return payload[key]
-    except KeyError:
-        raise ProtocolError(f"missing required field {key!r}") from None
+@dataclass(frozen=True, slots=True)
+class OpSpec:
+    """One wire op: what more than one layer needs to know about it.
+
+    Attributes:
+        request: the op's request dataclass (its ``op`` names the op).
+        reply: the dataclass of its success reply.
+        http_post: the HTTP ``POST`` route serving the op, or ``None``.
+        shed_when_draining: whether a draining server refuses the op
+            with a typed ``overloaded`` error.
+    """
+
+    request: type
+    reply: type
+    http_post: str | None = None
+    shed_when_draining: bool = False
 
 
-def _check_node(value: Any, key: str) -> NodeId:
-    if not isinstance(value, (str, int)) or isinstance(value, bool):
+#: Every wire op by name: the one list of ops, of their HTTP ``POST``
+#: routes and of the ops a draining server sheds.
+OPS: dict[str, OpSpec] = {
+    spec.request.op: spec
+    for spec in (
+        OpSpec(QueryRequest, QueryReply, "/query", shed_when_draining=True),
+        OpSpec(BatchRequest, BatchReply, "/batch", shed_when_draining=True),
+        OpSpec(TopKRequest, TopKReply, "/topk", shed_when_draining=True),
+        OpSpec(AppendRequest, AppendReply, "/append", shed_when_draining=True),
+        OpSpec(ScanRequest, ScanReply, "/scan", shed_when_draining=True),
+        OpSpec(PatternsRequest, PatternsReply, "/patterns"),
+        OpSpec(MetricsRequest, MetricsReply),
+        OpSpec(PingRequest, PongReply),
+        OpSpec(DrainRequest, DrainReply, "/drain"),
+    )
+}
+
+#: Field names per wire dataclass, in declaration (= wire key) order.
+_FIELDS: dict[type, tuple[str, ...]] = {
+    cls: tuple(spec.name for spec in fields(cls))
+    for cls in (
+        *(op.request for op in OPS.values()),
+        *(op.reply for op in OPS.values()),
+        BatchAnswer,
+        BurstEntry,
+        ErrorReply,
+    )
+}
+
+
+# ----------------------------------------------------------------------
+# Field checkers (shared by every message that carries the field)
+# ----------------------------------------------------------------------
+# Each check tries the exact type JSON decodes to before the general one.
+def _is_int(value: Any) -> bool:
+    return type(value) is int or (
+        isinstance(value, int) and not isinstance(value, bool)
+    )
+
+
+def _is_number(value: Any) -> bool:
+    return type(value) is float or _is_int(value) or isinstance(value, float)
+
+
+def _is_sequence(value: Any) -> bool:
+    return type(value) is list or isinstance(value, Sequence)
+
+
+def _is_mapping(value: Any) -> bool:
+    return type(value) is dict or isinstance(value, Mapping)
+
+
+def _node(value: Any, key: str) -> NodeId:
+    if not (type(value) is str or _is_int(value) or isinstance(value, str)):
         raise ProtocolError(
             f"{key} must be a string or integer node id, got {value!r}"
         )
     return value
 
 
-def _check_delta(value: Any, key: str = "delta") -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+def _positive_int(value: Any, key: str) -> int:
+    if not _is_int(value) or value < 1:
         raise ProtocolError(f"{key} must be a positive int, got {value!r}")
     return value
 
 
-def _parse_timeout(payload: Mapping[str, Any]) -> float | None:
-    timeout = payload.get("timeout")
-    if timeout is None:
+def _non_negative_int(value: Any, key: str) -> int:
+    if not _is_int(value) or value < 0:
+        raise ProtocolError(f"{key} must be a non-negative int, got {value!r}")
+    return value
+
+
+def _int(value: Any, key: str) -> int:
+    if not _is_int(value):
+        raise ProtocolError(f"{key} must be an int, got {value!r}")
+    return value
+
+
+def _timestamp(value: Any, key: str) -> Timestamp:
+    if not _is_int(value):
+        raise ProtocolError(f"{key} must be an int timestamp, got {value!r}")
+    return value
+
+
+def _number(value: Any, key: str) -> float:
+    if not _is_number(value):
+        raise ProtocolError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _non_negative_number(value: Any, key: str) -> float:
+    if not _is_number(value) or value < 0:
+        raise ProtocolError(
+            f"{key} must be a non-negative number, got {value!r}"
+        )
+    return float(value)
+
+
+def _timeout(value: Any, key: str) -> float:
+    if not _is_number(value) or value <= 0:
+        raise ProtocolError(
+            f"{key} must be a positive number of seconds, got {value!r}"
+        )
+    return float(value)
+
+
+def _string(value: Any, key: str) -> str:
+    if not isinstance(value, str):
+        raise ProtocolError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _bool(value: Any, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ProtocolError(f"{key} must be a bool, got {value!r}")
+    return value
+
+
+def _object(value: Any, key: str) -> dict[str, Any]:
+    if not _is_mapping(value):
+        raise ProtocolError(f"{key} must be an object, got {value!r}")
+    return dict(value)
+
+
+def _array(value: Any, key: str) -> Sequence[Any]:
+    if not _is_sequence(value) or isinstance(value, (str, bytes)):
+        raise ProtocolError(f"{key} must be an array, got {value!r}")
+    return value
+
+
+def _choice(options: tuple[str, ...]) -> Callable[[Any, str], str]:
+    def check(value: Any, key: str) -> str:
+        if value not in options:
+            raise ProtocolError(
+                f"{key} must be one of {', '.join(options)}, got {value!r}"
+            )
+        return value
+
+    return check
+
+
+def _rows(shape: str, *columns: tuple[str, Callable]) -> Callable:
+    """An array of fixed-width rows; ``columns`` are ``(suffix, checker)``
+    pairs and a cell's key is ``key[i]`` plus its column's suffix."""
+
+    def check(value: Any, key: str) -> tuple[tuple, ...]:
+        rows = []
+        for position, row in enumerate(_array(value, key)):
+            if not _is_sequence(row) or len(row) != len(columns):
+                raise ProtocolError(
+                    f"{key}[{position}] must be {shape}, got {row!r}"
+                )
+            rows.append(
+                tuple(
+                    [
+                        column(cell, f"{key}[{position}]{suffix}")
+                        for cell, (suffix, column) in zip(row, columns)
+                    ]
+                )
+            )
+        return tuple(rows)
+
+    return check
+
+
+def _interval(value: Any, key: str) -> tuple[Timestamp, Timestamp] | None:
+    if value is None:
         return None
-    if not isinstance(timeout, (int, float)) or isinstance(timeout, bool) or timeout <= 0:
-        raise ProtocolError(
-            f"timeout must be a positive number of seconds, got {timeout!r}"
-        )
-    return float(timeout)
+    if not _is_sequence(value) or len(value) != 2:
+        raise ProtocolError(f"{key} must be [start, end] or null, got {value!r}")
+    return (_timestamp(value[0], f"{key}[0]"), _timestamp(value[1], f"{key}[1]"))
 
 
-def _parse_min_epoch(payload: Mapping[str, Any]) -> int | None:
-    min_epoch = payload.get("min_epoch")
-    if min_epoch is not None and (
-        not isinstance(min_epoch, int)
-        or isinstance(min_epoch, bool)
-        or min_epoch < 0
-    ):
-        raise ProtocolError(
-            f"min_epoch must be a non-negative int, got {min_epoch!r}"
+def _strings(value: Any, key: str) -> tuple[str, ...]:
+    return tuple(
+        _string(item, f"{key}[{position}]")
+        for position, item in enumerate(_array(value, key))
+    )
+
+
+def _records(cls: type) -> Callable[[Any, str], tuple]:
+    """An array of ``cls`` objects, each decoded field by field."""
+
+    def check(value: Any, key: str) -> tuple:
+        records = []
+        for position, item in enumerate(_array(value, key)):
+            try:
+                if not _is_mapping(item):
+                    raise ProtocolError(f"must be an object, got {item!r}")
+                records.append(cls(**_decode(cls, item)))
+            except ProtocolError as exc:
+                raise ProtocolError(f"{key}[{position}]: {exc}") from None
+        return tuple(records)
+
+    return check
+
+
+def _pattern_records(value: Any, key: str) -> tuple[dict[str, Any], ...]:
+    records = tuple(
+        _object(item, f"{key}[{i}]") for i, item in enumerate(_array(value, key))
+    )
+    for position, record in enumerate(records):
+        if "pattern_id" not in record:
+            raise ProtocolError(f"{key}[{position}] has no pattern_id: {record!r}")
+    return records
+
+
+#: The checker of every wire field, by field name, across all messages.
+_CHECKS: dict[str, Callable[[Any, str], Any]] = {
+    # requests
+    "source": _node,
+    "sink": _node,
+    "delta": _positive_int,
+    "algorithm": _string,
+    "timeout": _timeout,
+    "min_epoch": _non_negative_int,
+    "queries": _rows(
+        "[source, sink, delta]",
+        (".source", _node),
+        (".sink", _node),
+        (".delta", _positive_int),
+    ),
+    "plan": _choice(BATCH_PLANS),
+    "pairs": _rows("[source, sink]", (".source", _node), (".sink", _node)),
+    "k": _positive_int,
+    "edges": _rows(
+        "[u, v, tau, capacity]",
+        (".u", _node),
+        (".v", _node),
+        (" timestamp", _int),
+        (" capacity", _number),
+    ),
+    "top": _positive_int,
+    "min_volume": _non_negative_number,
+    "persist": _choice(SCAN_PERSIST_MODES),
+    "since": _timestamp,
+    "until": _timestamp,
+    "min_density": _number,
+    "limit": _positive_int,
+    # replies
+    "density": _number,
+    "interval": _interval,
+    "flow_value": _number,
+    "cached": _bool,
+    "epoch": _non_negative_int,
+    "elapsed_ms": _number,
+    "results": _records(BatchAnswer),
+    "planner": _object,
+    "entries": _records(BurstEntry),
+    "appended": _non_negative_int,
+    "invalidated": _non_negative_int,
+    "new_ids": _strings,
+    "deduped": _non_negative_int,
+    "funnel": _object,
+    "patterns": _pattern_records,
+    "draining": _bool,
+    "inflight": _non_negative_int,
+    "kind": _string,
+    "message": _string,
+    "retry_after_ms": _non_negative_int,
+}
+
+#: Array fields that must hold at least one row.
+_NON_EMPTY = frozenset({"queries", "pairs"})
+
+#: Per dataclass: ``(name, checker, default, empty)`` for every field
+#: but ``id``; ``empty`` is the error for an empty array, if refused.
+_DECODERS: dict[type, tuple[tuple[str, Callable, Any, str | None], ...]] = {
+    cls: tuple(
+        (
+            spec.name,
+            _CHECKS[spec.name],
+            spec.default,
+            (
+                f"{spec.name} must not be empty"
+                + ("" if spec.default is MISSING else " when given")
+                if spec.name in _NON_EMPTY
+                else None
+            ),
         )
-    return min_epoch
+        for spec in fields(cls)
+        if spec.name != "id"
+    )
+    for cls in _FIELDS
+    if cls is not MetricsReply
+}
+
+
+def _decode(cls: type, payload: Mapping[str, Any]) -> dict[str, Any]:
+    """Check every field of ``cls`` present in ``payload``.
+
+    A missing field, or a ``null`` one whose default is ``None``, takes
+    its dataclass default; a field without a default is required.
+    """
+    values: dict[str, Any] = {}
+    for name, check, default, empty in _DECODERS[cls]:
+        value = payload.get(name)
+        if value is None and (default is None or name not in payload):
+            if default is MISSING:
+                raise ProtocolError(f"missing required field {name!r}")
+            continue
+        value = values[name] = check(value, name)
+        if empty is not None and not value:
+            raise ProtocolError(empty)
+    return values
+
+
+# ----------------------------------------------------------------------
+# Parsing
+# ----------------------------------------------------------------------
+def _load(raw: bytes | str | Mapping[str, Any], what: str) -> Mapping[str, Any]:
+    if isinstance(raw, (bytes, bytearray, str)):
+        try:
+            raw = json.loads(raw)
+        except ValueError as exc:
+            raise ProtocolError(f"malformed JSON: {exc}") from None
+    if not isinstance(raw, Mapping):
+        raise ProtocolError(f"{what} must be a JSON object, got {raw!r}")
+    return raw
+
+
+def _message_id(payload: Mapping[str, Any]) -> str:
+    message_id = payload.get("id", "")
+    if not isinstance(message_id, str):
+        raise ProtocolError(f"id must be a string, got {message_id!r}")
+    return message_id
 
 
 def parse_request(raw: bytes | str | Mapping[str, Any]) -> Request:
@@ -534,16 +831,7 @@ def parse_request(raw: bytes | str | Mapping[str, Any]) -> Request:
         ProtocolError: malformed JSON, wrong version, unknown op, bad
             field types — with ``kind`` set for the typed error reply.
     """
-    if isinstance(raw, (bytes, bytearray, str)):
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"malformed JSON: {exc}") from None
-    else:
-        payload = raw
-    if not isinstance(payload, Mapping):
-        raise ProtocolError(f"request must be a JSON object, got {payload!r}")
-
+    payload = _load(raw, "request")
     version = payload.get("v")
     if version != PROTOCOL_VERSION:
         raise ProtocolError(
@@ -551,361 +839,38 @@ def parse_request(raw: bytes | str | Mapping[str, Any]) -> Request:
             f"(this server speaks v{PROTOCOL_VERSION})",
             kind=ERROR_UNSUPPORTED_VERSION,
         )
-    request_id = payload.get("id", "")
-    if not isinstance(request_id, str):
-        raise ProtocolError(f"id must be a string, got {request_id!r}")
-    op = _require(payload, "op")
-
-    if op == "query":
-        delta = _check_delta(_require(payload, "delta"))
-        algorithm = payload.get("algorithm")
-        if algorithm is not None and not isinstance(algorithm, str):
-            raise ProtocolError(f"algorithm must be a string, got {algorithm!r}")
-        return QueryRequest(
-            id=request_id,
-            source=_check_node(_require(payload, "source"), "source"),
-            sink=_check_node(_require(payload, "sink"), "sink"),
-            delta=delta,
-            algorithm=algorithm,
-            timeout=_parse_timeout(payload),
-            min_epoch=_parse_min_epoch(payload),
-        )
-    if op == "batch":
-        raw_queries = _require(payload, "queries")
-        if not isinstance(raw_queries, Sequence) or isinstance(
-            raw_queries, (str, bytes)
-        ):
-            raise ProtocolError(f"queries must be an array, got {raw_queries!r}")
-        if not raw_queries:
-            raise ProtocolError("queries must not be empty")
-        triples = []
-        for position, item in enumerate(raw_queries):
-            if not isinstance(item, Sequence) or len(item) != 3:
-                raise ProtocolError(
-                    f"queries[{position}] must be [source, sink, delta], "
-                    f"got {item!r}"
-                )
-            source, sink, delta = item
-            triples.append(
-                (
-                    _check_node(source, f"queries[{position}].source"),
-                    _check_node(sink, f"queries[{position}].sink"),
-                    _check_delta(delta, f"queries[{position}].delta"),
-                )
-            )
-        plan = payload.get("plan", "shared")
-        if plan not in BATCH_PLANS:
-            raise ProtocolError(
-                f"plan must be one of {', '.join(BATCH_PLANS)}, got {plan!r}"
-            )
-        return BatchRequest(
-            id=request_id,
-            queries=tuple(triples),
-            plan=plan,
-            timeout=_parse_timeout(payload),
-            min_epoch=_parse_min_epoch(payload),
-        )
-    if op == "topk":
-        raw_pairs = _require(payload, "pairs")
-        if not isinstance(raw_pairs, Sequence) or isinstance(
-            raw_pairs, (str, bytes)
-        ):
-            raise ProtocolError(f"pairs must be an array, got {raw_pairs!r}")
-        if not raw_pairs:
-            raise ProtocolError("pairs must not be empty")
-        pairs = []
-        for position, item in enumerate(raw_pairs):
-            if not isinstance(item, Sequence) or len(item) != 2:
-                raise ProtocolError(
-                    f"pairs[{position}] must be [source, sink], got {item!r}"
-                )
-            source, sink = item
-            pairs.append(
-                (
-                    _check_node(source, f"pairs[{position}].source"),
-                    _check_node(sink, f"pairs[{position}].sink"),
-                )
-            )
-        k = payload.get("k", 10)
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ProtocolError(f"k must be a positive int, got {k!r}")
-        return TopKRequest(
-            id=request_id,
-            pairs=tuple(pairs),
-            delta=_check_delta(_require(payload, "delta")),
-            k=k,
-            timeout=_parse_timeout(payload),
-            min_epoch=_parse_min_epoch(payload),
-        )
-    if op == "append":
-        raw_edges = _require(payload, "edges")
-        if not isinstance(raw_edges, Sequence) or isinstance(raw_edges, (str, bytes)):
-            raise ProtocolError(f"edges must be an array, got {raw_edges!r}")
-        edges = []
-        for position, item in enumerate(raw_edges):
-            if not isinstance(item, Sequence) or len(item) != 4:
-                raise ProtocolError(
-                    f"edges[{position}] must be [u, v, tau, capacity], got {item!r}"
-                )
-            u, v, tau, capacity = item
-            if not isinstance(tau, int) or isinstance(tau, bool):
-                raise ProtocolError(
-                    f"edges[{position}] timestamp must be an int, got {tau!r}"
-                )
-            if not isinstance(capacity, (int, float)) or isinstance(capacity, bool):
-                raise ProtocolError(
-                    f"edges[{position}] capacity must be a number, got {capacity!r}"
-                )
-            edges.append(
-                (
-                    _check_node(u, f"edges[{position}].u"),
-                    _check_node(v, f"edges[{position}].v"),
-                    tau,
-                    float(capacity),
-                )
-            )
-        return AppendRequest(id=request_id, edges=tuple(edges))
-    if op == "scan":
-        raw_pairs = payload.get("pairs")
-        pairs: tuple[tuple[NodeId, NodeId], ...] | None = None
-        if raw_pairs is not None:
-            if not isinstance(raw_pairs, Sequence) or isinstance(
-                raw_pairs, (str, bytes)
-            ):
-                raise ProtocolError(f"pairs must be an array, got {raw_pairs!r}")
-            if not raw_pairs:
-                raise ProtocolError("pairs must not be empty when given")
-            parsed = []
-            for position, item in enumerate(raw_pairs):
-                if not isinstance(item, Sequence) or len(item) != 2:
-                    raise ProtocolError(
-                        f"pairs[{position}] must be [source, sink], got {item!r}"
-                    )
-                source, sink = item
-                parsed.append(
-                    (
-                        _check_node(source, f"pairs[{position}].source"),
-                        _check_node(sink, f"pairs[{position}].sink"),
-                    )
-                )
-            pairs = tuple(parsed)
-        top = payload.get("top")
-        if top is not None and (
-            not isinstance(top, int) or isinstance(top, bool) or top < 1
-        ):
-            raise ProtocolError(f"top must be a positive int, got {top!r}")
-        min_volume = payload.get("min_volume")
-        if min_volume is not None:
-            if not isinstance(min_volume, (int, float)) or isinstance(
-                min_volume, bool
-            ) or min_volume < 0:
-                raise ProtocolError(
-                    f"min_volume must be a non-negative number, got {min_volume!r}"
-                )
-            min_volume = float(min_volume)
-        persist = payload.get("persist", "flagged")
-        if persist not in SCAN_PERSIST_MODES:
-            raise ProtocolError(
-                f"persist must be one of {', '.join(SCAN_PERSIST_MODES)}, "
-                f"got {persist!r}"
-            )
-        return ScanRequest(
-            id=request_id,
-            delta=_check_delta(_require(payload, "delta")),
-            pairs=pairs,
-            top=top,
-            min_volume=min_volume,
-            persist=persist,
-            timeout=_parse_timeout(payload),
-            min_epoch=_parse_min_epoch(payload),
-        )
-    if op == "patterns":
-        source = payload.get("source")
-        if source is not None:
-            source = _check_node(source, "source")
-        sink = payload.get("sink")
-        if sink is not None:
-            sink = _check_node(sink, "sink")
-        since = payload.get("since")
-        if since is not None and (
-            not isinstance(since, int) or isinstance(since, bool)
-        ):
-            raise ProtocolError(f"since must be an int timestamp, got {since!r}")
-        until = payload.get("until")
-        if until is not None and (
-            not isinstance(until, int) or isinstance(until, bool)
-        ):
-            raise ProtocolError(f"until must be an int timestamp, got {until!r}")
-        min_density = payload.get("min_density")
-        if min_density is not None:
-            if not isinstance(min_density, (int, float)) or isinstance(
-                min_density, bool
-            ):
-                raise ProtocolError(
-                    f"min_density must be a number, got {min_density!r}"
-                )
-            min_density = float(min_density)
-        limit = payload.get("limit")
-        if limit is not None and (
-            not isinstance(limit, int) or isinstance(limit, bool) or limit < 1
-        ):
-            raise ProtocolError(f"limit must be a positive int, got {limit!r}")
-        return PatternsRequest(
-            id=request_id,
-            source=source,
-            sink=sink,
-            since=since,
-            until=until,
-            min_density=min_density,
-            limit=limit,
-        )
-    if op == "metrics":
-        return MetricsRequest(id=request_id)
-    if op == "ping":
-        return PingRequest(id=request_id)
-    if op == "drain":
-        return DrainRequest(id=request_id)
-    raise ProtocolError(f"unknown op {op!r}")
+    request_id = _message_id(payload)
+    if "op" not in payload:
+        raise ProtocolError("missing required field 'op'")
+    op = payload["op"]
+    spec = OPS.get(op) if isinstance(op, str) else None
+    if spec is None:
+        raise ProtocolError(f"unknown op {op!r}")
+    return spec.request(id=request_id, **_decode(spec.request, payload))
 
 
-# ----------------------------------------------------------------------
-# Encoding
-# ----------------------------------------------------------------------
-def request_payload(request: Request) -> dict[str, Any]:
-    """The JSON-able dict form of a request (client side)."""
-    payload: dict[str, Any] = {"v": PROTOCOL_VERSION, "id": request.id, "op": request.op}
-    if isinstance(request, QueryRequest):
-        payload.update(source=request.source, sink=request.sink, delta=request.delta)
-        if request.algorithm is not None:
-            payload["algorithm"] = request.algorithm
-        if request.timeout is not None:
-            payload["timeout"] = request.timeout
-        if request.min_epoch is not None:
-            payload["min_epoch"] = request.min_epoch
-    elif isinstance(request, BatchRequest):
-        payload["queries"] = [list(triple) for triple in request.queries]
-        payload["plan"] = request.plan
-        if request.timeout is not None:
-            payload["timeout"] = request.timeout
-        if request.min_epoch is not None:
-            payload["min_epoch"] = request.min_epoch
-    elif isinstance(request, TopKRequest):
-        payload["pairs"] = [list(pair) for pair in request.pairs]
-        payload["delta"] = request.delta
-        payload["k"] = request.k
-        if request.timeout is not None:
-            payload["timeout"] = request.timeout
-        if request.min_epoch is not None:
-            payload["min_epoch"] = request.min_epoch
-    elif isinstance(request, AppendRequest):
-        payload["edges"] = [list(edge) for edge in request.edges]
-    elif isinstance(request, ScanRequest):
-        payload["delta"] = request.delta
-        if request.pairs is not None:
-            payload["pairs"] = [list(pair) for pair in request.pairs]
-        if request.top is not None:
-            payload["top"] = request.top
-        if request.min_volume is not None:
-            payload["min_volume"] = request.min_volume
-        payload["persist"] = request.persist
-        if request.timeout is not None:
-            payload["timeout"] = request.timeout
-        if request.min_epoch is not None:
-            payload["min_epoch"] = request.min_epoch
-    elif isinstance(request, PatternsRequest):
-        for key in ("source", "sink", "since", "until", "min_density", "limit"):
-            value = getattr(request, key)
-            if value is not None:
-                payload[key] = value
-    return payload
+#: Replies carry no op.  An answer is told apart by a key only its
+#: result has, a pong or drain acknowledgement by its exact key set (a
+#: metrics snapshot has a "draining" key too); anything else is a
+#: metrics snapshot.
+_REPLY_MARKERS = (
+    ("results", BatchReply),
+    ("entries", TopKReply),
+    ("density", QueryReply),
+    ("appended", AppendReply),
+    ("new_ids", ScanReply),
+    ("patterns", PatternsReply),
+)
+_REPLY_KEYS = {
+    frozenset(_FIELDS[cls][1:]): cls for cls in (PongReply, DrainReply)
+}
 
 
-def reply_payload(reply: Reply) -> dict[str, Any]:
-    """The JSON-able dict form of a reply (server side)."""
-    payload: dict[str, Any] = {"v": PROTOCOL_VERSION, "id": reply.id, "ok": reply.ok}
-    if isinstance(reply, QueryReply):
-        payload["result"] = {
-            "density": reply.density,
-            "interval": list(reply.interval) if reply.interval is not None else None,
-            "flow_value": reply.flow_value,
-            "cached": reply.cached,
-            "epoch": reply.epoch,
-            "elapsed_ms": reply.elapsed_ms,
-        }
-    elif isinstance(reply, BatchReply):
-        payload["result"] = {
-            "results": [
-                {
-                    "density": entry.density,
-                    "interval": (
-                        list(entry.interval) if entry.interval is not None else None
-                    ),
-                    "flow_value": entry.flow_value,
-                    "cached": entry.cached,
-                }
-                for entry in reply.results
-            ],
-            "epoch": reply.epoch,
-            "elapsed_ms": reply.elapsed_ms,
-            "planner": dict(reply.planner),
-        }
-    elif isinstance(reply, TopKReply):
-        payload["result"] = {
-            "entries": [
-                {
-                    "source": entry.source,
-                    "sink": entry.sink,
-                    "delta": entry.delta,
-                    "density": entry.density,
-                    "interval": list(entry.interval),
-                    "flow_value": entry.flow_value,
-                }
-                for entry in reply.entries
-            ],
-            "epoch": reply.epoch,
-            "elapsed_ms": reply.elapsed_ms,
-            "cached": reply.cached,
-        }
-    elif isinstance(reply, AppendReply):
-        payload["result"] = {
-            "appended": reply.appended,
-            "epoch": reply.epoch,
-            "invalidated": reply.invalidated,
-        }
-    elif isinstance(reply, ScanReply):
-        payload["result"] = {
-            "new_ids": list(reply.new_ids),
-            "deduped": reply.deduped,
-            "funnel": dict(reply.funnel),
-            "epoch": reply.epoch,
-            "elapsed_ms": reply.elapsed_ms,
-        }
-    elif isinstance(reply, PatternsReply):
-        payload["result"] = {
-            "patterns": [dict(record) for record in reply.patterns],
-        }
-    elif isinstance(reply, MetricsReply):
-        payload["result"] = dict(reply.snapshot)
-    elif isinstance(reply, PongReply):
-        payload["result"] = {"epoch": reply.epoch}
-    elif isinstance(reply, DrainReply):
-        payload["result"] = {
-            "draining": reply.draining,
-            "inflight": reply.inflight,
-        }
-    elif isinstance(reply, ErrorReply):
-        error: dict[str, Any] = {"kind": reply.kind, "message": reply.message}
-        if reply.retry_after_ms is not None:
-            error["retry_after_ms"] = reply.retry_after_ms
-        if reply.epoch is not None:
-            error["epoch"] = reply.epoch
-        payload["error"] = error
-    return payload
-
-
-def encode(payload: Mapping[str, Any]) -> bytes:
-    """Serialize one message as an NDJSON line (trailing newline included)."""
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
+def _reply_type(result: Mapping[str, Any]) -> type:
+    for marker, cls in _REPLY_MARKERS:
+        if marker in result:
+            return cls
+    return _REPLY_KEYS.get(frozenset(result), MetricsReply)
 
 
 def parse_reply(raw: bytes | str | Mapping[str, Any]) -> Reply:
@@ -913,135 +878,79 @@ def parse_reply(raw: bytes | str | Mapping[str, Any]) -> Reply:
 
     Raises:
         ProtocolError: malformed JSON or a reply shape this client does
-            not understand.
+            not understand, including any field of the wrong type.
     """
-    if isinstance(raw, (bytes, bytearray, str)):
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"malformed JSON reply: {exc}") from None
-    else:
-        payload = raw
-    if not isinstance(payload, Mapping):
-        raise ProtocolError(f"reply must be a JSON object, got {payload!r}")
-    reply_id = payload.get("id", "")
+    payload = _load(raw, "reply")
+    reply_id = _message_id(payload)
     if payload.get("ok"):
         result = payload.get("result")
         if not isinstance(result, Mapping):
             raise ProtocolError(f"ok reply without result object: {payload!r}")
-        if "results" in result:
-            entries = result["results"]
-            if not isinstance(entries, Sequence) or isinstance(entries, (str, bytes)):
-                raise ProtocolError(f"batch reply results must be an array: {payload!r}")
-            answers = []
-            for entry in entries:
-                if not isinstance(entry, Mapping) or "density" not in entry:
-                    raise ProtocolError(f"malformed batch answer: {entry!r}")
-                interval = entry.get("interval")
-                answers.append(
-                    BatchAnswer(
-                        density=float(entry["density"]),
-                        interval=tuple(interval) if interval is not None else None,
-                        flow_value=float(entry["flow_value"]),
-                        cached=bool(entry.get("cached", False)),
-                    )
-                )
-            planner = result.get("planner")
-            return BatchReply(
-                id=reply_id,
-                results=tuple(answers),
-                epoch=int(result.get("epoch", 0)),
-                elapsed_ms=float(result.get("elapsed_ms", 0.0)),
-                planner=dict(planner) if isinstance(planner, Mapping) else {},
-            )
-        if "entries" in result:
-            entries = result["entries"]
-            if not isinstance(entries, Sequence) or isinstance(entries, (str, bytes)):
-                raise ProtocolError(f"topk reply entries must be an array: {payload!r}")
-            bursts = []
-            for entry in entries:
-                if not isinstance(entry, Mapping) or "density" not in entry:
-                    raise ProtocolError(f"malformed topk entry: {entry!r}")
-                bursts.append(
-                    TopKBurst(
-                        source=entry["source"],
-                        sink=entry["sink"],
-                        delta=int(entry["delta"]),
-                        density=float(entry["density"]),
-                        interval=tuple(entry["interval"]),
-                        flow_value=float(entry["flow_value"]),
-                    )
-                )
-            return TopKReply(
-                id=reply_id,
-                entries=tuple(bursts),
-                epoch=int(result.get("epoch", 0)),
-                elapsed_ms=float(result.get("elapsed_ms", 0.0)),
-                cached=bool(result.get("cached", False)),
-            )
-        if "density" in result:
-            interval = result.get("interval")
-            return QueryReply(
-                id=reply_id,
-                density=float(result["density"]),
-                interval=tuple(interval) if interval is not None else None,
-                flow_value=float(result["flow_value"]),
-                cached=bool(result.get("cached", False)),
-                epoch=int(result.get("epoch", 0)),
-                elapsed_ms=float(result.get("elapsed_ms", 0.0)),
-            )
-        if "appended" in result:
-            return AppendReply(
-                id=reply_id,
-                appended=int(result["appended"]),
-                epoch=int(result["epoch"]),
-                invalidated=int(result.get("invalidated", 0)),
-            )
-        if "funnel" in result:
-            new_ids = result.get("new_ids", [])
-            if not isinstance(new_ids, Sequence) or isinstance(new_ids, (str, bytes)):
-                raise ProtocolError(f"scan reply new_ids must be an array: {payload!r}")
-            funnel = result.get("funnel")
-            return ScanReply(
-                id=reply_id,
-                new_ids=tuple(str(pattern_id) for pattern_id in new_ids),
-                deduped=int(result.get("deduped", 0)),
-                funnel=dict(funnel) if isinstance(funnel, Mapping) else {},
-                epoch=int(result.get("epoch", 0)),
-                elapsed_ms=float(result.get("elapsed_ms", 0.0)),
-            )
-        if "patterns" in result:
-            records = result["patterns"]
-            if not isinstance(records, Sequence) or isinstance(records, (str, bytes)):
-                raise ProtocolError(
-                    f"patterns reply must carry an array: {payload!r}"
-                )
-            for record in records:
-                if not isinstance(record, Mapping) or "pattern_id" not in record:
-                    raise ProtocolError(f"malformed pattern record: {record!r}")
-            return PatternsReply(
-                id=reply_id,
-                patterns=tuple(dict(record) for record in records),
-            )
-        if tuple(result) == ("epoch",):
-            return PongReply(id=reply_id, epoch=int(result["epoch"]))
-        if set(result) == {"draining", "inflight"}:
-            return DrainReply(
-                id=reply_id,
-                draining=bool(result["draining"]),
-                inflight=int(result.get("inflight", 0)),
-            )
-        return MetricsReply(id=reply_id, snapshot=dict(result))
+        cls = _reply_type(result)
+        if cls is MetricsReply:
+            return MetricsReply(id=reply_id, snapshot=dict(result))
+        return cls(id=reply_id, **_decode(cls, result))
     error = payload.get("error")
-    if not isinstance(error, Mapping) or "kind" not in error:
+    if not isinstance(error, Mapping):
         raise ProtocolError(f"error reply without typed error object: {payload!r}")
-    return ErrorReply(
-        id=reply_id,
-        kind=str(error["kind"]),
-        message=str(error.get("message", "")),
-        retry_after_ms=error.get("retry_after_ms"),
-        epoch=error.get("epoch"),
-    )
+    return ErrorReply(id=reply_id, **_decode(ErrorReply, error))
+
+
+# ----------------------------------------------------------------------
+# Encoding
+# ----------------------------------------------------------------------
+_SCALARS = frozenset({str, int, float, bool})
+
+
+def _plain(value: Any) -> Any:
+    """The JSON-able form of a field value: arrays for tuples, objects
+    for nested wire records and mappings."""
+    kind = type(value)
+    if kind in _SCALARS or value is None:
+        return value
+    if kind is tuple or kind is list:
+        return [_plain(item) for item in value]
+    names = _FIELDS.get(kind)
+    if names is not None:
+        return {name: _plain(getattr(value, name)) for name in names}
+    if isinstance(value, Mapping):
+        return dict(value)
+    return value
+
+
+def request_payload(request: Request) -> dict[str, Any]:
+    """The JSON-able dict form of a request (client side).
+
+    Fields go out in declaration order; ``None`` fields are omitted.
+    """
+    payload: dict[str, Any] = {"v": PROTOCOL_VERSION, "id": request.id, "op": request.op}
+    for name in _FIELDS[type(request)][1:]:
+        value = getattr(request, name)
+        if value is not None:
+            payload[name] = _plain(value)
+    return payload
+
+
+def reply_payload(reply: Reply) -> dict[str, Any]:
+    """The JSON-able dict form of a reply (server side)."""
+    payload: dict[str, Any] = {"v": PROTOCOL_VERSION, "id": reply.id, "ok": reply.ok}
+    names = _FIELDS[type(reply)][1:]
+    if isinstance(reply, ErrorReply):
+        payload["error"] = {
+            name: getattr(reply, name)
+            for name in names
+            if getattr(reply, name) is not None
+        }
+    elif isinstance(reply, MetricsReply):
+        payload["result"] = dict(reply.snapshot)
+    else:
+        payload["result"] = {name: _plain(getattr(reply, name)) for name in names}
+    return payload
+
+
+def encode(payload: Mapping[str, Any]) -> bytes:
+    """Serialize one message as an NDJSON line (trailing newline included)."""
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
 def raise_for_error(reply: Reply) -> Reply:

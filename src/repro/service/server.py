@@ -3,15 +3,10 @@
 :class:`BurstingFlowService` owns one live
 :class:`~repro.temporal.network.TemporalFlowNetwork` and serves
 versioned-JSON requests against it (see :mod:`repro.service.protocol`)
-over two transports on the *same* listening port:
-
-* **NDJSON over TCP** — one JSON object per line, pipelined replies in
-  request order (the primary, lowest-overhead transport;
-  :class:`repro.service.client.ServiceClient` speaks it);
-* **HTTP/1.1** — ``POST /query``, ``POST /batch``, ``POST /topk``,
-  ``POST /append`` (JSON request body), ``GET /metrics`` (snapshot),
-  ``GET /healthz``.  The transport is sniffed from the first bytes of
-  the connection.
+through the shared front end of :mod:`repro.service.frontend`: NDJSON
+over TCP (the lowest-overhead transport;
+:class:`repro.service.client.ServiceClient` speaks it) and HTTP/1.1 on
+the same port, with one ``POST`` route per op in the op table.
 
 The request path layers the three production concerns of this module's
 package: the epoch-keyed :class:`~repro.service.cache.ResultCache`
@@ -31,17 +26,17 @@ to a fresh :func:`repro.core.engine.find_bursting_flow` on that state.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
-import urllib.parse
 from contextlib import asynccontextmanager
 from typing import Any, AsyncIterator
 
 from repro.core.engine import DEFAULT_ALGORITHM, get_algorithm
+from repro.core.planner import BurstEntry
 from repro.core.query import BurstingFlowQuery
 from repro.exceptions import ReproError
 from repro.service.admission import AdmissionController
 from repro.service.cache import ResultCache
+from repro.service.frontend import WireFrontEnd
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
     BATCH_PLANS,
@@ -50,6 +45,7 @@ from repro.service.protocol import (
     ERROR_OVERLOADED,
     ERROR_STALE,
     ERROR_TIMEOUT,
+    OPS,
     AppendReply,
     AppendRequest,
     BatchAnswer,
@@ -66,19 +62,14 @@ from repro.service.protocol import (
     PatternsRequest,
     PingRequest,
     PongReply,
-    ProtocolError,
     QueryReply,
     QueryRequest,
     Reply,
     Request,
     ScanReply,
     ScanRequest,
-    TopKBurst,
     TopKReply,
     TopKRequest,
-    encode,
-    parse_request,
-    reply_payload,
 )
 from repro.mining.pipeline import MiningPipeline
 from repro.service.workers import InlineEngine, ProcessEnginePool
@@ -128,7 +119,7 @@ class _ReadWriteLock:
                 self._cond.notify_all()
 
 
-class BurstingFlowService:
+class BurstingFlowService(WireFrontEnd):
     """A concurrent delta-BFlow query service over one live network.
 
     Args:
@@ -202,7 +193,6 @@ class BurstingFlowService:
         # Build the lazy indexes before the first concurrent read.
         if network.num_edges:
             _ = network.timestamps
-        self._server: asyncio.base_events.Server | None = None
 
     @property
     def draining(self) -> bool:
@@ -215,19 +205,7 @@ class BurstingFlowService:
     async def handle_request(self, request: Request) -> Reply:
         """Dispatch one parsed request to its handler."""
         self.metrics.count_request(request.op)
-        if (
-            isinstance(
-                request,
-                (
-                    QueryRequest,
-                    BatchRequest,
-                    TopKRequest,
-                    AppendRequest,
-                    ScanRequest,
-                ),
-            )
-            and self._draining
-        ):
+        if self._draining and OPS[request.op].shed_when_draining:
             reply: Reply = ErrorReply(
                 request.id,
                 ERROR_OVERLOADED,
@@ -261,17 +239,19 @@ class BurstingFlowService:
             self.metrics.count_error(reply.kind)
         return reply
 
-    async def handle_raw(self, line: bytes | str) -> bytes:
-        """Full serve path for one wire message: parse → handle → encode."""
-        try:
-            request = parse_request(line)
-        except ProtocolError as exc:
-            self.metrics.count_error(exc.kind)
-            return encode(
-                reply_payload(ErrorReply("", exc.kind, str(exc)))
-            )
-        reply = await self.handle_request(request)
-        return encode(reply_payload(reply))
+    def _count_protocol_error(self, kind: str) -> None:
+        self.metrics.count_error(kind)
+
+    def health_payload(self) -> dict[str, Any]:
+        """The ``/healthz`` body: drain state and the network epoch."""
+        health: dict[str, Any] = {
+            "ok": not self._draining,
+            "epoch": self.network.epoch,
+            "draining": self._draining,
+        }
+        if self.replica_id is not None:
+            health["replica"] = self.replica_id
+        return health
 
     def snapshot(self) -> dict[str, Any]:
         """The metrics snapshot, extended with cache and network facts."""
@@ -593,7 +573,7 @@ class BurstingFlowService:
                 return TopKReply(
                     id=request.id,
                     entries=tuple(
-                        TopKBurst(
+                        BurstEntry(
                             source=entry[0],
                             sink=entry[1],
                             delta=entry[2],
@@ -756,19 +736,11 @@ class BurstingFlowService:
         )
 
     # ------------------------------------------------------------------
-    # TCP / HTTP front end
+    # Lifecycle (the NDJSON/HTTP front end is WireFrontEnd's)
     # ------------------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         """Bind and start serving; returns the bound (host, port)."""
-        self._server = await asyncio.start_server(self._on_connection, host, port)
-        bound = self._server.sockets[0].getsockname()
-        return bound[0], bound[1]
-
-    async def serve_forever(self) -> None:
-        """Serve until cancelled (``start`` must have been called)."""
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
+        return await self._listen(host, port)
 
     async def drain(self, timeout: float = 30.0) -> bool:
         """Stop admitting work and wait for in-flight requests to finish.
@@ -783,10 +755,7 @@ class BurstingFlowService:
 
     async def stop(self) -> None:
         """Close the listener and the engine backend."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await self._close_listener()
         self.engine.close()
 
     async def __aenter__(self) -> "BurstingFlowService":
@@ -794,177 +763,3 @@ class BurstingFlowService:
 
     async def __aexit__(self, *exc_info: object) -> None:
         await self.stop()
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            first = await reader.readline()
-            if not first:
-                return
-            head = first.split(b" ", 1)[0]
-            if head in (b"GET", b"POST", b"HEAD", b"PUT", b"DELETE"):
-                await self._serve_http(first, reader, writer)
-                return
-            # NDJSON: the sniffed line is already the first request.
-            line = first
-            while line:
-                if line.strip():
-                    writer.write(await self.handle_raw(line))
-                    await writer.drain()
-                line = await reader.readline()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            except asyncio.CancelledError:
-                # stop() closed the listener while this connection was
-                # draining; the transport is already gone.
-                pass
-
-    async def _serve_http(
-        self,
-        request_line: bytes,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        try:
-            method, target, _ = request_line.decode("latin-1").split(" ", 2)
-        except ValueError:
-            _http_respond(writer, 400, {"error": "malformed request line"})
-            await writer.drain()
-            return
-        content_length = 0
-        while True:
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    _http_respond(writer, 400, {"error": "bad Content-Length"})
-                    await writer.drain()
-                    return
-        body = await reader.readexactly(content_length) if content_length else b""
-
-        if method == "GET" and target in ("/metrics", "/metrics/"):
-            self.metrics.count_request("metrics")
-            _http_respond(writer, 200, self.snapshot())
-        elif method == "GET" and target in ("/healthz", "/healthz/"):
-            health = {
-                "ok": not self._draining,
-                "epoch": self.network.epoch,
-                "draining": self._draining,
-            }
-            if self.replica_id is not None:
-                health["replica"] = self.replica_id
-            _http_respond(writer, 200 if health["ok"] else 503, health)
-        elif method == "POST" and target in ("/drain", "/drain/"):
-            self.metrics.count_request("drain")
-            self._draining = True
-            _http_respond(
-                writer,
-                200,
-                {"draining": True, "inflight": self.admission.inflight},
-            )
-        elif method == "GET" and (
-            target in ("/patterns", "/patterns/")
-            or target.startswith("/patterns?")
-        ):
-            message = _patterns_message_from_target(target)
-            payload = json.loads(await self.handle_raw(encode(message)))
-            status = 200 if payload.get("ok") else _http_status(payload)
-            _http_respond(writer, status, payload)
-        elif method == "POST" and target in (
-            "/query",
-            "/append",
-            "/batch",
-            "/topk",
-            "/scan",
-            "/patterns",
-            "/query/",
-            "/append/",
-            "/batch/",
-            "/topk/",
-            "/scan/",
-            "/patterns/",
-        ):
-            payload = json.loads(await self.handle_raw(body))
-            status = 200 if payload.get("ok") else _http_status(payload)
-            _http_respond(writer, status, payload)
-        else:
-            _http_respond(
-                writer,
-                404,
-                {"error": f"no route {method} {target}"},
-            )
-        await writer.drain()
-
-
-def _patterns_message_from_target(target: str) -> dict[str, Any]:
-    """Translate ``GET /patterns?...`` into a protocol ``patterns`` message.
-
-    Query-string values arrive as strings; numeric filters are coerced
-    (``since``/``until``/``limit`` to int, ``min_density`` to float) and
-    left as-is otherwise so :func:`parse_request` reports the type error
-    through the ordinary typed-reply path.
-    """
-    message: dict[str, Any] = {"v": 1, "id": "http", "op": "patterns"}
-    query = urllib.parse.urlsplit(target).query
-    for key, values in urllib.parse.parse_qs(query).items():
-        value: Any = values[-1]
-        if key in ("since", "until", "limit"):
-            try:
-                value = int(value)
-            except ValueError:
-                pass
-        elif key == "min_density":
-            try:
-                value = float(value)
-            except ValueError:
-                pass
-        message[key] = value
-    return message
-
-
-_HTTP_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    408: "Request Timeout",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
-
-
-def _http_status(payload: dict[str, Any]) -> int:
-    kind = (payload.get("error") or {}).get("kind")
-    if kind == ERROR_OVERLOADED:
-        return 429
-    if kind == ERROR_TIMEOUT:
-        return 408
-    if kind == ERROR_INTERNAL:
-        return 500
-    if kind == ERROR_STALE:
-        return 503
-    return 400
-
-
-def _http_respond(
-    writer: asyncio.StreamWriter, status: int, payload: dict[str, Any]
-) -> None:
-    body = json.dumps(payload).encode("utf-8")
-    head = (
-        f"HTTP/1.1 {status} {_HTTP_REASONS.get(status, 'OK')}\r\n"
-        f"Content-Type: application/json\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"Connection: close\r\n\r\n"
-    )
-    writer.write(head.encode("latin-1") + body)
