@@ -62,12 +62,6 @@ def main() -> None:
         for line in phases.format().splitlines():
             print(f"  {algorithm:<5} {line}")
 
-    # BFQ's candidate windows are independent, so they can be sharded
-    # across a process pool.  Only pays off when individual windows are
-    # expensive (large networks); answers match the sequential run.
-    r = find_bursting_flow(network, query, algorithm="bfq", parallel_windows=2)
-    print(f"  parallel_windows=2 density={r.density:.1f} interval={r.interval}")
-
 
 if __name__ == "__main__":
     main()

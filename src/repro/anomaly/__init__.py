@@ -1,19 +1,11 @@
 """Anomaly detection on transaction networks via delta-BFlow (Section 6.3)."""
 
-from repro.anomaly.bursting_core import (
-    BurstingCore,
-    core_flow_value,
-    find_bursting_cores,
-)
 from repro.anomaly.detector import BurstDetector, ScanFinding, ScanReport
 from repro.anomaly.hunting import NodeBurstScore, hunt_bursts, score_nodes
 from repro.anomaly.report import format_case_study_table, format_finding_interval
 
 __all__ = [
     "BurstDetector",
-    "BurstingCore",
-    "find_bursting_cores",
-    "core_flow_value",
     "hunt_bursts",
     "score_nodes",
     "NodeBurstScore",

@@ -1,10 +1,5 @@
 """Baselines: brute force, external solvers, and related-work contrasts."""
 
-from repro.baselines.earliest_arrival import (
-    arrival_profile,
-    earliest_arrival_time,
-    max_flow_by_deadline,
-)
 from repro.baselines.naive import naive_bfq
 from repro.baselines.networkx_backend import (
     networkx_bfq,
@@ -19,9 +14,6 @@ from repro.baselines.temporal_maxflow import (
 
 __all__ = [
     "naive_bfq",
-    "arrival_profile",
-    "earliest_arrival_time",
-    "max_flow_by_deadline",
     "networkx_bfq",
     "networkx_maxflow_value",
     "to_networkx",

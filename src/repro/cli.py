@@ -27,6 +27,7 @@ Installed as the ``repro-bfq`` console script; also runnable as
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -40,6 +41,40 @@ from repro.temporal import (
     load_jsonl,
     network_stats,
 )
+
+
+def _positive_int(text: str) -> int:
+    """argparse ``type=``: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}"
+        )
+    return value
+
+
+def _positive_int_list(text: str) -> list[int]:
+    """argparse ``type=``: comma-separated integers >= 1."""
+    return [_positive_int(part) for part in text.split(",")]
+
+
+def _positive_float_list(text: str) -> list[float]:
+    """argparse ``type=``: comma-separated finite numbers > 0."""
+    values = []
+    for part in text.split(","):
+        try:
+            value = float(part)
+        except ValueError:
+            value = math.nan
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"expected a positive number, got {part!r}"
+            )
+        values.append(value)
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,13 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="which solution to run (default: bfq*)",
     )
     query.add_argument(
-        "--parallel-windows",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard bfq candidate windows over N processes (0 = all cores)",
-    )
-    query.add_argument(
         "--profile",
         action="store_true",
         help="print the transform/maxflow/prune phase breakdown",
@@ -93,10 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--sinks", required=True, help="comma-separated node ids")
     scan.add_argument(
         "--delta-fractions",
+        type=_positive_float_list,
         default="0.03,0.06,0.09",
         help="deltas as fractions of |T| (default: the paper's 3%%/6%%/9%%)",
     )
-    scan.add_argument("--top", type=int, default=10, help="findings to print")
+    scan.add_argument(
+        "--top", type=_positive_int, default=10, help="findings to print"
+    )
     scan.add_argument(
         "--profile",
         action="store_true",
@@ -110,7 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
     trail.add_argument("--source", required=True)
     trail.add_argument("--sink", required=True)
     trail.add_argument("--delta", type=int, required=True)
-    trail.add_argument("--top", type=int, default=10, help="trails to print")
+    trail.add_argument(
+        "--top", type=_positive_int, default=10, help="trails to print"
+    )
 
     profile = subparsers.add_parser(
         "profile", help="delta sensitivity: density vs minimum duration"
@@ -119,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--source", required=True)
     profile.add_argument("--sink", required=True)
     profile.add_argument(
-        "--deltas", default=None,
+        "--deltas", type=_positive_int_list, default=None,
         help="comma-separated deltas (default: geometric ladder 1,2,4,...)",
     )
 
@@ -520,7 +553,6 @@ def _run_query(args: argparse.Namespace) -> int:
         network,
         BurstingFlowQuery(args.source, args.sink, args.delta),
         algorithm=args.algorithm,
-        parallel_windows=args.parallel_windows,
     )
     elapsed = time.perf_counter() - started
     if args.profile:
@@ -551,8 +583,8 @@ def _run_scan(args: argparse.Namespace) -> int:
     horizon = network.num_timestamps
     deltas = sorted(
         {
-            max(1, round(horizon * float(fraction)))
-            for fraction in args.delta_fractions.split(",")
+            max(1, round(horizon * fraction))
+            for fraction in args.delta_fractions
         }
     )
     detector = BurstDetector(network)
@@ -607,10 +639,7 @@ def _run_profile(args: argparse.Namespace) -> int:
     from repro.core import density_profile, suggest_delta
 
     network, _codec = _load(args.edges, args.compact_timestamps)
-    deltas = None
-    if args.deltas:
-        deltas = [int(d) for d in args.deltas.split(",")]
-    profile = density_profile(network, args.source, args.sink, deltas)
+    profile = density_profile(network, args.source, args.sink, args.deltas)
     if not profile:
         print("no evaluable deltas for this network")
         return 1

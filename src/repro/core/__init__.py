@@ -1,6 +1,6 @@
 """The paper's core contribution: delta-BFlow queries and their solutions."""
 
-from repro.core.batch import KNOWN_PLANS, answer_many, bfq_parallel
+from repro.core.batch import KNOWN_PLANS, answer_many
 from repro.core.bfq import bfq
 from repro.core.bfq_plus import bfq_plus
 from repro.core.bfq_star import bfq_star
@@ -58,7 +58,6 @@ from repro.core.transform import (
 __all__ = [
     "bfq",
     "answer_many",
-    "bfq_parallel",
     "KNOWN_PLANS",
     "answer_planned",
     "group_queries",

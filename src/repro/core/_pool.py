@@ -1,9 +1,9 @@
 """Shared process-pool harness for the batch layers.
 
-:func:`repro.core.batch.answer_many`, :func:`repro.core.batch.bfq_parallel`
-and the planner's group fan-out all shard work over a
-:class:`~concurrent.futures.ProcessPoolExecutor` with the same discipline;
-:func:`run_pool` is that discipline, factored out once:
+:func:`repro.core.batch.answer_many` and the planner's group fan-out both
+shard work over a :class:`~concurrent.futures.ProcessPoolExecutor` with
+the same discipline; :func:`run_pool` is that discipline, factored out
+once:
 
 * worker state travels through ``initializer``/``initargs`` (pickled for
   ``spawn``/``forkserver``, inherited-then-overwritten for ``fork``), so

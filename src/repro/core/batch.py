@@ -34,15 +34,9 @@ from typing import Iterable, Sequence
 
 from repro.core._pool import run_pool
 from repro.core.engine import DEFAULT_ALGORITHM, find_bursting_flow, get_algorithm
-from repro.core.query import (
-    BurstingFlowQuery,
-    BurstingFlowResult,
-    QueryStats,
-    merge_query_stats,
-)
+from repro.core.query import BurstingFlowQuery, BurstingFlowResult
 from repro.exceptions import InvalidQueryError
 from repro.temporal.network import TemporalFlowNetwork
-from repro.temporal.shared import SharedNetworkStore, pool_initargs
 
 #: ``plan=`` choices for :func:`answer_many`.
 KNOWN_PLANS = ("independent", "shared")
@@ -77,7 +71,6 @@ def answer_many(
     processes: int | None = None,
     mp_context: str | None = None,
     plan: str = "independent",
-    shared: bool = False,
 ) -> list[BurstingFlowResult]:
     """Answer a batch of queries; results align with the input order.
 
@@ -97,13 +90,6 @@ def answer_many(
             or ``"shared"`` (route through :func:`repro.core.planner.
             answer_planned`: one skeleton per (s, t) group, overlapping
             delta sweeps solve each candidate window once).
-        shared: ship the network to pool workers through a
-            :class:`~repro.temporal.shared.SharedNetworkStore` (workers
-            attach to one shared-memory edge log instead of each
-            unpickling the network — worth it for large networks under
-            ``spawn``/``forkserver``).  Falls back silently to pickled
-            ``initargs`` when shared memory is unavailable; no effect on
-            sequential runs.
 
     Raises:
         BatchQueryError: one query (or one planner group) failed; the
@@ -141,12 +127,6 @@ def answer_many(
         ]
 
     context = multiprocessing.get_context(mp_context)
-    store = _open_store(network) if shared else None
-    initializer, initargs = (
-        pool_initargs(store, _init_worker, algorithm)
-        if store is not None
-        else (_init_worker, (network, algorithm))
-    )
     try:
         # run_pool carries the shared fan-out discipline: BrokenProcessPool
         # rebuild-once recovery, and fail-fast cancellation that names the
@@ -156,13 +136,11 @@ def answer_many(
             _answer_one,
             max_workers=processes,
             context=context,
-            initializer=initializer,
-            initargs=initargs,
+            initializer=_init_worker,
+            initargs=(network, algorithm),
             describe=lambda index: batch[index],
         )
     finally:
-        if store is not None:
-            store.close()
         # With fork, workers inherit whatever the parent's module state
         # happens to be at submit time; keeping the parent's copy pristine
         # guarantees a concurrent or subsequent batch can't leak its
@@ -174,163 +152,4 @@ def _answer_one(query: BurstingFlowQuery) -> BurstingFlowResult:
     assert _WORKER_NETWORK is not None, "worker started outside answer_many"
     return find_bursting_flow(
         _WORKER_NETWORK, query, algorithm=_WORKER_ALGORITHM
-    )
-
-
-def _open_store(network: TemporalFlowNetwork) -> "SharedNetworkStore | None":
-    """A shared-memory store for ``network``, or ``None`` if unavailable."""
-    try:
-        return SharedNetworkStore(network)
-    except (OSError, ValueError):  # pragma: no cover - no /dev/shm
-        return None
-
-
-# ----------------------------------------------------------------------
-# parallel_windows: shard one BFQ query's candidate windows
-# ----------------------------------------------------------------------
-# Same initializer/initargs discipline as answer_many.  Each worker holds
-# the network, query and solver name, plus a lazily compiled
-# WindowSkeleton (one per process, reused by every chunk it evaluates).
-_WINDOW_NETWORK: TemporalFlowNetwork | None = None
-_WINDOW_QUERY: BurstingFlowQuery | None = None
-_WINDOW_SOLVER: str = "dinic"
-_WINDOW_SKELETON = None
-
-
-def _init_window_worker(
-    network: TemporalFlowNetwork,
-    query: BurstingFlowQuery,
-    solver: str,
-) -> None:
-    """Pool initializer for the per-window fan-out."""
-    global _WINDOW_NETWORK, _WINDOW_QUERY, _WINDOW_SOLVER, _WINDOW_SKELETON
-    _WINDOW_NETWORK = network
-    _WINDOW_QUERY = query
-    _WINDOW_SOLVER = solver
-    _WINDOW_SKELETON = None
-
-
-def _reset_window_worker_state() -> None:
-    """Restore module defaults (also runs in the parent after the query)."""
-    global _WINDOW_NETWORK, _WINDOW_QUERY, _WINDOW_SOLVER, _WINDOW_SKELETON
-    _WINDOW_NETWORK = None
-    _WINDOW_QUERY = None
-    _WINDOW_SOLVER = "dinic"
-    _WINDOW_SKELETON = None
-
-
-def _evaluate_window_chunk(intervals: list[tuple]) -> "QueryStats":
-    """Evaluate one chunk of candidate windows in a worker process.
-
-    Returns the chunk's :class:`QueryStats` (its samples carry every
-    per-window flow value); the parent re-derives the best record from the
-    samples, which is order-independent by the canonical tie-break.
-    """
-    from repro.core.bfq import evaluate_windows
-    from repro.core.record import BestRecord
-    from repro.core.skeleton import WindowSkeleton
-
-    global _WINDOW_SKELETON
-    assert _WINDOW_NETWORK is not None, "worker started outside bfq_parallel"
-    assert _WINDOW_QUERY is not None
-    if _WINDOW_SKELETON is None:
-        _WINDOW_SKELETON = WindowSkeleton(
-            _WINDOW_NETWORK, _WINDOW_QUERY.source, _WINDOW_QUERY.sink
-        )
-    stats = QueryStats()
-    evaluate_windows(
-        _WINDOW_NETWORK,
-        _WINDOW_QUERY,
-        intervals,
-        BestRecord(),
-        stats,
-        solver=_WINDOW_SOLVER,
-        skeleton=_WINDOW_SKELETON,
-    )
-    return stats
-
-
-def bfq_parallel(
-    network: TemporalFlowNetwork,
-    query: BurstingFlowQuery,
-    *,
-    processes: int,
-    solver: str = "dinic",
-    mp_context: str | None = None,
-    shared: bool = False,
-) -> BurstingFlowResult:
-    """BFQ with candidate windows sharded across worker processes.
-
-    BFQ's windows are evaluated independently (no state flows between
-    them), and :class:`~repro.core.record.BestRecord`'s canonical
-    tie-break is order-independent — so splitting the plan into contiguous
-    chunks and merging per-window results reproduces the sequential
-    answer exactly, samples in plan order and all.
-
-    Args:
-        processes: worker processes; ``0`` means ``os.cpu_count()``;
-            ``<= 1`` falls back to sequential :func:`~repro.core.bfq.bfq`.
-        solver: forwarded to the per-window evaluation.
-        mp_context: multiprocessing start method (as in
-            :func:`answer_many`).
-        shared: ship the network through shared memory (as in
-            :func:`answer_many`).
-    """
-    from repro.core.bfq import bfq
-    from repro.core.intervals import enumerate_candidates
-    from repro.core.record import BestRecord
-
-    query.validate_against(network)
-    if processes == 0:
-        processes = os.cpu_count() or 1
-    plan = enumerate_candidates(network, query.source, query.sink, query.delta)
-    intervals = list(plan.intervals())
-    if processes <= 1 or len(intervals) <= 1:
-        return bfq(network, query, solver=solver)
-
-    workers = min(processes, len(intervals))
-    # Contiguous chunks keep each worker's skeleton slices cache-friendly
-    # (consecutive windows share a start index).
-    chunk_bounds = [
-        (len(intervals) * w // workers, len(intervals) * (w + 1) // workers)
-        for w in range(workers)
-    ]
-    chunks = [intervals[lo:hi] for lo, hi in chunk_bounds if hi > lo]
-
-    context = multiprocessing.get_context(mp_context)
-    store = _open_store(network) if shared else None
-    initializer, initargs = (
-        pool_initargs(store, _init_window_worker, query, solver)
-        if store is not None
-        else (_init_window_worker, (network, query, solver))
-    )
-    try:
-        chunk_stats: list[QueryStats] = run_pool(
-            chunks,
-            _evaluate_window_chunk,
-            max_workers=workers,
-            context=context,
-            initializer=initializer,
-            initargs=initargs,
-            describe=lambda index: f"window chunk {index} of {query!r}",
-        )
-    finally:
-        if store is not None:
-            store.close()
-        _reset_window_worker_state()
-
-    # Merge: concatenate stats in chunk order (which is plan order) —
-    # field-derived, so a counter added to QueryStats later can never be
-    # silently dropped from parallel results — and fold every per-window
-    # flow value through one BestRecord (the canonical tie-break makes the
-    # fold order irrelevant).
-    stats = merge_query_stats(chunk_stats)
-    best = BestRecord()
-    for sample in stats.samples:
-        best.offer(sample.flow_value, *sample.interval)
-    return BurstingFlowResult(
-        density=best.density,
-        interval=best.interval,
-        flow_value=best.value,
-        stats=stats,
     )

@@ -23,10 +23,9 @@ faster by reusing work across candidate intervals.
 from __future__ import annotations
 
 import time
-from typing import Iterable
 
 from repro.core.incremental import IncrementalTransformedNetwork
-from repro.core.intervals import CandidatePlan, enumerate_candidates
+from repro.core.intervals import enumerate_candidates
 from repro.core.query import (
     BurstingFlowQuery,
     BurstingFlowResult,
@@ -37,7 +36,6 @@ from repro.core.record import BestRecord
 from repro.core.skeleton import WindowSkeleton
 from repro.core.transform import assemble
 from repro.flownet.algorithms.registry import get_solver
-from repro.temporal.edge import Timestamp
 from repro.temporal.network import TemporalFlowNetwork
 
 
@@ -56,56 +54,14 @@ def bfq(
             (any entry of :data:`repro.flownet.algorithms.SOLVERS`).
     """
     query.validate_against(network)
-    get_solver(solver)  # fail fast on unknown solver names
+    solve = get_solver(solver)  # fail fast on unknown solver names
     stats = QueryStats()
-    plan: CandidatePlan = enumerate_candidates(
-        network, query.source, query.sink, query.delta
-    )
-
-    best = BestRecord()
-    evaluate_windows(
-        network,
-        query,
-        plan.intervals(),
-        best,
-        stats,
-        solver=solver,
-    )
-
-    return BurstingFlowResult(
-        density=best.density,
-        interval=best.interval,
-        flow_value=best.value,
-        stats=stats,
-    )
-
-
-def evaluate_windows(
-    network: TemporalFlowNetwork,
-    query: BurstingFlowQuery,
-    intervals: Iterable[tuple[Timestamp, Timestamp]],
-    best: BestRecord,
-    stats: QueryStats,
-    *,
-    solver: str = "dinic",
-    skeleton: WindowSkeleton | None = None,
-) -> None:
-    """Evaluate candidate windows independently, folding into ``best``.
-
-    This is BFQ's inner loop, factored out so the ``parallel_windows=``
-    mode (:func:`repro.core.batch.bfq_parallel`) can run disjoint chunks
-    of one plan in worker processes — window evaluations share no state,
-    and :class:`~repro.core.record.BestRecord`'s canonical tie-break is
-    order-independent, so any partition merges to the sequential answer.
-
-    Args:
-        skeleton: a pre-compiled :class:`WindowSkeleton` to reuse (workers
-            compile one per process); compiled lazily when ``None``.
-    """
-    solve = get_solver(solver)
-    use_arena = solver == "dinic"
     source, sink = query.source, query.sink
-    for tau_s, tau_e in intervals:
+    plan = enumerate_candidates(network, source, sink, query.delta)
+    use_arena = solver == "dinic"
+    best = BestRecord()
+    skeleton: WindowSkeleton | None = None
+    for tau_s, tau_e in plan.intervals():
         stats.candidates_enumerated += 1
         t0 = time.perf_counter()
         if skeleton is None:
@@ -147,3 +103,10 @@ def evaluate_windows(
             )
         )
         best.offer(run.value, tau_s, tau_e)
+
+    return BurstingFlowResult(
+        density=best.density,
+        interval=best.interval,
+        flow_value=best.value,
+        stats=stats,
+    )

@@ -82,7 +82,6 @@ def find_bursting_flow(
     sink: NodeId | None = None,
     delta: int | None = None,
     algorithm: str = DEFAULT_ALGORITHM,
-    parallel_windows: int | None = None,
     **kwargs,
 ) -> BurstingFlowResult:
     """Find the delta-BFlow for a query.
@@ -99,12 +98,6 @@ def find_bursting_flow(
             enumeration) or ``"networkx"`` (BFQ with NetworkX Maxflow).
             BFQ/BFQ+/BFQ* compile the query's window skeleton once and
             run the persistent arena Dinic on every window.
-        parallel_windows: shard BFQ's independent candidate windows over
-            this many worker processes (``0`` means ``os.cpu_count()``).
-            Only valid with ``algorithm="bfq"`` — BFQ+/BFQ* chain state
-            across windows and cannot shard.  ``None`` (default) runs
-            sequentially; worth it only when per-window Maxflow dominates
-            (large dense windows), since workers re-pickle the network.
         **kwargs: forwarded to the algorithm (e.g. ``use_pruning=False``
             for the incremental solutions, ``solver="push-relabel"`` for
             BFQ).
@@ -122,17 +115,5 @@ def find_bursting_flow(
     elif source is not None or sink is not None or delta is not None:
         raise InvalidQueryError(
             "pass either a query object or keywords, not both"
-        )
-    if parallel_windows is not None:
-        if algorithm.lower() != "bfq":
-            raise InvalidQueryError(
-                f"parallel_windows only applies to algorithm 'bfq' "
-                f"(candidate windows are independent there); "
-                f"algorithm {algorithm!r} chains state across windows"
-            )
-        from repro.core.batch import bfq_parallel  # local: avoid cycle
-
-        return bfq_parallel(
-            network, query, processes=parallel_windows, **kwargs
         )
     return get_algorithm(algorithm)(network, query, **kwargs)

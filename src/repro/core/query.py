@@ -133,14 +133,14 @@ class QueryStats:
 
 
 def merge_query_stats(parts: Iterable[QueryStats]) -> QueryStats:
-    """Merge per-chunk :class:`QueryStats` into one, field-derived.
+    """Merge per-part :class:`QueryStats` into one, field-derived.
 
     Every counter and timing field declared on the dataclass is summed and
-    ``samples`` are concatenated in chunk order — the merge is driven by
+    ``samples`` are concatenated in part order — the merge is driven by
     ``dataclasses.fields`` so a field added later can never be silently
-    dropped from merged results (the bug the old hand-copied field list in
-    ``bfq_parallel`` had).  Samples are extended directly, *not* replayed
-    through :meth:`QueryStats.record_sample`, because the parts'
+    dropped from merged results (the bug a hand-copied field list once
+    had).  Samples are extended directly, *not* replayed through
+    :meth:`QueryStats.record_sample`, because the parts'
     ``transform_seconds`` / ``maxflow_seconds`` already include their
     samples' timings; replaying would double-count them.
     """

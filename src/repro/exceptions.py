@@ -55,10 +55,10 @@ class InvalidQueryError(ReproError):
 class BatchQueryError(ReproError):
     """One item of a batch failed and the rest of the batch was abandoned.
 
-    Raised by the batch layers (:func:`repro.core.batch.answer_many`,
-    :func:`repro.core.batch.bfq_parallel`, the planner) when a worker
-    raises an ordinary exception: outstanding futures are cancelled and
-    this error identifies exactly which item failed.
+    Raised by the batch layers (:func:`repro.core.batch.answer_many`, the
+    planner) when a worker raises an ordinary exception: outstanding
+    futures are cancelled and this error identifies exactly which item
+    failed.
 
     Attributes:
         index: position of the failing item in the submitted batch.

@@ -1,38 +1,24 @@
-"""Extensions beyond the paper's core: its Section-7 future-work items.
+"""Extensions beyond the paper's core.
 
-* :mod:`repro.extensions.labeled` — keyword-labeled delta-BFlow queries
-  (future work i);
+* :mod:`repro.extensions.multi` — group (multi-source/multi-sink)
+  delta-BFlow queries through a super source and super sink;
 * :mod:`repro.extensions.streaming` — delta-BFlow monitoring over
-  time-ordered edge streams (future work ii);
-* :mod:`repro.extensions.all_intervals` — enumerate *all* bursting
-  intervals (the "minor modification" noted under Algorithm 1).
+  time-ordered edge streams (the paper's Section-7 future work ii).
 """
 
-from repro.extensions.all_intervals import (
-    AllIntervalsResult,
-    find_all_bursting_intervals,
-)
 from repro.extensions.multi import (
     SUPER_SINK,
     SUPER_SOURCE,
     build_group_network,
     find_group_bursting_flow,
 )
-from repro.extensions.labeled import (
-    LabeledTemporalFlowNetwork,
-    find_labeled_bursting_flow,
-)
 from repro.extensions.streaming import BurstRecord, StreamingBurstMonitor
 
 __all__ = [
-    "LabeledTemporalFlowNetwork",
     "find_group_bursting_flow",
     "build_group_network",
     "SUPER_SOURCE",
     "SUPER_SINK",
-    "find_labeled_bursting_flow",
     "StreamingBurstMonitor",
     "BurstRecord",
-    "AllIntervalsResult",
-    "find_all_bursting_intervals",
 ]

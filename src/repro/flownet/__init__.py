@@ -16,11 +16,6 @@ from repro.flownet.algorithms import (
     solve_max_flow,
 )
 from repro.flownet.mincut import MinCut, certify_maxflow, min_cut
-from repro.flownet.rewrite import (
-    RewriteReport,
-    has_antiparallel_edges,
-    split_antiparallel_edges,
-)
 from repro.flownet.network import Arc, EdgeKind, EdgeRef, FlowNetwork
 from repro.flownet.residual import (
     ResidualArena,
@@ -44,9 +39,6 @@ __all__ = [
     "dinic_flat",
     "dinic_flat_persistent",
     "capacity_scaling",
-    "RewriteReport",
-    "has_antiparallel_edges",
-    "split_antiparallel_edges",
     "edmonds_karp",
     "ford_fulkerson",
     "push_relabel",

@@ -16,14 +16,6 @@ from repro.temporal.reachability import (
     reachable_set,
 )
 from repro.temporal.stats import NetworkStats, format_stats_table, network_stats
-from repro.temporal.views import (
-    filter_edges,
-    merge_networks,
-    node_induced_subnetwork,
-    relabel_nodes,
-    shift_timestamps,
-    window_subnetwork,
-)
 
 __all__ = [
     "NodeId",
@@ -44,11 +36,5 @@ __all__ = [
     "reachable_set",
     "NetworkStats",
     "network_stats",
-    "window_subnetwork",
-    "node_induced_subnetwork",
-    "filter_edges",
-    "relabel_nodes",
-    "merge_networks",
-    "shift_timestamps",
     "format_stats_table",
 ]

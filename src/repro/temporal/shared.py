@@ -273,37 +273,3 @@ class SharedNetworkReader:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-# ----------------------------------------------------------------------
-# One-shot pool shipment
-# ----------------------------------------------------------------------
-# The batch layers (repro.core.batch / repro.core._pool) build short-lived
-# pools whose initializers take the network as their first argument.
-# pool_initargs() swaps the pickled network for a store name: each worker
-# attaches, replays once, and hands the reconstructed network to the
-# original initializer.  The reader is pinned in a module global so its
-# shared-memory mapping outlives the initializer call.
-
-_POOL_READER: SharedNetworkReader | None = None
-
-
-def _attach_and_init(store_name: str, initializer, rest: tuple) -> None:
-    """Worker-side trampoline for :func:`pool_initargs`."""
-    global _POOL_READER
-    _POOL_READER = SharedNetworkReader(store_name)
-    initializer(_POOL_READER.network, *rest)
-
-
-def pool_initargs(
-    store: SharedNetworkStore, initializer, *rest: object
-) -> tuple:
-    """``(initializer, initargs)`` shipping ``store``'s network by name.
-
-    Drop-in replacement for ``(initializer, (network, *rest))`` in a
-    ``ProcessPoolExecutor``: workers attach to ``store`` instead of
-    unpickling the network.  ``initializer`` must be a module-level
-    callable (it travels pickled by reference).  The caller keeps
-    ``store`` alive for the pool's lifetime and closes it afterwards.
-    """
-    return _attach_and_init, (store.name, initializer, tuple(rest))

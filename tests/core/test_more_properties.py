@@ -120,56 +120,3 @@ def test_store_round_trip_preserves_answers(tmp_path_factory, events, delta):
         return
     query = BurstingFlowQuery("n0", "n1", delta)
     assert bfq(network, query).density == pytest.approx(bfq(direct, query).density)
-
-
-@settings(max_examples=25, deadline=None)
-@given(event_streams(), st.integers(min_value=1, max_value=3))
-def test_all_intervals_against_naive_enumeration(events, delta):
-    """Every optimal window the brute force finds must be reported by
-    find_all_bursting_intervals, and vice versa (at candidate granularity
-    plus the footnote-13 sliding expansion)."""
-    from repro.core import build_transformed_network
-    from repro.extensions import find_all_bursting_intervals
-    from repro.flownet import dinic
-
-    network = TemporalFlowNetwork.from_tuples(events)
-    network.add_node("n0")
-    network.add_node("n1")
-    if network.num_edges == 0:
-        return
-    t_min, t_max = network.t_min, network.t_max
-    if t_max - t_min < delta:
-        return
-
-    def window_value(lo, hi):
-        transformed = build_transformed_network(network, "n0", "n1", lo, hi)
-        return dinic(
-            transformed.flow_network,
-            transformed.source_index,
-            transformed.sink_index,
-        ).value
-
-    best = 0.0
-    optimal = set()
-    for lo in range(t_min, t_max - delta + 1):
-        for hi in range(lo + delta, t_max + 1):
-            density = window_value(lo, hi) / (hi - lo)
-            if density > best + 1e-12:
-                best = density
-                optimal = {(lo, hi)}
-            elif best > 0 and abs(density - best) <= best * 1e-9:
-                optimal.add((lo, hi))
-
-    query = BurstingFlowQuery("n0", "n1", delta)
-    result = find_all_bursting_intervals(network, query)
-    assert result.density == pytest.approx(best)
-    if best == 0:
-        return
-    # Everything reported is genuinely optimal...
-    for interval in result.intervals:
-        assert interval in optimal, interval
-    # ...and every optimal *length-delta* window is reported (longer ties
-    # at non-candidate boundaries may legitimately be skipped).
-    for lo, hi in optimal:
-        if hi - lo == delta:
-            assert (lo, hi) in result.intervals, (lo, hi)

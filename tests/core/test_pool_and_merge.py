@@ -6,8 +6,8 @@ Two silent-drop bugs are pinned here:
   query failed and re-raised the bare exception with no hint of *which*
   query died — :func:`run_pool` must cancel the siblings and raise a
   :class:`BatchQueryError` carrying the index and the item;
-* the old ``bfq_parallel`` chunk merge hand-copied ``QueryStats`` fields,
-  so a counter added later was silently dropped from parallel results —
+* an old chunk merge hand-copied ``QueryStats`` fields, so a counter
+  added later was silently dropped from merged results —
   :func:`merge_query_stats` must be driven by ``dataclasses.fields``.
 """
 
@@ -18,7 +18,7 @@ import multiprocessing
 
 import pytest
 
-from repro.core import BurstingFlowQuery, bfq_parallel, find_bursting_flow
+from repro.core import BurstingFlowQuery, find_bursting_flow
 from repro.core._pool import run_pool
 from repro.core.bfq import bfq
 from repro.core.query import IntervalSample, QueryStats, merge_query_stats
@@ -192,34 +192,3 @@ class TestMergeQueryStats:
     def test_merge_of_nothing_is_zero(self):
         merged = merge_query_stats([])
         assert merged == QueryStats()
-
-
-class TestBfqParallelStats:
-    """Parallel BFQ must reproduce sequential stats, not just the answer."""
-
-    def test_parallel_stats_match_sequential(self, burst_network):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("fork start method unavailable")
-        query = BurstingFlowQuery("s", "t", 3)
-        sequential = bfq(burst_network, query)
-        parallel = bfq_parallel(
-            burst_network, query, processes=2, mp_context="fork"
-        )
-        assert parallel.density == sequential.density
-        assert parallel.interval == sequential.interval
-        assert parallel.flow_value == sequential.flow_value
-        # Every counter field agrees (timings are wall-clock, so only the
-        # integer-valued counters are comparable across runs).
-        for spec in dataclasses.fields(QueryStats):
-            if spec.name == "samples" or spec.type == "float":
-                continue
-            assert getattr(parallel.stats, spec.name) == getattr(
-                sequential.stats, spec.name
-            ), spec.name
-        # Samples line up in plan order, modulo their timing fields.
-        assert len(parallel.stats.samples) == len(sequential.stats.samples)
-        for ours, theirs in zip(parallel.stats.samples, sequential.stats.samples):
-            assert ours.interval == theirs.interval
-            assert ours.network_size == theirs.network_size
-            assert ours.mode == theirs.mode
-            assert ours.flow_value == theirs.flow_value

@@ -262,7 +262,9 @@ class TestAlgorithmEquality:
 
 class TestEngineDispatch:
     @pytest.mark.parametrize("algorithm", ["bfq", "bfq+", "bfq*", "naive"])
-    @pytest.mark.parametrize("option", ["kernel", "transform"])
+    @pytest.mark.parametrize(
+        "option", ["kernel", "transform", "parallel_windows"]
+    )
     def test_engine_takes_no_kernel_or_transform(
         self, burst_network, algorithm, option
     ):
@@ -273,31 +275,3 @@ class TestEngineDispatch:
                 algorithm=algorithm,
                 **{option: "object"},
             )
-
-    def test_parallel_windows_rejected_for_incremental(self, burst_network):
-        from repro.exceptions import InvalidQueryError
-
-        with pytest.raises(InvalidQueryError, match="parallel_windows"):
-            find_bursting_flow(
-                burst_network,
-                BurstingFlowQuery("s", "t", 2),
-                algorithm="bfq*",
-                parallel_windows=2,
-            )
-
-    def test_parallel_windows_matches_sequential(self, burst_network):
-        query = BurstingFlowQuery("s", "t", 2)
-        sequential = find_bursting_flow(burst_network, query, algorithm="bfq")
-        parallel = find_bursting_flow(
-            burst_network, query, algorithm="bfq", parallel_windows=2
-        )
-        assert parallel.density == sequential.density
-        assert parallel.interval == sequential.interval
-        assert parallel.flow_value == sequential.flow_value
-        assert (
-            parallel.stats.candidates_enumerated
-            == sequential.stats.candidates_enumerated
-        )
-        assert [s.interval for s in parallel.stats.samples] == [
-            s.interval for s in sequential.stats.samples
-        ]

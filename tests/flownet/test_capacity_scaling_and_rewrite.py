@@ -1,16 +1,10 @@
-"""Tests for capacity-scaling Maxflow and the footnote-2 rewrite."""
+"""Tests for capacity-scaling Maxflow."""
 
 import random
 
 import pytest
 
-from repro.flownet import (
-    FlowNetwork,
-    capacity_scaling,
-    dinic,
-    has_antiparallel_edges,
-    split_antiparallel_edges,
-)
+from repro.flownet import FlowNetwork, capacity_scaling, dinic
 
 
 class TestCapacityScaling:
@@ -69,57 +63,3 @@ class TestCapacityScaling:
         plain = ford_fulkerson(net.clone(), s, t)
         assert scaled.value == pytest.approx(plain.value) == 2 * capacity
         assert scaled.augmenting_paths <= plain.augmenting_paths
-
-
-class TestAntiparallelRewrite:
-    def test_detection(self):
-        net = FlowNetwork()
-        net.add_edge_labeled("a", "b", 1.0)
-        assert not has_antiparallel_edges(net)
-        net.add_edge_labeled("b", "a", 1.0)
-        assert has_antiparallel_edges(net)
-
-    def test_rewrite_removes_antiparallel_pairs(self):
-        net = FlowNetwork()
-        net.add_edge_labeled("s", "t", 5.0)
-        net.add_edge_labeled("t", "s", 3.0)
-        report = split_antiparallel_edges(net)
-        assert report.split_count == 1
-        assert not has_antiparallel_edges(report.rewritten)
-        assert len(report.helper_nodes) == 1
-
-    def test_maxflow_preserved(self):
-        rng = random.Random(5)
-        for _ in range(15):
-            net = FlowNetwork()
-            n = rng.randint(4, 8)
-            for i in range(n):
-                net.add_node(i)
-            for _ in range(rng.randint(6, 24)):
-                u, v = rng.randrange(n), rng.randrange(n)
-                if u != v:
-                    net.add_edge(u, v, float(rng.randint(1, 20)))
-            original = dinic(net.clone(), 0, 1).value
-            report = split_antiparallel_edges(net)
-            rewritten = report.rewritten
-            value = dinic(
-                rewritten, rewritten.index_of(0), rewritten.index_of(1)
-            ).value
-            assert value == pytest.approx(original)
-
-    def test_parallel_same_direction_edges_merged(self):
-        net = FlowNetwork()
-        net.add_edge_labeled("a", "b", 2.0)
-        net.add_edge_labeled("a", "b", 3.0)
-        report = split_antiparallel_edges(net)
-        assert report.rewritten.num_edges == 1
-        ref = next(
-            (tail, arc) for tail, arc in report.rewritten.iter_edges()
-        )
-        assert ref[1].cap == 5.0
-
-    def test_flow_carrying_network_rejected(self, figure2_network):
-        s, t = figure2_network.index_of("s"), figure2_network.index_of("t")
-        dinic(figure2_network, s, t)
-        with pytest.raises(ValueError, match="flow-free"):
-            split_antiparallel_edges(figure2_network)

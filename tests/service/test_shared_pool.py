@@ -9,8 +9,8 @@ The properties that matter operationally:
   the same store and replays the full log;
 * ``close()`` unlinks every segment — no ``/dev/shm`` leaks after any of
   the above;
-* ``shared=False`` (and the batch layer's ``shared=True``) keep the
-  answers byte-identical to the classic pickled-``initargs`` path.
+* ``shared=False`` keeps the answers byte-identical to the classic
+  pickled-``initargs`` path.
 """
 
 import asyncio
@@ -18,7 +18,6 @@ import glob
 
 import pytest
 
-from repro.core.batch import answer_many
 from repro.core.engine import find_bursting_flow
 from repro.core.query import BurstingFlowQuery
 from repro.service.protocol import AppendRequest, QueryRequest
@@ -140,16 +139,3 @@ class TestProcessPoolSharedMemory:
             burst_network, BurstingFlowQuery("s", "t", 2)
         )
         assert answer[0] == pytest.approx(reference.density)
-
-
-class TestBatchSharedMemory:
-    def test_answer_many_shared_matches_sequential(self, burst_network):
-        queries = [BurstingFlowQuery("s", "t", d) for d in (2, 3, 5)]
-        sequential = answer_many(burst_network, queries)
-        shared = answer_many(
-            burst_network, queries, processes=2, mp_context="fork", shared=True
-        )
-        assert [(r.density, r.interval) for r in shared] == [
-            (r.density, r.interval) for r in sequential
-        ]
-        assert not glob.glob("/dev/shm/repro-net-*")

@@ -126,3 +126,28 @@ class TestScan:
         out = capsys.readouterr().out
         assert "scanned" in out
         assert "density" in out
+
+
+class TestMalformedListArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "--source", "s", "--sink", "t", "--deltas", "2,x"],
+            ["profile", "--source", "s", "--sink", "t", "--deltas", "2,0"],
+            ["scan", "--sources", "s", "--sinks", "t",
+             "--delta-fractions", "0.5,x"],
+            ["scan", "--sources", "s", "--sinks", "t",
+             "--delta-fractions", "nan"],
+            ["scan", "--sources", "s", "--sinks", "t", "--top", "0"],
+            ["trail", "--source", "s", "--sink", "t", "--delta", "2",
+             "--top", "-1"],
+            ["trail", "--source", "s", "--sink", "t", "--delta", "2",
+             "--top", "0"],
+        ],
+    )
+    def test_rejected_by_the_parser(self, edges_csv, capsys, argv):
+        command, *options = argv
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(edges_csv), *options])
+        assert excinfo.value.code == 2
+        assert "error: argument" in capsys.readouterr().err
