@@ -557,14 +557,34 @@ class ClusterCoordinator(WireFrontEnd):
     # ------------------------------------------------------------------
     # Queries: affinity route, failover at most once per replica
     # ------------------------------------------------------------------
-    def _stale_fence_reply(self, request_id: str, fence: int) -> ErrorReply:
+    def _fence(
+        self, request: QueryRequest | BatchRequest | TopKRequest | ScanRequest
+    ) -> int | ErrorReply:
+        """The epoch a read must see, or ``stale`` when no replica can.
+
+        Every read is fenced at least at the committed epoch; a client
+        ``min_epoch`` above it demands a state no replica has acked yet.
+        """
+        fence = max(self.committed_epoch, request.min_epoch or 0)
+        if fence > self.committed_epoch:
+            return ErrorReply(
+                request.id,
+                ERROR_STALE,
+                f"cluster committed epoch {self.committed_epoch} is behind "
+                f"required min_epoch {fence}",
+                retry_after_ms=25,
+                epoch=self.committed_epoch,
+            )
+        return fence
+
+    def _shed(self, request_id: str, what: str = "") -> ErrorReply:
+        """Shed a read no live replica can take; ``what`` names the part."""
+        self.counters.shed += 1
         return ErrorReply(
             request_id,
-            ERROR_STALE,
-            f"cluster committed epoch {self.committed_epoch} is behind "
-            f"required min_epoch {fence}",
-            retry_after_ms=25,
-            epoch=self.committed_epoch,
+            ERROR_OVERLOADED,
+            f"no live replica available{what}",
+            retry_after_ms=200,
         )
 
     async def _forward_keyed(
@@ -633,22 +653,15 @@ class ClusterCoordinator(WireFrontEnd):
         return last_error
 
     async def _route_query(self, request: QueryRequest) -> Reply:
-        fence = max(self.committed_epoch, request.min_epoch or 0)
-        if fence > self.committed_epoch:
-            # The client demands a state no replica has acked yet.
-            return self._stale_fence_reply(request.id, fence)
+        fence = self._fence(request)
+        if isinstance(fence, ErrorReply):
+            return fence
         forwarded = replace(request, min_epoch=fence)
         reply = await self._forward_keyed(
             request_payload(forwarded), request.source, request.sink, fence
         )
         if reply is None:
-            self.counters.shed += 1
-            return ErrorReply(
-                request.id,
-                ERROR_OVERLOADED,
-                "no live replica available",
-                retry_after_ms=200,
-            )
+            return self._shed(request.id)
         if isinstance(reply, ErrorReply):
             return replace(reply, id=request.id)
         return reply
@@ -668,9 +681,9 @@ class ClusterCoordinator(WireFrontEnd):
         concurrently on their distinct owners.
         """
         started = time.perf_counter()
-        fence = max(self.committed_epoch, request.min_epoch or 0)
-        if fence > self.committed_epoch:
-            return self._stale_fence_reply(request.id, fence)
+        fence = self._fence(request)
+        if isinstance(fence, ErrorReply):
+            return fence
         groups: dict[tuple[Any, Any], list[int]] = {}
         for index, (source, sink, _delta) in enumerate(request.queries):
             groups.setdefault((source, sink), []).append(index)
@@ -696,13 +709,7 @@ class ClusterCoordinator(WireFrontEnd):
         epoch: int | None = None
         for (key, indices), reply in zip(groups.items(), replies):
             if reply is None:
-                self.counters.shed += 1
-                return ErrorReply(
-                    request.id,
-                    ERROR_OVERLOADED,
-                    f"no live replica available for group {key!r}",
-                    retry_after_ms=200,
-                )
+                return self._shed(request.id, f" for group {key!r}")
             if isinstance(reply, ErrorReply):
                 return replace(reply, id=request.id)
             assert isinstance(reply, BatchReply), reply
@@ -736,9 +743,9 @@ class ClusterCoordinator(WireFrontEnd):
         byte-identical to a single node ranking every pair.
         """
         started = time.perf_counter()
-        fence = max(self.committed_epoch, request.min_epoch or 0)
-        if fence > self.committed_epoch:
-            return self._stale_fence_reply(request.id, fence)
+        fence = self._fence(request)
+        if isinstance(fence, ErrorReply):
+            return fence
         positions: dict[tuple[Any, Any], int] = {}
         for pair in request.pairs:
             positions.setdefault(tuple(pair), len(positions))
@@ -752,13 +759,7 @@ class ClusterCoordinator(WireFrontEnd):
             owner = self.router.affinity(pair[0], pair[1], eligible)
             by_owner.setdefault(owner, []).append(pair)
         if None in by_owner:
-            self.counters.shed += 1
-            return ErrorReply(
-                request.id,
-                ERROR_OVERLOADED,
-                "no live replica available",
-                retry_after_ms=200,
-            )
+            return self._shed(request.id)
 
         async def solve_shard(pairs: list[tuple[Any, Any]]) -> Reply | None:
             sub = TopKRequest(
@@ -782,13 +783,7 @@ class ClusterCoordinator(WireFrontEnd):
         epoch: int | None = None
         for pairs, reply in zip(shards, replies):
             if reply is None:
-                self.counters.shed += 1
-                return ErrorReply(
-                    request.id,
-                    ERROR_OVERLOADED,
-                    f"no live replica available for pairs {pairs!r}",
-                    retry_after_ms=200,
-                )
+                return self._shed(request.id, f" for pairs {pairs!r}")
             if isinstance(reply, ErrorReply):
                 return replace(reply, id=request.id)
             assert isinstance(reply, TopKReply), reply
@@ -832,9 +827,9 @@ class ClusterCoordinator(WireFrontEnd):
                 "mining is not enabled on this coordinator "
                 "(start it with patterns_dir)",
             )
-        fence = max(self.committed_epoch, request.min_epoch or 0)
-        if fence > self.committed_epoch:
-            return self._stale_fence_reply(request.id, fence)
+        fence = self._fence(request)
+        if isinstance(fence, ErrorReply):
+            return fence
         top = request.top if request.top is not None else 8
         min_volume = request.min_volume or 0.0
         intensity_index: dict[Any, NodeIntensity] = {}

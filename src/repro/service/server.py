@@ -28,10 +28,9 @@ from __future__ import annotations
 import asyncio
 import time
 from contextlib import asynccontextmanager
-from typing import Any, AsyncIterator
+from typing import Any, AsyncIterator, Awaitable, Callable, TypeVar
 
 from repro.core.engine import DEFAULT_ALGORITHM, get_algorithm
-from repro.core.planner import BurstEntry
 from repro.core.query import BurstingFlowQuery
 from repro.exceptions import ReproError
 from repro.service.admission import AdmissionController
@@ -71,10 +70,17 @@ from repro.service.protocol import (
     TopKReply,
     TopKRequest,
 )
-from repro.mining.pipeline import MiningPipeline
-from repro.service.workers import InlineEngine, ProcessEnginePool
+from repro.mining.pipeline import MiningPipeline, ScanOutcome
+from repro.service.workers import (
+    InlineEngine,
+    ProcessEnginePool,
+    RawAnswer,
+    RawBatch,
+)
 from repro.temporal.edge import TemporalEdge
 from repro.temporal.network import TemporalFlowNetwork
+
+_T = TypeVar("_T")
 
 
 class _ReadWriteLock:
@@ -171,9 +177,7 @@ class BurstingFlowService(WireFrontEnd):
         )
         self._lock = _ReadWriteLock()
         if processes is None or processes == 1:
-            self.engine: InlineEngine | ProcessEnginePool = InlineEngine(
-                network, threads=2
-            )
+            self.engine: InlineEngine | ProcessEnginePool = InlineEngine(network)
         else:
             self.engine = ProcessEnginePool(
                 network,
@@ -282,15 +286,17 @@ class BurstingFlowService(WireFrontEnd):
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
-    async def _handle_query(self, request: QueryRequest) -> Reply:
-        started = time.perf_counter()
-        algorithm = (request.algorithm or self.algorithm).lower()
-        try:
-            get_algorithm(algorithm)
-            query = BurstingFlowQuery(request.source, request.sink, request.delta)
-        except ReproError as exc:
-            return ErrorReply(request.id, ERROR_INVALID, str(exc))
+    async def _admitted_read(
+        self,
+        request: QueryRequest | BatchRequest | TopKRequest | ScanRequest,
+        body: Callable[[int, float], Awaitable[Reply]],
+    ) -> Reply:
+        """Run one read op's ``body(epoch, deadline)`` on an admitted slot.
 
+        Sheds with ``overloaded`` when admission is full; otherwise holds
+        the reader lock (so the epoch is stable for the whole body) and
+        refuses with ``stale`` below the request's ``min_epoch``.
+        """
         try:
             self.admission.admit()
         except OverloadedError as exc:
@@ -316,70 +322,83 @@ class BurstingFlowService(WireFrontEnd):
                         retry_after_ms=25,
                         epoch=epoch,
                     )
-                key = (
-                    epoch, request.source, request.sink, request.delta, algorithm
-                )
-                answer = self.cache.get(key)
-                if answer is not None:
-                    density, interval, flow_value = answer
-                    elapsed = time.perf_counter() - started
-                    self.metrics.observe_hit(elapsed)
-                    return QueryReply(
-                        id=request.id,
-                        density=density,
-                        interval=interval,
-                        flow_value=flow_value,
-                        cached=True,
-                        epoch=epoch,
-                        elapsed_ms=elapsed * 1000.0,
-                    )
-                self.metrics.observe_miss()
-                try:
-                    query.validate_against(self.network)
-                    remaining = self.admission.remaining(deadline)
-                    answer = await asyncio.wait_for(
-                        self.engine.answer(
-                            request.source,
-                            request.sink,
-                            request.delta,
-                            algorithm,
-                        ),
-                        timeout=remaining,
-                    )
-                except (asyncio.TimeoutError, DeadlineExceededError):
-                    return ErrorReply(
-                        request.id, ERROR_TIMEOUT, "request deadline exceeded"
-                    )
-                except ReproError as exc:
-                    return ErrorReply(request.id, ERROR_INVALID, str(exc))
-                except Exception as exc:  # noqa: BLE001 - report, don't crash
-                    return ErrorReply(
-                        request.id,
-                        ERROR_INTERNAL,
-                        f"{type(exc).__name__}: {exc}",
-                    )
-                # Engines return (density, interval, flow_value) plus an
-                # optional trailing phase-seconds dict; unpack defensively
-                # so a custom engine backend without phases still works.
-                density, interval, flow_value = answer[:3]
-                phases = answer[3] if len(answer) > 3 else None
-                self.cache.put(key, (density, interval, flow_value))
-                solve_elapsed = time.perf_counter() - started
-                self.metrics.observe_solve(algorithm, solve_elapsed)
-                if phases:
-                    self.metrics.observe_phases(algorithm, phases)
-                return QueryReply(
-                    id=request.id,
-                    density=density,
-                    interval=interval,
-                    flow_value=flow_value,
-                    cached=False,
-                    epoch=epoch,
-                    elapsed_ms=solve_elapsed * 1000.0,
-                )
+                return await body(epoch, deadline)
         finally:
             self.admission.release()
             self.metrics.set_queue_depth(self.admission.inflight)
+
+    async def _solve(
+        self,
+        request_id: str,
+        deadline: float,
+        solve: Callable[[], Awaitable[_T]],
+    ) -> _T | ErrorReply:
+        """Await ``solve()`` within ``deadline``; failures become typed replies.
+
+        ``asyncio.timeout`` rather than ``wait_for``: on 3.11 ``wait_for``
+        swallows a cancellation that races the solve's completion, so a
+        cancelled request would still return a reply.
+        """
+        try:
+            async with asyncio.timeout(self.admission.remaining(deadline)):
+                return await solve()
+        except (TimeoutError, DeadlineExceededError):
+            return ErrorReply(request_id, ERROR_TIMEOUT, "request deadline exceeded")
+        except ReproError as exc:
+            return ErrorReply(request_id, ERROR_INVALID, str(exc))
+        except Exception as exc:  # noqa: BLE001 - report, don't crash
+            return ErrorReply(
+                request_id, ERROR_INTERNAL, f"{type(exc).__name__}: {exc}"
+            )
+
+    async def _handle_query(self, request: QueryRequest) -> Reply:
+        started = time.perf_counter()
+        algorithm = (request.algorithm or self.algorithm).lower()
+        try:
+            get_algorithm(algorithm)
+            query = BurstingFlowQuery(request.source, request.sink, request.delta)
+        except ReproError as exc:
+            return ErrorReply(request.id, ERROR_INVALID, str(exc))
+
+        async def solve() -> RawAnswer:
+            query.validate_against(self.network)
+            return await self.engine.answer(
+                request.source, request.sink, request.delta, algorithm
+            )
+
+        async def body(epoch: int, deadline: float) -> Reply:
+            key = (epoch, request.source, request.sink, request.delta, algorithm)
+            answer = self.cache.get(key)
+            cached = answer is not None
+            if cached:
+                elapsed = time.perf_counter() - started
+                self.metrics.observe_hit(elapsed)
+            else:
+                self.metrics.observe_miss()
+                raw = await self._solve(request.id, deadline, solve)
+                if isinstance(raw, ErrorReply):
+                    return raw
+                # Engines return (density, interval, flow_value) plus an
+                # optional trailing phase-seconds dict; unpack defensively
+                # so a custom engine backend without phases still works.
+                answer = tuple(raw[:3])
+                self.cache.put(key, answer)
+                elapsed = time.perf_counter() - started
+                self.metrics.observe_solve(algorithm, elapsed)
+                if len(raw) > 3 and raw[3]:
+                    self.metrics.observe_phases(algorithm, raw[3])
+            density, interval, flow_value = answer
+            return QueryReply(
+                id=request.id,
+                density=density,
+                interval=interval,
+                flow_value=flow_value,
+                cached=cached,
+                epoch=epoch,
+                elapsed_ms=elapsed * 1000.0,
+            )
+
+        return await self._admitted_read(request, body)
 
     def _batch_key(
         self, epoch: int, source: Any, sink: Any, delta: int, plan: str
@@ -415,181 +434,99 @@ class BurstingFlowService(WireFrontEnd):
                 f"got {request.plan!r}",
             )
 
-        try:
-            self.admission.admit()
-        except OverloadedError as exc:
-            return ErrorReply(
-                request.id,
-                ERROR_OVERLOADED,
-                str(exc),
-                retry_after_ms=exc.retry_after_ms,
-            )
-        self.metrics.set_queue_depth(self.admission.inflight)
-        try:
-            deadline = self.admission.deadline_for(request.timeout)
-            async with self._lock.read():
-                epoch = self.network.epoch
-                if request.min_epoch is not None and epoch < request.min_epoch:
-                    return ErrorReply(
-                        request.id,
-                        ERROR_STALE,
-                        f"epoch {epoch} is behind required "
-                        f"min_epoch {request.min_epoch}",
-                        retry_after_ms=25,
-                        epoch=epoch,
+        async def body(epoch: int, deadline: float) -> Reply:
+            keys = [
+                self._batch_key(epoch, q.source, q.sink, q.delta, request.plan)
+                for q in queries
+            ]
+            answers: list[tuple | None] = [self.cache.get(key) for key in keys]
+            cached_flags = [answer is not None for answer in answers]
+            misses = [i for i, hit in enumerate(cached_flags) if not hit]
+            planner: dict[str, Any] = {}
+            if misses:
+                self.metrics.observe_miss()
+
+                async def solve() -> RawBatch:
+                    for index in misses:
+                        queries[index].validate_against(self.network)
+                    # Solving only the cache misses through the planner is
+                    # sound: every answer is canonical per query, so a
+                    # partial batch agrees with the full one.
+                    return await self.engine.answer_batch(
+                        tuple(
+                            (queries[i].source, queries[i].sink, queries[i].delta)
+                            for i in misses
+                        ),
+                        request.plan,
                     )
-                keys = [
-                    self._batch_key(epoch, q.source, q.sink, q.delta, request.plan)
-                    for q in queries
-                ]
-                answers: list[tuple | None] = [self.cache.get(key) for key in keys]
-                cached_flags = [answer is not None for answer in answers]
-                misses = [i for i, hit in enumerate(cached_flags) if not hit]
-                planner: dict[str, Any] = {}
-                if misses:
-                    self.metrics.observe_miss()
-                    try:
-                        for index in misses:
-                            queries[index].validate_against(self.network)
-                        remaining = self.admission.remaining(deadline)
-                        # Solving only the cache misses through the planner
-                        # is sound: every answer is canonical per query, so
-                        # a partial batch agrees with the full one.
-                        raw, planner = await asyncio.wait_for(
-                            self.engine.answer_batch(
-                                tuple(
-                                    (
-                                        queries[i].source,
-                                        queries[i].sink,
-                                        queries[i].delta,
-                                    )
-                                    for i in misses
-                                ),
-                                request.plan,
-                            ),
-                            timeout=remaining,
-                        )
-                    except (asyncio.TimeoutError, DeadlineExceededError):
-                        return ErrorReply(
-                            request.id, ERROR_TIMEOUT, "request deadline exceeded"
-                        )
-                    except ReproError as exc:
-                        return ErrorReply(request.id, ERROR_INVALID, str(exc))
-                    except Exception as exc:  # noqa: BLE001 - report, don't crash
-                        return ErrorReply(
-                            request.id,
-                            ERROR_INTERNAL,
-                            f"{type(exc).__name__}: {exc}",
-                        )
-                    for position, index in enumerate(misses):
-                        answers[index] = raw[position]
-                        self.cache.put(keys[index], raw[position])
-                    elapsed = time.perf_counter() - started
-                    label = "planner" if request.plan == "shared" else self.algorithm
-                    self.metrics.observe_solve(label, elapsed)
-                else:
-                    elapsed = time.perf_counter() - started
-                    self.metrics.observe_hit(elapsed)
-                planner = dict(planner)
-                planner["cache_hits"] = len(queries) - len(misses)
-                planner["cache_misses"] = len(misses)
-                return BatchReply(
-                    id=request.id,
-                    results=tuple(
-                        BatchAnswer(
-                            density=answer[0],
-                            interval=answer[1],
-                            flow_value=answer[2],
-                            cached=hit,
-                        )
-                        for answer, hit in zip(answers, cached_flags)
-                    ),
-                    epoch=epoch,
-                    elapsed_ms=(time.perf_counter() - started) * 1000.0,
-                    planner=planner,
-                )
-        finally:
-            self.admission.release()
-            self.metrics.set_queue_depth(self.admission.inflight)
+
+                solved = await self._solve(request.id, deadline, solve)
+                if isinstance(solved, ErrorReply):
+                    return solved
+                raw, planner = solved
+                for position, index in enumerate(misses):
+                    answers[index] = raw[position]
+                    self.cache.put(keys[index], raw[position])
+                elapsed = time.perf_counter() - started
+                label = "planner" if request.plan == "shared" else self.algorithm
+                self.metrics.observe_solve(label, elapsed)
+            else:
+                elapsed = time.perf_counter() - started
+                self.metrics.observe_hit(elapsed)
+            planner = dict(planner)
+            planner["cache_hits"] = len(queries) - len(misses)
+            planner["cache_misses"] = len(misses)
+            return BatchReply(
+                id=request.id,
+                results=tuple(
+                    BatchAnswer(
+                        density=answer[0],
+                        interval=answer[1],
+                        flow_value=answer[2],
+                        cached=hit,
+                    )
+                    for answer, hit in zip(answers, cached_flags)
+                ),
+                epoch=epoch,
+                elapsed_ms=(time.perf_counter() - started) * 1000.0,
+                planner=planner,
+            )
+
+        return await self._admitted_read(request, body)
 
     async def _handle_topk(self, request: TopKRequest) -> Reply:
         started = time.perf_counter()
-        try:
-            self.admission.admit()
-        except OverloadedError as exc:
-            return ErrorReply(
-                request.id,
-                ERROR_OVERLOADED,
-                str(exc),
-                retry_after_ms=exc.retry_after_ms,
-            )
-        self.metrics.set_queue_depth(self.admission.inflight)
-        try:
-            deadline = self.admission.deadline_for(request.timeout)
-            async with self._lock.read():
-                epoch = self.network.epoch
-                if request.min_epoch is not None and epoch < request.min_epoch:
-                    return ErrorReply(
-                        request.id,
-                        ERROR_STALE,
-                        f"epoch {epoch} is behind required "
-                        f"min_epoch {request.min_epoch}",
-                        retry_after_ms=25,
-                        epoch=epoch,
-                    )
-                # The ranking depends on the whole pair list (dedup order
-                # included), so the reply is cached as one unit.
-                key = (epoch, "topk", request.pairs, request.delta, request.k)
-                raw = self.cache.get(key)
-                cached = raw is not None
-                if cached:
-                    self.metrics.observe_hit(time.perf_counter() - started)
-                else:
-                    self.metrics.observe_miss()
-                    try:
-                        remaining = self.admission.remaining(deadline)
-                        raw = await asyncio.wait_for(
-                            self.engine.answer_topk(
-                                request.pairs, request.delta, request.k
-                            ),
-                            timeout=remaining,
-                        )
-                    except (asyncio.TimeoutError, DeadlineExceededError):
-                        return ErrorReply(
-                            request.id, ERROR_TIMEOUT, "request deadline exceeded"
-                        )
-                    except ReproError as exc:
-                        return ErrorReply(request.id, ERROR_INVALID, str(exc))
-                    except Exception as exc:  # noqa: BLE001 - report, don't crash
-                        return ErrorReply(
-                            request.id,
-                            ERROR_INTERNAL,
-                            f"{type(exc).__name__}: {exc}",
-                        )
-                    self.cache.put(key, raw)
-                    self.metrics.observe_solve(
-                        "planner", time.perf_counter() - started
-                    )
-                return TopKReply(
-                    id=request.id,
-                    entries=tuple(
-                        BurstEntry(
-                            source=entry[0],
-                            sink=entry[1],
-                            delta=entry[2],
-                            density=entry[3],
-                            interval=tuple(entry[4]),
-                            flow_value=entry[5],
-                        )
-                        for entry in raw
+
+        async def body(epoch: int, deadline: float) -> Reply:
+            # The ranking depends on the whole pair list (dedup order
+            # included), so the reply is cached as one unit.
+            key = (epoch, "topk", request.pairs, request.delta, request.k)
+            entries = self.cache.get(key)
+            cached = entries is not None
+            if cached:
+                self.metrics.observe_hit(time.perf_counter() - started)
+            else:
+                self.metrics.observe_miss()
+                entries = await self._solve(
+                    request.id,
+                    deadline,
+                    lambda: self.engine.answer_topk(
+                        request.pairs, request.delta, request.k
                     ),
-                    epoch=epoch,
-                    elapsed_ms=(time.perf_counter() - started) * 1000.0,
-                    cached=cached,
                 )
-        finally:
-            self.admission.release()
-            self.metrics.set_queue_depth(self.admission.inflight)
+                if isinstance(entries, ErrorReply):
+                    return entries
+                self.cache.put(key, entries)
+                self.metrics.observe_solve("planner", time.perf_counter() - started)
+            return TopKReply(
+                id=request.id,
+                entries=entries,
+                epoch=epoch,
+                elapsed_ms=(time.perf_counter() - started) * 1000.0,
+                cached=cached,
+            )
+
+        return await self._admitted_read(request, body)
 
     async def _handle_append(self, request: AppendRequest) -> Reply:
         applied: list[TemporalEdge] = []
@@ -630,84 +567,47 @@ class BurstingFlowService(WireFrontEnd):
 
     async def _handle_scan(self, request: ScanRequest) -> Reply:
         started = time.perf_counter()
-        if self.mining is None:
+        mining = self.mining
+        if mining is None:
             return ErrorReply(
                 request.id,
                 ERROR_INVALID,
                 "mining is not enabled on this server "
                 "(start it with a pattern store)",
             )
-        try:
-            self.admission.admit()
-        except OverloadedError as exc:
-            return ErrorReply(
-                request.id,
-                ERROR_OVERLOADED,
-                str(exc),
-                retry_after_ms=exc.retry_after_ms,
+
+        def scan() -> ScanOutcome:
+            return mining.scan(
+                request.delta,
+                pairs=request.pairs,
+                persist=request.persist,
+                top=request.top,
+                min_volume=request.min_volume,
             )
-        self.metrics.set_queue_depth(self.admission.inflight)
-        try:
-            deadline = self.admission.deadline_for(request.timeout)
-            async with self._lock.read():
-                epoch = self.network.epoch
-                if request.min_epoch is not None and epoch < request.min_epoch:
-                    return ErrorReply(
-                        request.id,
-                        ERROR_STALE,
-                        f"epoch {epoch} is behind required "
-                        f"min_epoch {request.min_epoch}",
-                        retry_after_ms=25,
-                        epoch=epoch,
-                    )
-                # A scan has durable side effects (it persists patterns),
-                # so it is never cached and scans are serialized among
-                # themselves: concurrent scans would race on the shared
-                # streaming statistics.
-                mining = self.mining
-                loop = asyncio.get_running_loop()
-                async with self._scan_lock:
-                    try:
-                        remaining = self.admission.remaining(deadline)
-                        outcome = await asyncio.wait_for(
-                            loop.run_in_executor(
-                                None,
-                                lambda: mining.scan(
-                                    request.delta,
-                                    pairs=request.pairs,
-                                    persist=request.persist,
-                                    top=request.top,
-                                    min_volume=request.min_volume,
-                                ),
-                            ),
-                            timeout=remaining,
-                        )
-                    except (asyncio.TimeoutError, DeadlineExceededError):
-                        return ErrorReply(
-                            request.id, ERROR_TIMEOUT, "request deadline exceeded"
-                        )
-                    except ReproError as exc:
-                        return ErrorReply(request.id, ERROR_INVALID, str(exc))
-                    except Exception as exc:  # noqa: BLE001 - report, don't crash
-                        return ErrorReply(
-                            request.id,
-                            ERROR_INTERNAL,
-                            f"{type(exc).__name__}: {exc}",
-                        )
-                self.metrics.observe_solve(
-                    "mining", time.perf_counter() - started
+
+        async def body(epoch: int, deadline: float) -> Reply:
+            # A scan has durable side effects (it persists patterns), so it
+            # is never cached and scans are serialized among themselves:
+            # concurrent scans would race on the shared streaming
+            # statistics.
+            loop = asyncio.get_running_loop()
+            async with self._scan_lock:
+                outcome = await self._solve(
+                    request.id, deadline, lambda: loop.run_in_executor(None, scan)
                 )
-                return ScanReply(
-                    id=request.id,
-                    new_ids=tuple(outcome.new_ids),
-                    deduped=outcome.deduped,
-                    funnel=outcome.funnel.as_dict(),
-                    epoch=outcome.epoch,
-                    elapsed_ms=(time.perf_counter() - started) * 1000.0,
-                )
-        finally:
-            self.admission.release()
-            self.metrics.set_queue_depth(self.admission.inflight)
+            if isinstance(outcome, ErrorReply):
+                return outcome
+            self.metrics.observe_solve("mining", time.perf_counter() - started)
+            return ScanReply(
+                id=request.id,
+                new_ids=tuple(outcome.new_ids),
+                deduped=outcome.deduped,
+                funnel=outcome.funnel.as_dict(),
+                epoch=outcome.epoch,
+                elapsed_ms=(time.perf_counter() - started) * 1000.0,
+            )
+
+        return await self._admitted_read(request, body)
 
     async def _handle_patterns(self, request: PatternsRequest) -> Reply:
         if self.mining is None:

@@ -1,8 +1,17 @@
 """Engine execution backends for the query service.
 
-Two interchangeable backends answer ``(s, t, delta)`` queries for the
-server; both expose the same ``await answer(...)`` coroutine returning
-the raw ``(density, interval, flow_value)`` triple:
+Two interchangeable backends answer the server's reads; both expose the
+same three coroutines and return the same raw shapes:
+
+* ``await answer(s, t, delta, algorithm)`` — :data:`RawAnswer`, the
+  ``(density, interval, flow_value, phase_seconds)`` of one engine solve;
+* ``await answer_batch(queries, plan)`` — :data:`RawBatch`, one
+  ``(density, interval, flow_value)`` triple per query plus the planner
+  report;
+* ``await answer_topk(pairs, delta, k)`` — :data:`RawTopK`, the
+  planner's :class:`~repro.core.planner.BurstEntry` tuple, densest first.
+
+The backends:
 
 * :class:`ProcessEnginePool` — a :class:`~concurrent.futures.
   ProcessPoolExecutor` with an explicit ``mp_context``.  By default the
@@ -37,7 +46,7 @@ from typing import Callable, Sequence
 
 from repro.core.batch import answer_many
 from repro.core.engine import find_bursting_flow
-from repro.core.planner import answer_planned, top_k_bursts
+from repro.core.planner import BurstEntry, answer_planned, top_k_bursts
 from repro.core.query import BurstingFlowQuery
 from repro.temporal.edge import NodeId, TemporalEdge, Timestamp
 from repro.temporal.network import TemporalFlowNetwork
@@ -58,9 +67,32 @@ RawBatch = tuple[
     dict[str, object],
 ]
 
-#: A raw top-k answer: (source, sink, delta, density, interval, flow_value)
+#: A raw top-k answer: the planner's :class:`~repro.core.planner.BurstEntry`
 #: per surviving burst, densest first.
-RawTopK = "list[tuple[NodeId, NodeId, int, float, tuple[Timestamp, Timestamp], float]]"
+RawTopK = tuple[BurstEntry, ...]
+
+#: Worker threads of an :class:`InlineEngine`.
+INLINE_THREADS = 2
+
+
+def _solve_inline(
+    network: TemporalFlowNetwork,
+    source: NodeId,
+    sink: NodeId,
+    delta: int,
+    algorithm: str,
+) -> RawAnswer:
+    result = find_bursting_flow(
+        network,
+        BurstingFlowQuery(source, sink, delta),
+        algorithm=algorithm,
+    )
+    return (
+        result.density,
+        result.interval,
+        result.flow_value,
+        result.stats.phase_seconds(),
+    )
 
 
 def _solve_batch_on(
@@ -94,11 +126,8 @@ def _solve_topk_on(
     delta: int,
     k: int,
 ) -> RawTopK:
-    entries = top_k_bursts(network, pairs, delta, k=k)
-    return [
-        (e.source, e.sink, e.delta, e.density, e.interval, e.flow_value)
-        for e in entries
-    ]
+    return tuple(top_k_bursts(network, pairs, delta, k=k))
+
 
 # Per-worker state, installed by _init_service_worker (classic mode) or
 # _init_shared_worker (shared-memory mode) in each pool process
@@ -151,17 +180,7 @@ def _solve_one(
     """Worker task: one full engine solve on the installed network."""
     assert _WORKER_NETWORK is not None, "worker started outside the service"
     _catch_up()
-    result = find_bursting_flow(
-        _WORKER_NETWORK,
-        BurstingFlowQuery(source, sink, delta),
-        algorithm=algorithm,
-    )
-    return (
-        result.density,
-        result.interval,
-        result.flow_value,
-        result.stats.phase_seconds(),
-    )
+    return _solve_inline(_WORKER_NETWORK, source, sink, delta, algorithm)
 
 
 def _solve_batch(
@@ -364,20 +383,11 @@ class InlineEngine:
     indexes after each append — so concurrent solves only ever *read*.
     """
 
-    def __init__(
-        self,
-        network: TemporalFlowNetwork,
-        *,
-        threads: int = 2,
-        on_restart: Callable[[], None] | None = None,
-    ) -> None:
-        if threads < 1:
-            raise ValueError(f"threads must be >= 1, got {threads}")
+    def __init__(self, network: TemporalFlowNetwork) -> None:
         self._network = network
         self._pool = ThreadPoolExecutor(
-            max_workers=threads, thread_name_prefix="repro-service"
+            max_workers=INLINE_THREADS, thread_name_prefix="repro-service"
         )
-        self.restarts = 0
 
     async def answer(
         self,
@@ -424,23 +434,3 @@ class InlineEngine:
     def close(self) -> None:
         """Shut the thread pool down."""
         self._pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _solve_inline(
-    network: TemporalFlowNetwork,
-    source: NodeId,
-    sink: NodeId,
-    delta: int,
-    algorithm: str,
-) -> RawAnswer:
-    result = find_bursting_flow(
-        network,
-        BurstingFlowQuery(source, sink, delta),
-        algorithm=algorithm,
-    )
-    return (
-        result.density,
-        result.interval,
-        result.flow_value,
-        result.stats.phase_seconds(),
-    )
