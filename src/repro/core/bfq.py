@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import time
 
-from repro.core.incremental import IncrementalTransformedNetwork
 from repro.core.intervals import enumerate_candidates
 from repro.core.query import (
     BurstingFlowQuery,
@@ -34,6 +33,7 @@ from repro.core.query import (
 )
 from repro.core.record import BestRecord
 from repro.core.skeleton import WindowSkeleton
+from repro.core.sweep import solve_fresh
 from repro.core.transform import assemble
 from repro.flownet.algorithms.registry import get_solver
 from repro.temporal.network import TemporalFlowNetwork
@@ -58,26 +58,19 @@ def bfq(
     stats = QueryStats()
     source, sink = query.source, query.sink
     plan = enumerate_candidates(network, source, sink, query.delta)
-    use_arena = solver == "dinic"
     best = BestRecord()
     skeleton: WindowSkeleton | None = None
     for tau_s, tau_e in plan.intervals():
         stats.candidates_enumerated += 1
-        t0 = time.perf_counter()
         if skeleton is None:
-            # Lazy compile: charged to the first window's transform
-            # time (it replaces that window's reachability sweep).
+            t0 = time.perf_counter()
             skeleton = WindowSkeleton(network, source, sink)
-        if use_arena:
-            state = IncrementalTransformedNetwork(
-                network, source, sink, tau_s, tau_e, skeleton=skeleton
-            )
-            t1 = time.perf_counter()
-            run = state.run_maxflow()
-            t2 = time.perf_counter()
-            size = state.num_nodes
+            stats.transform_seconds += time.perf_counter() - t0
+        if solver == "dinic":
+            _, value = solve_fresh(skeleton, tau_s, tau_e, stats)
         else:
             # The byte-identical object graph of build_transformed_network.
+            t0 = time.perf_counter()
             transformed = assemble(
                 network, source, sink, tau_s, tau_e,
                 skeleton.included_between(tau_s, tau_s, tau_e),
@@ -89,20 +82,20 @@ def bfq(
                 transformed.sink_index,
             )
             t2 = time.perf_counter()
-            size = transformed.num_nodes
-        stats.maxflow_runs += 1
-        stats.augmenting_paths += run.augmenting_paths
-        stats.record_sample(
-            IntervalSample(
-                interval=(tau_s, tau_e),
-                network_size=size,
-                mode="dinic",
-                maxflow_seconds=t2 - t1,
-                transform_seconds=t1 - t0,
-                flow_value=run.value,
+            stats.maxflow_runs += 1
+            stats.augmenting_paths += run.augmenting_paths
+            stats.record_sample(
+                IntervalSample(
+                    interval=(tau_s, tau_e),
+                    network_size=transformed.num_nodes,
+                    mode="dinic",
+                    maxflow_seconds=t2 - t1,
+                    transform_seconds=t1 - t0,
+                    flow_value=run.value,
+                )
             )
-        )
-        best.offer(run.value, tau_s, tau_e)
+            value = run.value
+        best.offer(value, tau_s, tau_e)
 
     return BurstingFlowResult(
         density=best.density,

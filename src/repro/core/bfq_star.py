@@ -15,6 +15,9 @@ current ``tau_s`` by:
 
 The snapshot then becomes the running state for the ``tau_s'`` iteration,
 and the insertion sweep for the current ``tau_s`` continues unchanged.
+Both sweeps step through :func:`~repro.core.sweep.insertion_step`, the
+step BFQ+ drives, and every window is solved through
+:func:`~repro.core.sweep.solve`.
 
 As in BFQ+, one :class:`~repro.core.skeleton.WindowSkeleton` is compiled
 per query, shared by the running state and every snapshot it spawns —
@@ -29,14 +32,10 @@ import time
 from repro.core.bfq_plus import _evaluate_corner
 from repro.core.incremental import IncrementalTransformedNetwork
 from repro.core.intervals import CandidatePlan, enumerate_candidates
-from repro.core.query import (
-    BurstingFlowQuery,
-    BurstingFlowResult,
-    IntervalSample,
-    QueryStats,
-)
-from repro.core.record import BestRecord, should_prune
+from repro.core.query import BurstingFlowQuery, BurstingFlowResult, QueryStats
+from repro.core.record import BestRecord
 from repro.core.skeleton import WindowSkeleton
+from repro.core.sweep import insertion_step, solve, solve_fresh
 from repro.temporal.edge import Timestamp
 from repro.temporal.network import TemporalFlowNetwork
 
@@ -67,15 +66,7 @@ def bfq_star(
         stats.transform_seconds += time.perf_counter() - t0
 
     if plan.starts:
-        _zigzag(
-            network,
-            query,
-            plan,
-            best,
-            stats,
-            use_pruning=use_pruning,
-            skeleton=skeleton,
-        )
+        _zigzag(plan, best, stats, use_pruning=use_pruning, skeleton=skeleton)
     _evaluate_corner(plan, best, stats, skeleton=skeleton)
 
     return BurstingFlowResult(
@@ -87,8 +78,6 @@ def bfq_star(
 
 
 def _zigzag(
-    network: TemporalFlowNetwork,
-    query: BurstingFlowQuery,
     plan: CandidatePlan,
     best: BestRecord,
     stats: QueryStats,
@@ -99,15 +88,9 @@ def _zigzag(
     """The Figure 5(c) evaluation pattern over all starting timestamps."""
     delta = plan.delta
     first_start = plan.starts[0]
-    state = _fresh_minimal_state(
-        network,
-        query,
-        first_start,
-        delta,
-        best,
-        stats,
-        skeleton=skeleton,
-    )
+    stats.candidates_enumerated += 1
+    state, value = solve_fresh(skeleton, first_start, first_start + delta, stats)
+    best.offer(value, first_start, first_start + delta)
 
     for position, tau_s in enumerate(plan.starts):
         next_start = (
@@ -115,8 +98,7 @@ def _zigzag(
         )
         successor: IncrementalTransformedNetwork | None = None
 
-        flow_value = state.flow_value()
-        pending_sink_capacity = 0.0
+        value, pending = state.flow_value(), 0.0
         for tau_e_next in plan.endings_for(tau_s):
             if (
                 next_start is not None
@@ -126,51 +108,10 @@ def _zigzag(
                 successor = _branch_for_next_start(
                     state, next_start, delta, best, stats
                 )
-            stats.candidates_enumerated += 1
-            t0 = time.perf_counter()
-            pending_sink_capacity += network.sink_capacity_in_window(
-                query.sink, state.tau_e + 1, tau_e_next
+            value, pending = insertion_step(
+                state, tau_e_next, value, pending, best, stats,
+                use_pruning=use_pruning,
             )
-            tp = time.perf_counter()
-            state.extend_end(tau_e_next)
-            t1 = time.perf_counter()
-            stats.prune_seconds += tp - t0
-            stats.incremental_insertions += 1
-
-            upper_bound = flow_value + pending_sink_capacity
-            if use_pruning and should_prune(
-                upper_bound, best.density, tau_e_next - tau_s
-            ):
-                stats.pruned_intervals += 1
-                stats.record_sample(
-                    IntervalSample(
-                        interval=(tau_s, tau_e_next),
-                        network_size=state.num_nodes,
-                        mode="pruned",
-                        maxflow_seconds=0.0,
-                        transform_seconds=t1 - tp,
-                        flow_value=flow_value,
-                    )
-                )
-                continue
-            run = state.run_maxflow(value_bound=pending_sink_capacity)
-            t2 = time.perf_counter()
-            stats.maxflow_runs += 1
-            stats.note_kernel(run.kernel, t2 - t1)
-            stats.augmenting_paths += run.augmenting_paths
-            flow_value = state.flow_value()
-            pending_sink_capacity = 0.0
-            stats.record_sample(
-                IntervalSample(
-                    interval=(tau_s, tau_e_next),
-                    network_size=state.num_nodes,
-                    mode="maxflow+",
-                    maxflow_seconds=t2 - t1,
-                    transform_seconds=t1 - tp,
-                    flow_value=flow_value,
-                )
-            )
-            best.offer(flow_value, tau_s, tau_e_next)
 
         if next_start is None:
             break
@@ -179,48 +120,6 @@ def _zigzag(
             # at all): derive the successor from the current state instead.
             successor = _branch_for_next_start(state, next_start, delta, best, stats)
         state = successor
-
-
-def _fresh_minimal_state(
-    network: TemporalFlowNetwork,
-    query: BurstingFlowQuery,
-    tau_s: Timestamp,
-    delta: int,
-    best: BestRecord,
-    stats: QueryStats,
-    *,
-    skeleton: WindowSkeleton,
-) -> IncrementalTransformedNetwork:
-    """Build and solve the very first minimal window (Lines 3-5)."""
-    stats.candidates_enumerated += 1
-    t0 = time.perf_counter()
-    state = IncrementalTransformedNetwork(
-        network,
-        query.source,
-        query.sink,
-        tau_s,
-        tau_s + delta,
-        skeleton=skeleton,
-    )
-    t1 = time.perf_counter()
-    run = state.run_maxflow()
-    t2 = time.perf_counter()
-    stats.maxflow_runs += 1
-    stats.note_kernel(run.kernel, t2 - t1)
-    stats.augmenting_paths += run.augmenting_paths
-    flow_value = state.flow_value()
-    stats.record_sample(
-        IntervalSample(
-            interval=(tau_s, tau_s + delta),
-            network_size=state.num_nodes,
-            mode="dinic",
-            maxflow_seconds=t2 - t1,
-            transform_seconds=t1 - t0,
-            flow_value=flow_value,
-        )
-    )
-    best.offer(flow_value, tau_s, tau_s + delta)
-    return state
 
 
 def _branch_for_next_start(
@@ -246,23 +145,7 @@ def _branch_for_next_start(
         successor.extend_end(target_end)
         stats.incremental_insertions += 1
     successor.advance_start(next_start)
-    t1 = time.perf_counter()
     stats.incremental_deletions += 1
-    run = successor.run_maxflow()
-    t2 = time.perf_counter()
-    stats.maxflow_runs += 1
-    stats.note_kernel(run.kernel, t2 - t1)
-    stats.augmenting_paths += run.augmenting_paths
-    flow_value = successor.flow_value()
-    stats.record_sample(
-        IntervalSample(
-            interval=(next_start, target_end),
-            network_size=successor.num_nodes,
-            mode="maxflow-",
-            maxflow_seconds=t2 - t1,
-            transform_seconds=t1 - t0,
-            flow_value=flow_value,
-        )
-    )
-    best.offer(flow_value, next_start, target_end)
+    value = solve(successor, stats, "maxflow-", t0)
+    best.offer(value, next_start, target_end)
     return successor

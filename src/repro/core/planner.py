@@ -27,12 +27,12 @@ Correctness: a window's Maxflow *value* is a pure function of the window
 order-independent — so folding memoised values through each query's own
 candidate plan reproduces the from-scratch
 ``find_bursting_flow(..., algorithm="bfq")`` answer exactly (density,
-interval and flow value all ``==``).  Against the incremental BFQ+/BFQ*
-the flow values agree only up to float summation order: on the prosper
-replica, query n124 -> n169 at delta 4 returns 2485.5076985818528 here
-and 2485.5076985818523 from BFQ*.  The ``planner`` oracle backend
-differential-checks every fuzz trial within the oracle's relative
-tolerance.
+interval and flow value all ``==``).  All four exact backends read a
+window's value from one source,
+:meth:`~repro.core.incremental.IncrementalTransformedNetwork.flow_value`,
+so BFQ+/BFQ* differ from the planner only where their incrementally
+routed flow does, in the last bits of the value.  The ``planner`` oracle
+backend differential-checks every fuzz trial.
 
 Epoch safety: the memo snapshots the network epoch at construction and
 refuses to serve after a mutation (matching the skeleton's own guard), so
@@ -50,7 +50,6 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from repro.core._pool import run_pool
-from repro.core.incremental import IncrementalTransformedNetwork
 from repro.core.intervals import enumerate_candidates
 from repro.core.query import (
     BurstingFlowQuery,
@@ -60,6 +59,7 @@ from repro.core.query import (
 )
 from repro.core.record import BestRecord
 from repro.core.skeleton import WindowSkeleton
+from repro.core.sweep import solve_fresh
 from repro.exceptions import GraphError, InvalidQueryError, ReproError
 from repro.temporal.edge import NodeId, Timestamp
 from repro.temporal.network import TemporalFlowNetwork
@@ -185,33 +185,15 @@ def _solve_group(
             stats.candidates_enumerated += 1
             hit = memo.get((tau_s, tau_e))
             if hit is None:
-                t0 = time.perf_counter()
                 if skeleton is None:
                     # Lazy compile, once per group — this is amortisation
                     # point 1 (vs once per query independently).
+                    t0 = time.perf_counter()
                     skeleton = WindowSkeleton(network, source, sink)
+                    stats.transform_seconds += time.perf_counter() - t0
                     report.skeletons_compiled += 1
-                state = IncrementalTransformedNetwork(
-                    network, source, sink, tau_s, tau_e, skeleton=skeleton
-                )
-                t1 = time.perf_counter()
-                run = state.run_maxflow()
-                t2 = time.perf_counter()
-                value = run.value
+                state, value = solve_fresh(skeleton, tau_s, tau_e, stats)
                 memo.put((tau_s, tau_e), value, state.num_nodes)
-                stats.maxflow_runs += 1
-                stats.augmenting_paths += run.augmenting_paths
-                stats.note_kernel(run.kernel, t2 - t1)
-                stats.record_sample(
-                    IntervalSample(
-                        interval=(tau_s, tau_e),
-                        network_size=state.num_nodes,
-                        mode="dinic",
-                        maxflow_seconds=t2 - t1,
-                        transform_seconds=t1 - t0,
-                        flow_value=value,
-                    )
-                )
                 report.windows_solved += 1
             else:
                 value, size = hit

@@ -21,12 +21,16 @@ The engine underneath is the Section-5 machinery:
   guarantees every edge of that window has arrived);
 * later sink activity extends the window's end (Lemma 3) — exactly the
   candidate endings ``Ti(t)`` of the offline enumeration;
-* the Observation-2 bound skips Maxflow runs that cannot beat the best
-  density (the skipped sink capacity keeps accumulating, so the bound
-  stays exact).
+* the Observation-2 bound (:func:`~repro.core.record.should_prune`)
+  skips Maxflow runs that cannot beat or tie the best density (the
+  skipped sink capacity keeps accumulating, so the bound stays exact).
 
-The monitor's answers match the offline ``find_bursting_flow`` on the
-edges seen so far — the test-suite asserts exactly that equivalence.
+The best window is kept in a :class:`~repro.core.record.BestRecord`, so
+density ties are broken by the canonical rule, not by arrival order, and
+the monitor's answers match the offline ``find_bursting_flow`` on the
+edges seen so far — interval included.  :func:`streaming_bfq` replays a
+whole network through a monitor; it is the ``streaming`` backend of the
+differential oracle.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.incremental import IncrementalTransformedNetwork
+from repro.core.query import BurstingFlowQuery, BurstingFlowResult
+from repro.core.record import BestRecord, should_prune
 from repro.exceptions import InvalidQueryError, InvalidTimestampError
 from repro.temporal.edge import NodeId, TemporalEdge, Timestamp
 from repro.temporal.network import TemporalFlowNetwork
@@ -78,6 +84,7 @@ class StreamingBurstMonitor:
         self.delta = delta
         self.network = TemporalFlowNetwork()
         self._windows: dict[Timestamp, _Window] = {}
+        self._record = BestRecord()
         self._best = BurstRecord(0.0, None, 0.0)
         self._batch: list[TemporalEdge] = []
         self._batch_tau: Timestamp | None = None
@@ -242,7 +249,7 @@ class StreamingBurstMonitor:
             # lazily at the next sink event).
             return
         upper = window.flow_value + window.pending_sink_capacity
-        if self._best.found and upper < self._best.density * (now - window.start):
+        if should_prune(upper, self._record.density, now - window.start):
             self._pruned += 1
             return  # Observation 2: provably cannot beat the best
         window.state.extend_end(now)
@@ -265,13 +272,26 @@ class StreamingBurstMonitor:
         if not overshoot:
             return
         lo, hi = t_max - self.delta, t_max
-        value = IncrementalTransformedNetwork(
+        state = IncrementalTransformedNetwork(
             self.network, self.source, self.sink, lo, hi
-        ).run_maxflow().value
+        )
+        state.run_maxflow()
         self._maxflow_runs += 1
-        self._offer(value, lo, hi)
+        self._offer(state.flow_value(), lo, hi)
 
     def _offer(self, value: float, lo: Timestamp, hi: Timestamp) -> None:
-        density = value / (hi - lo)
-        if density > self._best.density:
-            self._best = BurstRecord(density, (lo, hi), value)
+        record = self._record
+        if record.offer(value, lo, hi):
+            self._best = BurstRecord(record.density, record.interval, record.value)
+
+
+def streaming_bfq(
+    network: TemporalFlowNetwork, query: BurstingFlowQuery
+) -> BurstingFlowResult:
+    """Oracle backend: replay ``network``'s edges in time order, then finalize."""
+    query.validate_against(network)
+    monitor = StreamingBurstMonitor(query.source, query.sink, query.delta)
+    for edge in sorted(network.edges(), key=lambda edge: edge.tau):
+        monitor.observe(edge.u, edge.v, edge.tau, edge.capacity)
+    record = monitor.finalize()
+    return BurstingFlowResult(record.density, record.interval, record.flow_value)

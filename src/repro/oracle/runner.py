@@ -9,7 +9,9 @@ baseline — the two independent references, which rebuild every window
 with :func:`~repro.core.transform.build_transformed_network` — the
 ``service`` backend that round-trips the query through the full
 serialize → cache → worker → deserialize serving path of
-:mod:`repro.service`, and the opt-in
+:mod:`repro.service`, the ``streaming`` backend that replays the network
+in time order through a :class:`~repro.extensions.StreamingBurstMonitor`,
+and the opt-in
 ``cluster`` and ``mining`` backends that route through a live replica
 set and the persisted-pattern replay path respectively) on the same
 query and diffs the answers:
@@ -50,6 +52,7 @@ from repro.oracle.cases import CaseLibrary, FuzzCase
 from repro.oracle.certificate import check_certificate
 from repro.oracle.generators import CaseGenerator, resolve_generators
 from repro.cluster.backend import cluster_bfq
+from repro.extensions.streaming import streaming_bfq
 from repro.mining.backend import mining_bfq
 from repro.service.backend import service_bfq
 from repro.temporal.edge import Timestamp
@@ -75,6 +78,10 @@ BACKENDS: Mapping[str, Callable[..., BurstingFlowResult]] = {
     # worker -> protocol decode), run twice so the replay also proves the
     # result cache returns byte-identical answers.
     "service": service_bfq,
+    # The streaming monitor: the network's edges replayed in time order,
+    # then finalized — checks its sweep, bound and tie-break against the
+    # offline backends.
+    "streaming": streaming_bfq,
     # The full cluster path: the case is seeded into a durable log, two
     # replicas replay it, and the query routes through the coordinator
     # (affinity + epoch fence) cold and warm.
@@ -100,8 +107,10 @@ DEFAULT_BACKENDS: tuple[str, ...] = tuple(
 
 #: Backends that enumerate exactly the Lemma-2 candidate plan and must
 #: therefore agree on the interval byte-for-byte.  The service and
-#: cluster backends wrap BFQ*, and the mining backend replays a record
-#: confirmed through the planner, so their intervals are canonical too.
+#: cluster backends wrap BFQ*, the mining backend replays a record
+#: confirmed through the planner, and the streaming monitor evaluates the
+#: same windows under the same tie-break, so their intervals are
+#: canonical too.
 PLAN_BACKENDS: tuple[str, ...] = (
     "bfq",
     "bfq+",
@@ -109,6 +118,7 @@ PLAN_BACKENDS: tuple[str, ...] = (
     "planner",
     "networkx",
     "service",
+    "streaming",
     "cluster",
     "mining",
 )

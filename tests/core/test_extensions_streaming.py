@@ -68,6 +68,24 @@ class TestStreamingAnswers:
         assert record.density == pytest.approx(offline.density)
         assert record.density == pytest.approx(300.0)
 
+    def test_density_tie_breaks_by_the_canonical_rule(self):
+        # (5, 10) and (0, 20) both reach density 2.0; the canonical rule
+        # keeps the earlier start, whatever order the windows close in.
+        edges = [
+            ("s", "a", 0, 30.0),
+            ("s", "b", 5, 10.0),
+            ("b", "t", 10, 10.0),
+            ("a", "t", 20, 30.0),
+        ]
+        monitor = StreamingBurstMonitor("s", "t", 5)
+        monitor.observe_batch(edges)
+        record = monitor.finalize()
+        offline = offline_answer(edges, "s", "t", 5)
+        assert offline.interval == (0, 20)
+        assert record.interval == offline.interval
+        assert record.flow_value == offline.flow_value
+        assert record.density == offline.density == 2.0
+
     def test_watermark_semantics(self):
         monitor = StreamingBurstMonitor("s", "t", 1)
         monitor.observe("s", "a", 1, 5.0)

@@ -1,4 +1,4 @@
-"""Pinned BFQ+/BFQ* answers and work counters on replica queries.
+"""Pinned BFQ/BFQ+/BFQ*/planner answers and work counters on replica queries.
 
 The incremental state runs directly on its residual arena, and the kernel's
 augmenting paths depend on the order each node's arcs are scanned in.  These
@@ -11,8 +11,10 @@ the query's samples (the live ``|V'|`` at every candidate).
 
 import pytest
 
+from repro.core.bfq import bfq
 from repro.core.bfq_plus import bfq_plus
 from repro.core.bfq_star import bfq_star
+from repro.core.planner import planner_bfq
 from repro.core.query import BurstingFlowQuery
 from repro.datasets import make_dataset
 
@@ -40,9 +42,28 @@ PINNED = [
      104.08342285411345, (8, 8, 30, 0, 4, 0), 5218),
     ("ctu13", "n690", "n281", 9, "bfq*", 1.1191765898291768, (203, 296),
      104.08342285411345, (8, 8, 31, 0, 7, 3), 5462),
+    # BFQ and the planner solve every candidate from scratch; both read the
+    # same flow values, so their rows are identical.
+    ("prosper", "n12", "n112", 4, "bfq", 13.183772340000003, (97, 112),
+     197.75658510000005, (130, 130, 742, 0, 0, 0), 181827),
+    ("prosper", "n12", "n112", 4, "planner", 13.183772340000003, (97, 112),
+     197.75658510000005, (130, 130, 742, 0, 0, 0), 181827),
+    ("prosper", "n72", "n6", 4, "bfq", 16.691219664453566, (38, 43),
+     83.45609832226783, (94, 94, 534, 0, 0, 0), 104859),
+    ("prosper", "n72", "n6", 4, "planner", 16.691219664453566, (38, 43),
+     83.45609832226783, (94, 94, 534, 0, 0, 0), 104859),
+    ("ctu13", "n690", "n281", 9, "bfq", 1.1191765898291768, (203, 296),
+     104.08342285411345, (8, 8, 30, 0, 0, 0), 5214),
+    ("ctu13", "n690", "n281", 9, "planner", 1.1191765898291768, (203, 296),
+     104.08342285411345, (8, 8, 30, 0, 0, 0), 5214),
 ]
 
-ALGORITHMS = {"bfq+": bfq_plus, "bfq*": bfq_star}
+ALGORITHMS = {
+    "bfq": bfq,
+    "bfq+": bfq_plus,
+    "bfq*": bfq_star,
+    "planner": planner_bfq,
+}
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +91,17 @@ def test_answers_and_counters_are_pinned(replicas, case):
     stats = result.stats
     assert tuple(getattr(stats, name) for name in COUNTERS) == counters
     assert sum(sample.network_size for sample in stats.samples) == network_size
+
+
+def test_exact_backends_report_one_flow_value(replicas):
+    # Summing a fresh window's flow in the kernel's augmentation order and
+    # summing it over the source arcs differ in the last bit here; every
+    # backend reads the source arcs.
+    query = BurstingFlowQuery("n124", "n169", 4)
+    results = {
+        name: algorithm(replicas["prosper"], query)
+        for name, algorithm in ALGORITHMS.items()
+    }
+    assert {r.interval for r in results.values()} == {(36, 106)}
+    assert {r.density for r in results.values()} == {35.5072528368836}
+    assert {r.flow_value for r in results.values()} == {2485.5076985818523}

@@ -18,9 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bfq import bfq
 from repro.core.bfq_plus import bfq_plus
 from repro.core.bfq_star import bfq_star
 from repro.core.incremental import IncrementalTransformedNetwork
+from repro.core.planner import planner_bfq
 from repro.core.query import BurstingFlowQuery
 from repro.core.skeleton import WindowSkeleton
 from repro.core.transform import build_transformed_network
@@ -170,7 +172,11 @@ def test_clone_preserves_kernel(burst_network):
     assert other._skeleton is skeleton  # noqa: SLF001 - shared compiled index
 
 
-@pytest.mark.parametrize("algorithm", [bfq_plus, bfq_star], ids=["bfq+", "bfq*"])
+@pytest.mark.parametrize(
+    "algorithm",
+    [bfq, bfq_plus, bfq_star, planner_bfq],
+    ids=["bfq", "bfq+", "bfq*", "planner"],
+)
 def test_every_engine_run_is_tallied_as_persistent(burst_network, algorithm):
     result = algorithm(burst_network, BurstingFlowQuery("s", "t", 3))
     assert result.stats.kernel_runs == {"persistent": result.stats.maxflow_runs}

@@ -116,13 +116,13 @@ class TestRunDifferential:
         import importlib
 
         plus_mod = importlib.import_module("repro.core.bfq_plus")
-        star_mod = importlib.import_module("repro.core.bfq_star")
+        sweep_mod = importlib.import_module("repro.core.sweep")
 
         def raw_prune(upper_bound, best_density, length):
             return upper_bound < best_density * length
 
-        monkeypatch.setattr(plus_mod, "should_prune", raw_prune)
-        monkeypatch.setattr(star_mod, "should_prune", raw_prune)
+        # BFQ+ and BFQ* both prune inside sweep.insertion_step.
+        monkeypatch.setattr(sweep_mod, "should_prune", raw_prune)
         case = FuzzCase(
             edges=(
                 ("s", "a", 1, 0.9),
