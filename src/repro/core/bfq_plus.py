@@ -18,8 +18,8 @@ drives too, and every window is solved through
 
 One :class:`~repro.core.skeleton.WindowSkeleton` is compiled per query and
 shared by every per-start incremental state, replacing all per-extension
-reachability sweeps with binary-searched slices of the compiled per-start
-index.
+reachability sweeps with binary-searched slices of the edges its
+latest-departure column includes for that start.
 """
 
 from __future__ import annotations

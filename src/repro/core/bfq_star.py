@@ -21,7 +21,7 @@ step BFQ+ drives, and every window is solved through
 
 As in BFQ+, one :class:`~repro.core.skeleton.WindowSkeleton` is compiled
 per query, shared by the running state and every snapshot it spawns —
-extensions after an ``advance_start`` slice the per-start index of the
+extensions after an ``advance_start`` slice the included edges of the
 *new* start instead of rebuilding arrival labels over the live graph.
 """
 
@@ -135,7 +135,7 @@ def _branch_for_next_start(
     ``next_start + delta`` when needed, withdraws the pre-``next_start``
     flow (IncreMaxFlow-), and resumes Dinic for the minimal window of the
     next starting timestamp.  The clone shares the query's compiled
-    skeleton, so the extension slices the per-start index directly.
+    skeleton, so the extension slices its included edges directly.
     """
     stats.candidates_enumerated += 1
     t0 = time.perf_counter()

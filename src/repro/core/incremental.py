@@ -76,7 +76,8 @@ class IncrementalTransformedNetwork:
 
     Edge inclusion follows the caller's input.  With a compiled
     ``skeleton`` (one per query or planner group) every extension is a
-    binary-searched slice of the per-start reachability index.  With
+    binary-searched slice of the skeleton's included edges for the state's
+    start (read off its latest-departure column).  With
     ``skeleton=None`` each extension runs
     :func:`~repro.core.transform.reachable_edges` against the live temporal
     network, which is what a network that keeps growing after the state is
@@ -421,8 +422,8 @@ class IncrementalTransformedNetwork:
         if self._skeleton is None:
             self._rebuild_arrival()
         # A skeleton needs no arrival rebuild: later extensions slice the
-        # per-start index of the *new* tau_s, a from-scratch temporal
-        # reachability.  That can be a superset of the live-graph labels
+        # skeleton's included edges for the *new* tau_s, a from-scratch
+        # temporal reachability.  That can be a superset of the live-graph labels
         # rebuilt above (edges enabled only through dropped sink-out edges
         # reappear), but such edges have no inflow in the materialised
         # graph and cannot change any Maxflow value.
@@ -489,10 +490,10 @@ class IncrementalTransformedNetwork:
         The sink boundary ``<t, tau_hi>`` comes last; returns its index.
         """
         if self._skeleton is not None:
-            # The compiled per-start index: the same included-edge list, in
-            # the same order, as the reachable_edges call below — any
-            # window's inclusion set is a stamp-range slice of the current
-            # start's index (arrival labels only depend on earlier stamps).
+            # The skeleton's included edges for the current start: the same
+            # list, in the same order, as the reachable_edges call below —
+            # any window's inclusion set is a stamp-range slice of it
+            # (reachability only depends on earlier stamps).
             included = self._skeleton.included_between(
                 self.tau_s, tau_lo, tau_hi
             )

@@ -17,7 +17,9 @@ The planner amortises both:
    each group keeps a per-epoch :class:`WindowMemo` keyed on
    ``(tau_s, tau_e)``: the first query that needs a window solves its
    Maxflow; every later query — same delta repeated, or an overlapping
-   sweep — reuses the value for free.
+   sweep — reuses the value for free.  A window whose start reaches no
+   sink in-edge (:meth:`~repro.core.skeleton.WindowSkeleton.reaches_sink`)
+   is 0.0 without an arena or a Maxflow run.
 3. **Top-k densest bursts** (:func:`top_k_bursts`) — a first-class query
    over a candidate ``(s, t)`` list, ranked by the canonical tie-break.
 
@@ -95,8 +97,10 @@ class PlannerReport:
     """What the planner amortised while answering one batch.
 
     ``windows_total`` counts every candidate window folded into an answer;
-    ``windows_solved`` of them paid a Maxflow, ``windows_reused`` came out
-    of a group's :class:`WindowMemo`.  The merge (:meth:`absorb`) is
+    ``windows_solved`` of them were answered without the memo — by a
+    Maxflow run, or as 0.0 without one when the skeleton shows that no
+    included edge enters the sink — and ``windows_reused`` came out of a
+    group's :class:`WindowMemo`.  The merge (:meth:`absorb`) is
     field-derived, like :func:`~repro.core.query.merge_query_stats`.
     """
 
@@ -117,7 +121,7 @@ class PlannerReport:
 
     @property
     def amortization(self) -> float:
-        """Windows folded per Maxflow actually run (>= 1.0)."""
+        """Windows folded per window answered without the memo (>= 1.0)."""
         return self.windows_total / max(1, self.windows_solved)
 
     def as_dict(self) -> dict[str, float]:
@@ -192,8 +196,29 @@ def _solve_group(
                     skeleton = WindowSkeleton(network, source, sink)
                     stats.transform_seconds += time.perf_counter() - t0
                     report.skeletons_compiled += 1
-                state, value = solve_fresh(skeleton, tau_s, tau_e, stats)
-                memo.put((tau_s, tau_e), value, state.num_nodes)
+                t0 = time.perf_counter()
+                reaches = skeleton.reaches_sink(tau_s, tau_e)
+                swept = time.perf_counter() - t0
+                if reaches:
+                    stats.transform_seconds += swept
+                    state, value = solve_fresh(skeleton, tau_s, tau_e, stats)
+                    memo.put((tau_s, tau_e), value, state.num_nodes)
+                else:
+                    # No included edge enters the sink, so the Maxflow is 0
+                    # and no arena is built.
+                    value = 0.0
+                    stats.pruned_intervals += 1
+                    stats.record_sample(
+                        IntervalSample(
+                            interval=(tau_s, tau_e),
+                            network_size=0,
+                            mode="pruned",
+                            maxflow_seconds=0.0,
+                            transform_seconds=swept,
+                            flow_value=value,
+                        )
+                    )
+                    memo.put((tau_s, tau_e), value, 0)
                 report.windows_solved += 1
             else:
                 value, size = hit

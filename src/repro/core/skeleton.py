@@ -10,15 +10,30 @@ BFQ wall time and a large share of BFQ+/BFQ*.
 :class:`WindowSkeleton` amortises it.  It reads the network's
 epoch-keyed edge columns (``TemporalFlowNetwork.edge_columns``: parallel
 arrays in ``edges_in_window`` order, built once per network state and
-shared by every skeleton), and lazily computes one *per-start
-reachability index* for each starting timestamp ``tau_s`` the query
-touches: a single earliest-arrival sweep over the suffix ``[tau_s, t_max]``
-that replays :func:`~repro.core.transform.reachable_edges`'s per-timestamp
-fixpoint on array positions.  Because an edge's arrival label only depends
-on edges with stamps ``<= tau``, the included-edge list of *any* window
-``[tau_s, tau_e]`` is a bisect-found **prefix** of that start's index —
-so after ``O(d)`` sweeps (one per start; the same asymptotics BFQ+ pays)
-every one of the ``O(d^2)`` windows is two binary searches away.
+shared by every skeleton), and computes one **latest-departure column**
+``ld`` for all starts at once — the dual of the earliest-arrival labels
+(Wu et al., *Path Problems in Temporal Graphs*, PVLDB 2014).  ``ld[p]`` is
+the latest departure from the source that still reaches edge ``p``'s tail
+by the edge's stamp ``tau``: ``tau`` when the tail is the source, else the
+max of ``ld`` over the tail's in-edges with stamps ``<= tau`` (a
+max-propagation fixpoint inside each timestamp group carries same-instant
+chains).  Edge ``p`` is included in ``N_[tau_s, tau_e]`` exactly when
+``ld[p] >= tau_s`` — the same set
+:func:`~repro.core.transform.reachable_edges` computes by earliest arrival.
+
+The column is lazy and resumable: it is computed from the lowest start
+asked for (the *floor*) up to the highest stamp asked for, and a lower
+start resets the floor.  Edges below the floor are left out, which only
+lowers ``ld`` values that already lie below the floor, so no answer for a
+start ``>= floor`` changes.  The column is stored sparsely, as the
+positions with a finite ``ld``: an edge whose tail no start can be at is
+skipped without a Python-level step.  Each start keeps a memo of its
+included edges in stamp order, extended by the one ``ld[p] >= tau_s``
+comparison, so the included-edge list of *any* window ``[tau_s, tau_e]``
+is a bisect-found **prefix** of that memo.  Within one timestamp the
+edges come in column (``edges_in_window``) order, as in
+``reachable_edges``.  The memo also records the start's earliest included
+sink in-edge, which answers :meth:`WindowSkeleton.reaches_sink`.
 
 The skeleton only answers *which* edges a window includes.  The one arena
 builder, :class:`~repro.core.incremental.IncrementalTransformedNetwork`,
@@ -37,39 +52,36 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from itertools import compress
 
 from repro.exceptions import GraphError
 from repro.temporal.edge import NodeId, Timestamp
 from repro.temporal.network import TemporalFlowNetwork
 
 _INF = math.inf
+_NEG = -math.inf
 
 
 class _StartIndex:
-    """The (resumable) reachability index for one starting timestamp.
+    """The (resumable) included-edge memo for one starting timestamp.
 
     ``edges[i]`` is the i-th included edge as ``(u, v, tau, capacity)``;
-    ``taus[i]`` is its timestamp.  ``taus`` is non-decreasing (the fixpoint
-    emits whole timestamp groups in order), so the included set of
-    ``[tau_s, tau_e]`` is ``edges[:bisect_right(taus, tau_e)]`` and an
-    incremental extension ``(lo, hi]`` is an interior slice — exactly what
-    ``reachable_edges`` would have produced, in the same order.
-
-    The sweep is *lazy*: ``arrival`` and ``next_pos`` carry its state, and
-    the skeleton advances it only up to the highest stamp a window has
-    actually asked for — so a start whose candidate endings stop early
-    never pays for the rest of the horizon.
+    ``taus[i]`` is its timestamp.  ``taus`` is non-decreasing, so the
+    included set of ``[tau_s, tau_e]`` is ``edges[:bisect_right(taus,
+    tau_e)]`` and an incremental extension ``(lo, hi]`` is an interior
+    slice — exactly what ``reachable_edges`` would have produced, in the
+    same order.  ``next_pos`` is the global array position of the first
+    edge not yet filtered; ``first_sink`` is the stamp of the earliest
+    included edge into the sink (``inf`` while there is none).
     """
 
-    __slots__ = ("edges", "taus", "arrival", "next_pos")
+    __slots__ = ("edges", "taus", "next_pos", "first_sink")
 
-    def __init__(self, source: NodeId, tau_s: Timestamp, next_pos: int) -> None:
+    def __init__(self, next_pos: int) -> None:
         self.edges: list[tuple[NodeId, NodeId, Timestamp, float]] = []
         self.taus: list[Timestamp] = []
-        self.arrival: dict[NodeId, float] = {source: float(tau_s)}
-        #: Global array position of the first unswept edge (whole timestamp
-        #: groups are swept atomically, so this always sits on a boundary).
         self.next_pos = next_pos
+        self.first_sink: float = _INF
 
 
 class WindowSkeleton:
@@ -91,6 +103,11 @@ class WindowSkeleton:
         "_ev",
         "_etau",
         "_ecap",
+        "_floor",
+        "_next",
+        "_pos",
+        "_ld",
+        "_label",
         "_start_cache",
     )
 
@@ -100,24 +117,90 @@ class WindowSkeleton:
         self.temporal = temporal
         self.source = source
         self.sink = sink
-        # The network's shared edge columns, in edges_in_window order —
-        # the order the reachability fixpoint depends on.
+        # The network's shared edge columns, in edges_in_window order.
         self._epoch, self._eu, self._ev, self._etau, self._ecap = (
             temporal.edge_columns()
         )
+        self._floor: float = _INF
+        self._next = len(self._etau)
+        self._pos: list[int] = []
+        self._ld: list[Timestamp] = []
+        self._label: dict[NodeId, Timestamp] = {}
         self._start_cache: dict[Timestamp, _StartIndex] = {}
 
     # ------------------------------------------------------------------
-    # Per-start reachability index
+    # Latest-departure column
     # ------------------------------------------------------------------
-    def start_index(
-        self, tau_s: Timestamp, upto: Timestamp | None = None
-    ) -> _StartIndex:
-        """The (memoised) included-edge index for flow leaving at ``tau_s``.
+    def _profile(self, tau_s: Timestamp, upto: Timestamp) -> None:
+        """Compute ``ld`` through every stamp ``<= upto`` for starts ``>= tau_s``.
 
-        Args:
-            upto: advance the lazy sweep through every timestamp group up
-                to this stamp (``None`` only fetches the index).
+        The column is kept sparse: ``_pos`` lists, in column order, the
+        positions from the floor's first edge up to ``_next`` whose ``ld``
+        is finite, and ``_ld`` their values; every other edge there has
+        ``ld = -inf``.
+        ``_label[v]`` is the max ``ld`` over the in-edges of ``v`` seen so
+        far (the source is a key too, so that membership in ``_label`` is
+        "some start can be at this node").
+        """
+        etau = self._etau
+        source = self.source
+        if tau_s < self._floor:
+            self._floor = tau_s
+            self._next = bisect_left(etau, tau_s)
+            self._pos = []
+            self._ld = []
+            self._label = {source: tau_s}
+        start = self._next
+        end = bisect_right(etau, upto, start)
+        if start >= end:
+            return
+        self._next = end
+        eu = self._eu
+        ev = self._ev
+        pos = self._pos
+        ld = self._ld
+        label = self._label
+        label_get = label.get
+        done = start
+        # Edges whose tail no start can be at are skipped in C.  Membership
+        # is tested lazily, so a node labelled at position p counts for
+        # every position after p; the first edge found in a timestamp
+        # group settles the whole group.
+        span = range(start, end)
+        reached = map(label.__contains__, map(eu.__getitem__, span))
+        for p in compress(span, reached):
+            if p < done:
+                continue  # already settled with its timestamp group
+            tau = etau[p]
+            # Max-propagation fixpoint over the whole timestamp group: a
+            # label raised at tau raises the edges leaving that node at tau.
+            g = bisect_left(etau, tau, start, p)
+            done = bisect_right(etau, tau, p, end)
+            group = [_NEG] * (done - g)
+            changed = True
+            while changed:
+                changed = False
+                for k in range(done - g):
+                    u = eu[g + k]
+                    d = tau if u == source else label_get(u, _NEG)
+                    if d > group[k]:
+                        group[k] = d
+                        changed = True
+                        v = ev[g + k]
+                        if d > label_get(v, _NEG):
+                            label[v] = d
+            for k, d in enumerate(group):
+                if d > _NEG:
+                    pos.append(g + k)
+                    ld.append(d)
+
+    # ------------------------------------------------------------------
+    # Per-start included-edge memo
+    # ------------------------------------------------------------------
+    def start_index(self, tau_s: Timestamp, upto: Timestamp) -> _StartIndex:
+        """The included-edge memo for flow leaving at ``tau_s``.
+
+        Extends the memo through every edge with a stamp up to ``upto``.
 
         Raises:
             GraphError: when the temporal network mutated after compile
@@ -128,61 +211,35 @@ class WindowSkeleton:
                 "temporal network mutated after skeleton compile; "
                 "build a fresh WindowSkeleton"
             )
+        etau = self._etau
         index = self._start_cache.get(tau_s)
         if index is None:
-            index = _StartIndex(
-                self.source, tau_s, bisect_left(self._etau, tau_s)
-            )
+            index = _StartIndex(bisect_left(etau, tau_s))
             self._start_cache[tau_s] = index
-        if upto is not None:
-            self._sweep(index, upto)
-        return index
-
-    def _sweep(self, index: _StartIndex, upto: Timestamp) -> None:
-        """Advance one earliest-arrival sweep through stamps ``<= upto``.
-
-        Replays :func:`~repro.core.transform.reachable_edges` — including
-        its per-timestamp fixpoint and emission order — on array positions,
-        resuming where the previous call stopped.
-        """
+        i = index.next_pos
+        if i >= len(etau) or etau[i] > upto:
+            return index
+        self._profile(tau_s, upto)
+        hi = bisect_right(etau, upto, i)
         eu = self._eu
         ev = self._ev
-        etau = self._etau
         ecap = self._ecap
-        arrival = index.arrival
-        arrival_get = arrival.get
+        sink = self.sink
+        pos = self._pos
+        ld = self._ld
         edges = index.edges
         taus = index.taus
-        i = index.next_pos
-        n = len(etau)
-        while i < n:
-            tau = etau[i]
-            if tau > upto:
-                break
-            j = i
-            while j < n and etau[j] == tau:
-                j += 1
-            # Fixpoint over one timestamp group: arrivals set at tau enable
-            # more edges at the same tau.
-            work = range(i, j)
-            progressed = True
-            while progressed and work:
-                progressed = False
-                remaining: list[int] = []
-                for p in work:
-                    u = eu[p]
-                    if arrival_get(u, _INF) <= tau:
-                        v = ev[p]
-                        edges.append((u, v, tau, ecap[p]))
-                        taus.append(tau)
-                        if tau < arrival_get(v, _INF):
-                            arrival[v] = float(tau)
-                        progressed = True
-                    else:
-                        remaining.append(p)
-                work = remaining
-            i = j
-        index.next_pos = i
+        for k in range(bisect_left(pos, i), bisect_left(pos, hi)):
+            if ld[k] >= tau_s:
+                p = pos[k]
+                tau = etau[p]
+                v = ev[p]
+                edges.append((eu[p], v, tau, ecap[p]))
+                taus.append(tau)
+                if v == sink and tau < index.first_sink:
+                    index.first_sink = tau
+        index.next_pos = hi
+        return index
 
     # ------------------------------------------------------------------
     # Window slicing
@@ -194,8 +251,8 @@ class WindowSkeleton:
 
         Lists ``(u, v, tau, capacity)`` in stamp order, exactly as
         :func:`~repro.core.transform.reachable_edges` would.  Unfiltered:
-        sink-out / source-in edges are present (they still propagate
-        arrival labels in the sweep), and callers apply the assemble
+        sink-out / source-in edges are present (they still carry
+        reachability to later edges), and callers apply the assemble
         filter themselves.
 
         Raises:
@@ -203,6 +260,17 @@ class WindowSkeleton:
         """
         if hi < lo:
             return []
-        index = self.start_index(tau_s, upto=hi)
+        index = self.start_index(tau_s, hi)
         taus = index.taus
         return index.edges[bisect_left(taus, lo) : bisect_right(taus, hi)]
+
+    def reaches_sink(self, tau_s: Timestamp, tau_e: Timestamp) -> bool:
+        """Whether some edge included in ``[tau_s, tau_e]`` enters the sink.
+
+        When it is False the window's transformed network has no capacity
+        edge into the sink, so its Maxflow is 0.
+
+        Raises:
+            GraphError: when the temporal network mutated after compile.
+        """
+        return self.start_index(tau_s, tau_e).first_sink <= tau_e

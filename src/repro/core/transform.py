@@ -151,7 +151,8 @@ def reachable_edges(
     Processes window edges in timestamp order, maintaining earliest-arrival
     labels; an edge ``(u, v, tau)`` is *included* iff ``arrival(u) <= tau``.
     Within one timestamp a small worklist handles same-instant chains
-    (``s -> a`` and ``a -> b`` both at ``tau``).
+    (``s -> a`` and ``a -> b`` both at ``tau``), and the group's included
+    edges are emitted in ``edges_in_window`` order.
 
     Args:
         arrival: optional pre-existing arrival labels to extend (used by the
@@ -167,22 +168,24 @@ def reachable_edges(
     def flush_timestamp() -> None:
         # Fixpoint over one timestamp: arrivals set at tau enable more
         # edges at the same tau.
-        work = pending[:]
-        pending.clear()
+        work = list(range(len(pending)))
+        taken = [False] * len(pending)
         progressed = True
         while progressed and work:
             progressed = False
             remaining = []
-            for item in work:
-                u, v, tau, capacity = item
+            for k in work:
+                u, v, tau, _capacity = pending[k]
                 if arrival.get(u, math.inf) <= tau:
-                    included.append(item)
+                    taken[k] = True
                     if tau < arrival.get(v, math.inf):
                         arrival[v] = float(tau)
                     progressed = True
                 else:
-                    remaining.append(item)
+                    remaining.append(k)
             work = remaining
+        included.extend(item for item, keep in zip(pending, taken) if keep)
+        pending.clear()
 
     for edge in temporal.edges_in_window(tau_s, tau_e):
         if edge.tau != current_tau:

@@ -272,6 +272,8 @@ class StreamingBurstMonitor:
         if not overshoot:
             return
         lo, hi = t_max - self.delta, t_max
+        if lo in self._windows:
+            return  # the window opened at lo already solved [lo, hi]
         state = IncrementalTransformedNetwork(
             self.network, self.source, self.sink, lo, hi
         )

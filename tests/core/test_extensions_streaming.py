@@ -122,6 +122,18 @@ class TestStreamingAnswers:
         assert record.density == pytest.approx(offline.density)
         assert record.interval == (5, 10)
 
+    def test_corner_already_solved_by_its_start(self):
+        # T_max - delta = 2 is itself a start, so its minimal window is the
+        # corner [2, 4]; the offline plan has no corner and solves it once.
+        edges = [("s", "a", 2, 5.0), ("s", "c", 3, 1.0), ("a", "t", 4, 5.0)]
+        monitor = StreamingBurstMonitor("s", "t", 2)
+        monitor.observe_batch(edges)
+        record = monitor.finalize()
+        assert monitor.stats["maxflow_runs"] == 1
+        offline = offline_answer(edges, "s", "t", 2)
+        assert record.interval == offline.interval == (2, 4)
+        assert record.flow_value == offline.flow_value == 5.0
+
     def test_repeated_finalize_is_idempotent(self):
         monitor = StreamingBurstMonitor("s", "t", 1)
         monitor.observe("s", "t", 3, 2.0)

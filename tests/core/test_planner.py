@@ -127,10 +127,42 @@ class TestPlannerEquivalence:
         assert 1 <= report.skeletons_compiled <= report.groups
         assert report.windows_reused > 0
         assert report.amortization > 1.0
-        # Every solved window is attributed to the kernel that ran it.
+        # Every solved window is attributed to the kernel that ran it, or
+        # was answered 0.0 without one because no edge reaches the sink.
         merged = merge_query_stats(result.stats for result in planned)
         assert merged.kernel_runs == {"persistent": merged.maxflow_runs}
-        assert merged.maxflow_runs == report.windows_solved
+        assert (
+            merged.maxflow_runs + merged.pruned_intervals == report.windows_solved
+        )
+
+    def test_windows_that_cannot_reach_the_sink_skip_maxflow(self):
+        # Flow leaving s at 2 first reaches t at 5, and flow leaving at 6
+        # or 8 first at 12 (x -> t at 5 is too early for c, y is never
+        # reached), so every window of those starts that ends earlier
+        # holds no included sink in-edge.
+        network = TemporalFlowNetwork.from_tuples(
+            [
+                ("s", "a", 1, 5.0),
+                ("s", "b", 2, 4.0),
+                ("a", "t", 3, 5.0),
+                ("b", "x", 4, 4.0),
+                ("s", "c", 6, 3.0),
+                ("c", "x", 7, 3.0),
+                ("s", "a", 8, 2.0),
+                ("a", "t", 12, 2.0),
+                ("x", "t", 5, 1.0),
+                ("y", "t", 10, 1.0),
+            ]
+        )
+        batch = [BurstingFlowQuery("s", "t", delta) for delta in (2, 3, 2, 1)]
+        planned, report = answer_planned(network, batch)
+        independent = [
+            find_bursting_flow(network, query, algorithm="bfq") for query in batch
+        ]
+        assert_results_identical(planned, independent)
+        merged = merge_query_stats(result.stats for result in planned)
+        assert merged.maxflow_runs < report.windows_solved
+        assert report.windows_solved + report.windows_reused == report.windows_total
 
     def test_process_pool_matches_sequential(self):
         if "fork" not in multiprocessing.get_all_start_methods():

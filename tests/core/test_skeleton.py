@@ -18,8 +18,10 @@ from repro import BurstingFlowQuery, bfq, bfq_plus, bfq_star, find_bursting_flow
 from repro.core import enumerate_candidates
 from repro.core.bfq_plus import bfq_plus as bfq_plus_direct
 from repro.core.incremental import IncrementalTransformedNetwork
+from repro.core.query import QueryStats
 from repro.core.record import BestRecord
 from repro.core.skeleton import WindowSkeleton
+from repro.core.sweep import solve_fresh
 from repro.core.transform import (
     assemble,
     build_transformed_network,
@@ -194,6 +196,62 @@ class TestLazySweep:
                 got = list(skeleton.included_between(tau_s, previous_hi + 1, hi))
                 assert got == expected
                 previous_hi = hi
+
+    def test_same_stamp_chain_emits_in_column_order(self):
+        # a -> b is inserted before s -> a at the same stamp: the fixpoint
+        # includes it in its second round, but both emit column order.
+        network = TemporalFlowNetwork()
+        network.add_edge(TemporalEdge("a", "b", 3, 2.0))
+        network.add_edge(TemporalEdge("s", "a", 3, 4.0))
+        network.add_edge(TemporalEdge("b", "t", 4, 1.0))
+        skeleton = WindowSkeleton(network, "s", "t")
+        expected = [("a", "b", 3, 2.0), ("s", "a", 3, 4.0)]
+        assert reachable_edges(network, "s", 3, 3) == expected
+        assert skeleton.included_between(3, 3, 3) == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("order", ["descending", "random"])
+    def test_any_start_order_matches_reachable_edges(self, seed, order):
+        # A start below every earlier one resets the column's floor.
+        network = random_network(seed)
+        skeleton = WindowSkeleton(network, "n0", "n1")
+        t_min, t_max = network.t_min, network.t_max
+        windows = [
+            (tau_s, tau_e)
+            for tau_s in range(t_min, t_max + 1)
+            for tau_e in range(tau_s, t_max + 1)
+        ]
+        if order == "descending":
+            windows.sort(key=lambda window: (-window[0], window[1]))
+        else:
+            random.Random(seed).shuffle(windows)
+        for tau_s, tau_e in windows:
+            expected = reachable_edges(network, "n0", tau_s, tau_e)
+            assert skeleton.included_between(tau_s, tau_s, tau_e) == expected
+            lo = (tau_s + tau_e) // 2
+            assert skeleton.included_between(tau_s, lo, tau_e) == [
+                edge for edge in expected if edge[2] >= lo
+            ]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_reaches_sink_matches_included_sink_edges(self, seed):
+        network = random_network(seed, edges=12)
+        skeleton = WindowSkeleton(network, "n0", "n1")
+        t_min, t_max = network.t_min, network.t_max
+        for tau_s in range(t_max, t_min - 1, -1):
+            for tau_e in range(tau_s + 1, t_max + 1):
+                reaches = any(
+                    v == "n1"
+                    for _u, v, _tau, _cap in reachable_edges(
+                        network, "n0", tau_s, tau_e
+                    )
+                )
+                assert skeleton.reaches_sink(tau_s, tau_e) == reaches
+                if not reaches:
+                    _state, value = solve_fresh(
+                        skeleton, tau_s, tau_e, QueryStats()
+                    )
+                    assert value == 0.0
 
     def test_epoch_guard_fires_after_mutation(self):
         network = random_network(1)
