@@ -55,7 +55,7 @@ def test_dynamic_per_edge_vs_batch_window_extension(benchmark):
             def batch():
                 state = IncrementalTransformedNetwork(
                     network, source, sink, start, start + delta,
-                    skeleton=WindowSkeleton(network, source, sink),
+                    skeleton=WindowSkeleton(network, source),
                 )
                 state.run_maxflow()
                 runs = 1
@@ -68,7 +68,7 @@ def test_dynamic_per_edge_vs_batch_window_extension(benchmark):
             def per_edge():
                 state = IncrementalTransformedNetwork(
                     network, source, sink, start, start + delta,
-                    skeleton=WindowSkeleton(network, source, sink),
+                    skeleton=WindowSkeleton(network, source),
                 )
                 state.run_maxflow()
                 runs = 1

@@ -8,8 +8,9 @@ flow densities are "significantly larger than the average case".
 :class:`BurstDetector` packages that procedure:
 
 1. answer every (s, t, delta) combination through the multi-query planner
-   (:func:`repro.core.planner.answer_planned`), one batch per (s, t) pair,
-   so a pair's deltas share one skeleton compile and its window maxflows;
+   (:func:`repro.core.planner.answer_planned`), one batch per source, so
+   all of a source's sinks and deltas share one skeleton compile and each
+   (s, t) pair's deltas share its window maxflows;
 2. rank the answers by density;
 3. flag the answers whose density is a robust outlier (modified z-score
    against the batch median) *and* whose bursting interval is short — the
@@ -25,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.core.planner import BurstEntry, answer_planned
 from repro.core.profile import PhaseBreakdown
-from repro.core.query import BurstingFlowQuery
+from repro.core.query import BurstingFlowQuery, BurstingFlowResult
 from repro.exceptions import InvalidQueryError, ScanQueryError
 from repro.mining.pipeline import flag_entries
 from repro.temporal.edge import NodeId
@@ -129,8 +130,9 @@ class BurstDetector:
         Pairs with ``s == t`` or with endpoints missing from the network
         are skipped silently (the paper's random normal accounts are drawn
         from the network, but user-provided suspect lists may be stale).
-        Each remaining pair's deltas are answered as one planner batch;
-        findings and errors come out in source -> sink -> delta order.
+        Each source's remaining sinks and deltas are answered as one
+        planner batch; findings and errors come out in source -> sink ->
+        delta order.
 
         A *failing* combination follows ``on_error``, matching the
         batch-layer semantics: ``"raise"`` (default) aborts the sweep with
@@ -138,8 +140,11 @@ class BurstDetector:
         failed; ``"record"`` appends a :class:`ScanError` to
         :attr:`ScanReport.errors` and keeps sweeping, so one poisoned
         query cannot void hours of results.  An invalid query fails for
-        its own delta only; a failed planner batch fails every delta of
-        its pair (``"raise"`` names the pair's first delta).
+        its own delta only.  When a source's batch fails, its pairs are
+        re-answered one batch each, so a failure still names its own pair:
+        a failed pair batch fails every delta of that pair (``"raise"``
+        names the pair's first delta) and the source's other pairs are
+        still answered.
         """
         if on_error not in SCAN_ERROR_MODES:
             raise InvalidQueryError(
@@ -148,19 +153,18 @@ class BurstDetector:
         findings: list[ScanFinding] = []
         errors: list[ScanError] = []
         phases = PhaseBreakdown()
+        sinks = [sink for sink in sinks if sink in self.network]
         for source in sources:
-            for sink in sinks:
-                if source == sink:
-                    continue
-                if source not in self.network or sink not in self.network:
-                    continue
-                for outcome in self._scan_pair(
-                    source, sink, deltas, on_error, phases
-                ):
-                    if isinstance(outcome, ScanError):
-                        errors.append(outcome)
-                    else:
-                        findings.append(outcome)
+            if source not in self.network:
+                continue
+            targets = [sink for sink in sinks if sink != source]
+            for outcome in self._scan_source(
+                source, targets, deltas, on_error, phases
+            ):
+                if isinstance(outcome, ScanError):
+                    errors.append(outcome)
+                else:
+                    findings.append(outcome)
         flagged = flag_entries(
             findings,
             horizon=self.network.time_span,
@@ -174,42 +178,62 @@ class BurstDetector:
             errors=errors,
         )
 
-    def _scan_pair(
+    def _scan_source(
         self,
         source: NodeId,
-        sink: NodeId,
+        sinks: Sequence[NodeId],
         deltas: Sequence[int],
         on_error: str,
         phases: PhaseBreakdown,
     ) -> Iterator[ScanFinding | ScanError]:
-        """One pair's deltas as one planner batch; one outcome per delta."""
+        """One source's sinks x deltas as one planner batch; one outcome
+        per (sink, delta), sink-major."""
         slots: list[BurstingFlowQuery | ScanError] = []
-        for delta in deltas:
-            try:
-                slots.append(BurstingFlowQuery(source, sink, delta))
-            except Exception as exc:
-                slots.append(_failure(on_error, source, sink, delta, exc))
+        for sink in sinks:
+            for delta in deltas:
+                try:
+                    slots.append(BurstingFlowQuery(source, sink, delta))
+                except Exception as exc:
+                    slots.append(_failure(on_error, source, sink, delta, exc))
         queries = [q for q in slots if isinstance(q, BurstingFlowQuery)]
-        try:
-            results = iter(answer_planned(self.network, queries)[0])
-        except Exception as exc:
-            slots = [
-                _failure(on_error, source, sink, q.delta, exc)
-                if isinstance(q, BurstingFlowQuery)
-                else q
-                for q in slots
-            ]
+        answers = iter(self._answer(queries, on_error))
         for slot in slots:
-            if isinstance(slot, ScanError):
-                yield slot
+            outcome = slot if isinstance(slot, ScanError) else next(answers)
+            if isinstance(outcome, ScanError):
+                yield outcome
                 continue
-            result = next(results)
-            phases.add(result.stats)
+            phases.add(outcome.stats)
             yield ScanFinding(
                 source=source,
-                sink=sink,
+                sink=slot.sink,
                 delta=slot.delta,
-                density=result.density,
-                interval=result.interval,
-                flow_value=result.flow_value,
+                density=outcome.density,
+                interval=outcome.interval,
+                flow_value=outcome.flow_value,
             )
+
+    def _answer(
+        self, queries: list[BurstingFlowQuery], on_error: str
+    ) -> list[BurstingFlowResult | ScanError]:
+        """Answer one source's queries as one planner batch, in order.
+
+        When the batch raises and spans several sinks, each sink's queries
+        are re-answered as a batch of their own, so a failure names its own
+        (source, sink) pair and spares the source's healthy pairs.
+        """
+        try:
+            return list(answer_planned(self.network, queries)[0])
+        except Exception as exc:
+            sinks = list(dict.fromkeys(query.sink for query in queries))
+            if len(sinks) == 1:
+                return [
+                    _failure(on_error, q.source, q.sink, q.delta, exc)
+                    for q in queries
+                ]
+        per_sink = {
+            sink: iter(
+                self._answer([q for q in queries if q.sink == sink], on_error)
+            )
+            for sink in sinks
+        }
+        return [next(per_sink[query.sink]) for query in queries]

@@ -168,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     topk = subparsers.add_parser(
         "topk",
         help="k densest bursts over candidate (source, sink) pairs "
-        "(planner-amortised: one skeleton + shared window memo per pair)",
+        "(planner-amortised: one skeleton per source, one window memo "
+        "per pair)",
     )
     add_input_arguments(topk)
     topk.add_argument(

@@ -672,13 +672,14 @@ class ClusterCoordinator(WireFrontEnd):
     async def _route_batch(self, request: BatchRequest) -> Reply:
         """Split a batch by ``(source, sink)`` and route each group whole.
 
-        The replica owning a pair's shard holds (or will compile and
-        cache) that pair's :class:`~repro.core.skeleton.WindowSkeleton`
-        and its planner cache entries, so sending the *entire* group
-        there — instead of scattering its queries — is what keeps the
-        planner's amortization intact across the cluster: one skeleton
-        per (pair, replica), never one per query.  Groups solve
-        concurrently on their distinct owners.
+        The replica owning a pair's shard holds that pair's planner
+        cache entries, so sending the *entire* group there — instead of
+        scattering its queries — is what keeps the planner's window memo
+        intact across the cluster: one skeleton per forwarded group,
+        never one per query.  The planner shares a source's skeleton
+        across its sinks only within one replica's batch; each group is
+        forwarded as its own sub-batch, so here every pair compiles its
+        own.  Groups solve concurrently on their distinct owners.
         """
         started = time.perf_counter()
         fence = self._fence(request)

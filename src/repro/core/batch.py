@@ -15,9 +15,10 @@ network (the S x T sweep).  :func:`answer_many` evaluates a batch with:
   (index + repr), instead of letting the rest of the batch burn CPU on
   answers that will be discarded;
 * ``plan="shared"`` routes the batch through
-  :mod:`repro.core.planner` — queries grouped by ``(source, sink)`` share
-  one :class:`~repro.core.skeleton.WindowSkeleton` and a per-epoch
-  candidate-window Maxflow memo, amortising overlapping delta sweeps.
+  :mod:`repro.core.planner` — queries from one source share one
+  :class:`~repro.core.skeleton.WindowSkeleton`, and queries grouped by
+  ``(source, sink)`` a per-epoch candidate-window Maxflow memo,
+  amortising overlapping delta sweeps.
 
 Worker processes receive the network and the algorithm name through the
 pool's ``initializer``/``initargs`` rather than fork-inherited module
@@ -82,14 +83,15 @@ def answer_many(
             strategy and produces the same canonical answers).
         processes: worker processes; ``None`` or ``1`` runs sequentially;
             ``0`` means ``os.cpu_count()``.  Under ``plan="shared"`` the
-            pool shards *(source, sink) groups*, not single queries.
+            pool shards *sources*, not single queries.
         mp_context: multiprocessing start method for the worker pool
             (``"fork"``, ``"forkserver"`` or ``"spawn"``); ``None`` uses
             the platform default.  Ignored for sequential runs.
         plan: ``"independent"`` (default — every query solved on its own)
             or ``"shared"`` (route through :func:`repro.core.planner.
-            answer_planned`: one skeleton per (s, t) group, overlapping
-            delta sweeps solve each candidate window once).
+            answer_planned`: one skeleton per source, shared by its
+            sinks; within an (s, t) group, overlapping delta sweeps
+            solve each candidate window once).
 
     Raises:
         BatchQueryError: one query (or one planner group) failed; the

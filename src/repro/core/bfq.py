@@ -64,10 +64,10 @@ def bfq(
         stats.candidates_enumerated += 1
         if skeleton is None:
             t0 = time.perf_counter()
-            skeleton = WindowSkeleton(network, source, sink)
+            skeleton = WindowSkeleton(network, source)
             stats.transform_seconds += time.perf_counter() - t0
         if solver == "dinic":
-            _, value = solve_fresh(skeleton, tau_s, tau_e, stats)
+            _, value = solve_fresh(skeleton, sink, tau_s, tau_e, stats)
         else:
             # The byte-identical object graph of build_transformed_network.
             t0 = time.perf_counter()

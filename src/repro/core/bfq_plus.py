@@ -16,10 +16,10 @@ extension is one :func:`~repro.core.sweep.insertion_step`, the step BFQ*
 drives too, and every window is solved through
 :func:`~repro.core.sweep.solve`.
 
-One :class:`~repro.core.skeleton.WindowSkeleton` is compiled per query and
-shared by every per-start incremental state, replacing all per-extension
-reachability sweeps with binary-searched slices of the edges its
-latest-departure column includes for that start.
+One :class:`~repro.core.skeleton.WindowSkeleton` of the query's source is
+compiled per query and shared by every per-start incremental state,
+replacing all per-extension reachability sweeps with binary-searched
+slices of the edges its latest-departure column includes for that start.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from repro.core.query import BurstingFlowQuery, BurstingFlowResult, QueryStats
 from repro.core.record import BestRecord
 from repro.core.skeleton import WindowSkeleton
 from repro.core.sweep import insertion_step, solve_fresh
+from repro.temporal.edge import NodeId
 from repro.temporal.network import TemporalFlowNetwork
 
 
@@ -57,13 +58,13 @@ def bfq_plus(
     skeleton: WindowSkeleton | None = None
     if plan.starts or plan.corner is not None:
         t0 = time.perf_counter()
-        skeleton = WindowSkeleton(network, query.source, query.sink)
+        skeleton = WindowSkeleton(network, query.source)
         stats.transform_seconds += time.perf_counter() - t0
 
     for tau_s in plan.starts:
         tau_e = tau_s + plan.delta
         stats.candidates_enumerated += 1
-        state, value = solve_fresh(skeleton, tau_s, tau_e, stats)
+        state, value = solve_fresh(skeleton, query.sink, tau_s, tau_e, stats)
         best.offer(value, tau_s, tau_e)
         pending = 0.0
         for tau_e_next in plan.endings_for(tau_s):
@@ -71,7 +72,7 @@ def bfq_plus(
                 state, tau_e_next, value, pending, best, stats,
                 use_pruning=use_pruning,
             )
-    _evaluate_corner(plan, best, stats, skeleton=skeleton)
+    _evaluate_corner(plan, best, stats, skeleton=skeleton, sink=query.sink)
 
     return BurstingFlowResult(
         density=best.density,
@@ -87,15 +88,16 @@ def _evaluate_corner(
     stats: QueryStats,
     *,
     skeleton: WindowSkeleton | None,
+    sink: NodeId,
 ) -> None:
     """Footnote-4 corner case: the clamped window ``[T_max - delta, T_max]``.
 
-    ``skeleton`` is the query's compiled skeleton; it may be ``None`` only
-    when the plan has no corner.
+    ``skeleton`` is the query source's compiled skeleton; it may be
+    ``None`` only when the plan has no corner.
     """
     if plan.corner is None:
         return
     tau_s, tau_e = plan.corner
     stats.candidates_enumerated += 1
-    _, value = solve_fresh(skeleton, tau_s, tau_e, stats)
+    _, value = solve_fresh(skeleton, sink, tau_s, tau_e, stats)
     best.offer(value, tau_s, tau_e)

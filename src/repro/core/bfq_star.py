@@ -36,7 +36,7 @@ from repro.core.query import BurstingFlowQuery, BurstingFlowResult, QueryStats
 from repro.core.record import BestRecord
 from repro.core.skeleton import WindowSkeleton
 from repro.core.sweep import insertion_step, solve, solve_fresh
-from repro.temporal.edge import Timestamp
+from repro.temporal.edge import NodeId, Timestamp
 from repro.temporal.network import TemporalFlowNetwork
 
 
@@ -62,12 +62,15 @@ def bfq_star(
     skeleton: WindowSkeleton | None = None
     if plan.starts or plan.corner is not None:
         t0 = time.perf_counter()
-        skeleton = WindowSkeleton(network, query.source, query.sink)
+        skeleton = WindowSkeleton(network, query.source)
         stats.transform_seconds += time.perf_counter() - t0
 
     if plan.starts:
-        _zigzag(plan, best, stats, use_pruning=use_pruning, skeleton=skeleton)
-    _evaluate_corner(plan, best, stats, skeleton=skeleton)
+        _zigzag(
+            plan, best, stats,
+            use_pruning=use_pruning, skeleton=skeleton, sink=query.sink,
+        )
+    _evaluate_corner(plan, best, stats, skeleton=skeleton, sink=query.sink)
 
     return BurstingFlowResult(
         density=best.density,
@@ -84,12 +87,15 @@ def _zigzag(
     *,
     use_pruning: bool,
     skeleton: WindowSkeleton,
+    sink: NodeId,
 ) -> None:
     """The Figure 5(c) evaluation pattern over all starting timestamps."""
     delta = plan.delta
     first_start = plan.starts[0]
     stats.candidates_enumerated += 1
-    state, value = solve_fresh(skeleton, first_start, first_start + delta, stats)
+    state, value = solve_fresh(
+        skeleton, sink, first_start, first_start + delta, stats
+    )
     best.offer(value, first_start, first_start + delta)
 
     for position, tau_s in enumerate(plan.starts):

@@ -75,7 +75,8 @@ class IncrementalTransformedNetwork:
     on the state's own :attr:`arena`.
 
     Edge inclusion follows the caller's input.  With a compiled
-    ``skeleton`` (one per query or planner group) every extension is a
+    ``skeleton`` (one per query, or one per source of a planner call;
+    it serves every sink of its source) every extension is a
     binary-searched slice of the skeleton's included edges for the state's
     start (read off its latest-departure column).  With
     ``skeleton=None`` each extension runs
@@ -86,7 +87,7 @@ class IncrementalTransformedNetwork:
     Raises:
         InvalidIntervalError: unless ``tau_s < tau_e``.
         GraphError: when ``skeleton`` was compiled for another network or
-            another (source, sink) pair.
+            another source.
     """
 
     __slots__ = (
@@ -122,14 +123,11 @@ class IncrementalTransformedNetwork:
         if tau_e <= tau_s:
             raise InvalidIntervalError(f"window [{tau_s}, {tau_e}] is degenerate")
         if skeleton is not None and (
-            skeleton.temporal is not temporal
-            or skeleton.source != source
-            or skeleton.sink != sink
+            skeleton.temporal is not temporal or skeleton.source != source
         ):
             raise GraphError(
-                "skeleton was compiled for another network or (source, sink) "
-                f"pair: ({skeleton.source!r}, {skeleton.sink!r}) vs "
-                f"({source!r}, {sink!r})"
+                "skeleton was compiled for another network or source: "
+                f"{skeleton.source!r} vs {source!r}"
             )
         self._skeleton = skeleton
         self.temporal = temporal

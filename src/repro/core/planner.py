@@ -10,16 +10,18 @@ queries in the same batch enumerate the *same* window.
 The planner amortises both:
 
 1. **Grouping** — the batch is partitioned by ``(source, sink)``
-   (:func:`group_queries`); each group compiles **one** skeleton reused
-   across all of its queries and delta values.
+   (:func:`group_queries`), and the groups by source.  A skeleton
+   depends only on its source, so each source compiles **one** skeleton
+   reused across all of its sinks, queries and delta values.
 2. **Window memoisation** — Lemma-2 candidate windows of different deltas
    overlap heavily (every window longer than both deltas is shared), so
-   each group keeps a per-epoch :class:`WindowMemo` keyed on
-   ``(tau_s, tau_e)``: the first query that needs a window solves its
-   Maxflow; every later query — same delta repeated, or an overlapping
-   sweep — reuses the value for free.  A window whose start reaches no
-   sink in-edge (:meth:`~repro.core.skeleton.WindowSkeleton.reaches_sink`)
-   is 0.0 without an arena or a Maxflow run.
+   each ``(source, sink)`` group keeps a per-epoch :class:`WindowMemo`
+   keyed on ``(tau_s, tau_e)``: the first query that needs a window
+   solves its Maxflow; every later query — same delta repeated, or an
+   overlapping sweep — reuses the value for free.  A window whose start
+   reaches no sink in-edge
+   (:meth:`~repro.core.skeleton.WindowSkeleton.reaches_sink`) is 0.0
+   without an arena or a Maxflow run.
 3. **Top-k densest bursts** (:func:`top_k_bursts`) — a first-class query
    over a candidate ``(s, t)`` list, ranked by the canonical tie-break.
 
@@ -164,91 +166,109 @@ class WindowMemo:
         self.values[key] = (value, size)
 
 
-def _solve_group(
+def _solve_window(
+    skeleton: WindowSkeleton,
+    sink: NodeId,
+    tau_s: Timestamp,
+    tau_e: Timestamp,
+    stats: QueryStats,
+) -> tuple[float, int]:
+    """Solve one window off the source's skeleton: ``(value, network_size)``."""
+    t0 = time.perf_counter()
+    reaches = skeleton.reaches_sink(tau_s, tau_e, sink)
+    swept = time.perf_counter() - t0
+    if reaches:
+        stats.transform_seconds += swept
+        state, value = solve_fresh(skeleton, sink, tau_s, tau_e, stats)
+        return value, state.num_nodes
+    # No included edge enters the sink, so the Maxflow is 0 and no arena
+    # is built.
+    stats.pruned_intervals += 1
+    stats.record_sample(
+        IntervalSample(
+            interval=(tau_s, tau_e),
+            network_size=0,
+            mode="pruned",
+            maxflow_seconds=0.0,
+            transform_seconds=swept,
+            flow_value=0.0,
+        )
+    )
+    return 0.0, 0
+
+
+def _solve_source(
     network: TemporalFlowNetwork,
     source: NodeId,
-    sink: NodeId,
-    deltas: Sequence[int],
-) -> tuple[list[BurstingFlowResult], PlannerReport]:
-    """Answer one group: one skeleton, one window memo, many deltas.
+    groups: Sequence[tuple[NodeId, Sequence[int]]],
+) -> tuple[list[list[BurstingFlowResult]], PlannerReport]:
+    """Answer one source's ``(sink, deltas)`` groups on one skeleton.
 
-    Results align with ``deltas``.  Each query folds only *its own*
-    candidate plan through a fresh :class:`BestRecord`, so its answer is
-    independent of its siblings; only the window Maxflows are shared.
+    The skeleton is compiled lazily, at the first window any group has to
+    solve, and serves every sink; each group keeps its own
+    :class:`WindowMemo`.  Results align with ``groups`` and, within a
+    group, with its deltas.  Each query folds only *its own* candidate
+    plan through a fresh :class:`BestRecord`, so its answer is
+    independent of its siblings; only the skeleton and the group's window
+    Maxflows are shared.
     """
-    report = PlannerReport(queries=len(deltas), groups=1)
+    report = PlannerReport(
+        queries=sum(len(deltas) for _sink, deltas in groups), groups=len(groups)
+    )
     t_start = time.perf_counter()
     skeleton: WindowSkeleton | None = None
-    memo = WindowMemo(network)
-    results: list[BurstingFlowResult] = []
-    for delta in deltas:
-        plan = enumerate_candidates(network, source, sink, delta)
-        best = BestRecord()
-        stats = QueryStats()
-        for tau_s, tau_e in plan.intervals():
-            stats.candidates_enumerated += 1
-            hit = memo.get((tau_s, tau_e))
-            if hit is None:
-                if skeleton is None:
-                    # Lazy compile, once per group — this is amortisation
-                    # point 1 (vs once per query independently).
-                    t0 = time.perf_counter()
-                    skeleton = WindowSkeleton(network, source, sink)
-                    stats.transform_seconds += time.perf_counter() - t0
-                    report.skeletons_compiled += 1
-                t0 = time.perf_counter()
-                reaches = skeleton.reaches_sink(tau_s, tau_e)
-                swept = time.perf_counter() - t0
-                if reaches:
-                    stats.transform_seconds += swept
-                    state, value = solve_fresh(skeleton, tau_s, tau_e, stats)
-                    memo.put((tau_s, tau_e), value, state.num_nodes)
+    answers: list[list[BurstingFlowResult]] = []
+    for sink, deltas in groups:
+        memo = WindowMemo(network)
+        results: list[BurstingFlowResult] = []
+        for delta in deltas:
+            plan = enumerate_candidates(network, source, sink, delta)
+            best = BestRecord()
+            stats = QueryStats()
+            for tau_s, tau_e in plan.intervals():
+                stats.candidates_enumerated += 1
+                hit = memo.get((tau_s, tau_e))
+                if hit is None:
+                    if skeleton is None:
+                        t0 = time.perf_counter()
+                        skeleton = WindowSkeleton(network, source)
+                        stats.transform_seconds += time.perf_counter() - t0
+                        report.skeletons_compiled += 1
+                    value, size = _solve_window(
+                        skeleton, sink, tau_s, tau_e, stats
+                    )
+                    memo.put((tau_s, tau_e), value, size)
+                    report.windows_solved += 1
                 else:
-                    # No included edge enters the sink, so the Maxflow is 0
-                    # and no arena is built.
-                    value = 0.0
-                    stats.pruned_intervals += 1
+                    value, size = hit
                     stats.record_sample(
                         IntervalSample(
                             interval=(tau_s, tau_e),
-                            network_size=0,
-                            mode="pruned",
+                            network_size=size,
+                            mode="memo",
                             maxflow_seconds=0.0,
-                            transform_seconds=swept,
+                            transform_seconds=0.0,
                             flow_value=value,
                         )
                     )
-                    memo.put((tau_s, tau_e), value, 0)
-                report.windows_solved += 1
-            else:
-                value, size = hit
-                stats.record_sample(
-                    IntervalSample(
-                        interval=(tau_s, tau_e),
-                        network_size=size,
-                        mode="memo",
-                        maxflow_seconds=0.0,
-                        transform_seconds=0.0,
-                        flow_value=value,
-                    )
+                    report.windows_reused += 1
+                best.offer(value, tau_s, tau_e)
+            report.windows_total += stats.candidates_enumerated
+            results.append(
+                BurstingFlowResult(
+                    density=best.density,
+                    interval=best.interval,
+                    flow_value=best.value,
+                    stats=stats,
                 )
-                report.windows_reused += 1
-            best.offer(value, tau_s, tau_e)
-        report.windows_total += stats.candidates_enumerated
-        results.append(
-            BurstingFlowResult(
-                density=best.density,
-                interval=best.interval,
-                flow_value=best.value,
-                stats=stats,
             )
-        )
+        answers.append(results)
     report.solve_seconds = time.perf_counter() - t_start
-    return results, report
+    return answers, report
 
 
 # ----------------------------------------------------------------------
-# Process-pool fan-out: groups are independent, so they shard cleanly.
+# Process-pool fan-out: sources are independent, so they shard cleanly.
 # Same initializer/initargs discipline as repro.core.batch.
 # ----------------------------------------------------------------------
 _PLAN_NETWORK: TemporalFlowNetwork | None = None
@@ -266,12 +286,12 @@ def _reset_plan_worker_state() -> None:
     _PLAN_NETWORK = None
 
 
-def _solve_group_remote(
-    payload: tuple[NodeId, NodeId, tuple[int, ...]]
-) -> tuple[list[BurstingFlowResult], PlannerReport]:
+def _solve_source_remote(
+    payload: tuple[NodeId, tuple[tuple[NodeId, tuple[int, ...]], ...]]
+) -> tuple[list[list[BurstingFlowResult]], PlannerReport]:
     assert _PLAN_NETWORK is not None, "worker started outside answer_planned"
-    source, sink, deltas = payload
-    return _solve_group(_PLAN_NETWORK, source, sink, deltas)
+    source, groups = payload
+    return _solve_source(_PLAN_NETWORK, source, groups)
 
 
 def answer_planned(
@@ -283,14 +303,18 @@ def answer_planned(
 ) -> tuple[list[BurstingFlowResult], PlannerReport]:
     """Answer a batch through the planner; results align with input order.
 
+    The batch's ``(source, sink)`` groups (:func:`group_queries`) are
+    answered source by source: one skeleton per source, shared by its
+    sinks, and one window memo per group.
+
     Args:
         network: the shared temporal flow network.
         queries: the batch (materialised internally).
-        processes: worker processes sharding the *(s, t) groups*;
+        processes: worker processes sharding the batch's *sources*;
             ``None`` or ``1`` runs sequentially; ``0`` means
-            ``os.cpu_count()``.  Grouping keeps a group's memo inside one
-            process, so the pooled answers (and their stats) are identical
-            to the sequential ones.
+            ``os.cpu_count()``.  A source's skeleton and memos stay
+            inside one process, so the pooled answers (and their stats)
+            are identical to the sequential ones.
         mp_context: multiprocessing start method (as in ``answer_many``).
 
     Returns:
@@ -298,7 +322,7 @@ def answer_planned(
         :class:`PlannerReport` of what the batch amortised.
 
     Raises:
-        BatchQueryError: one group failed; the rest were cancelled.
+        BatchQueryError: one source failed; the rest were cancelled.
     """
     batch: Sequence[BurstingFlowQuery] = list(queries)
     for query in batch:
@@ -307,50 +331,45 @@ def answer_planned(
     results: list[BurstingFlowResult | None] = [None] * len(batch)
     if not batch:
         return [], report
-    groups = group_queries(batch)
-    if processes == 0:
-        processes = os.cpu_count() or 1
-    if processes is None or processes <= 1 or len(groups) == 1:
-        for group in groups:
-            group_results, group_report = _solve_group(
-                network,
-                group.source,
-                group.sink,
-                [batch[i].delta for i in group.indices],
-            )
-            report.absorb(group_report)
-            for index, result in zip(group.indices, group_results):
-                results[index] = result
-        return results, report  # type: ignore[return-value]
-
-    context = multiprocessing.get_context(mp_context)
+    by_source: dict[NodeId, list[QueryGroup]] = {}
+    for group in group_queries(batch):
+        by_source.setdefault(group.source, []).append(group)
     payloads = [
         (
-            group.source,
-            group.sink,
-            tuple(batch[i].delta for i in group.indices),
-        )
-        for group in groups
-    ]
-    try:
-        outcomes = run_pool(
-            payloads,
-            _solve_group_remote,
-            max_workers=min(processes, len(groups)),
-            context=context,
-            initializer=_init_plan_worker,
-            initargs=(network,),
-            describe=lambda gi: (
-                f"group ({groups[gi].source!r} -> {groups[gi].sink!r}) "
-                f"x{len(groups[gi].indices)} queries"
+            source,
+            tuple(
+                (group.sink, tuple(batch[i].delta for i in group.indices))
+                for group in groups
             ),
         )
-    finally:
-        _reset_plan_worker_state()
-    for group, (group_results, group_report) in zip(groups, outcomes):
-        report.absorb(group_report)
-        for index, result in zip(group.indices, group_results):
-            results[index] = result
+        for source, groups in by_source.items()
+    ]
+    if processes == 0:
+        processes = os.cpu_count() or 1
+    if processes is None or processes <= 1 or len(payloads) == 1:
+        outcomes = [_solve_source(network, *payload) for payload in payloads]
+    else:
+        sources = list(by_source)
+        try:
+            outcomes = run_pool(
+                payloads,
+                _solve_source_remote,
+                max_workers=min(processes, len(payloads)),
+                context=multiprocessing.get_context(mp_context),
+                initializer=_init_plan_worker,
+                initargs=(network,),
+                describe=lambda si: (
+                    f"source {sources[si]!r} x{len(by_source[sources[si]])} "
+                    f"sinks"
+                ),
+            )
+        finally:
+            _reset_plan_worker_state()
+    for groups, (answers, source_report) in zip(by_source.values(), outcomes):
+        report.absorb(source_report)
+        for group, group_results in zip(groups, answers):
+            for index, result in zip(group.indices, group_results):
+                results[index] = result
     return results, report  # type: ignore[return-value]
 
 
@@ -451,22 +470,33 @@ def planner_bfq(
     """Oracle backend: one query answered through a planner batch.
 
     The query is surrounded with the companions that force every
-    amortisation path onto *it* — an exact duplicate (whose windows must
-    all come out of the memo) and overlapping delta sweeps above and
-    below (whose plans share windows with the query's) — so the fuzz
-    runner's cross-backend diff checks the memoised answer, not a
-    degenerate single-query batch.  The duplicate's answer is asserted
-    byte-identical before the original's is returned.
+    amortisation path onto *it* — a query from the same source to another
+    sink, solved first, so the query's windows come off a skeleton that
+    sink already extended; an exact duplicate (whose windows must all come
+    out of the memo); and overlapping delta sweeps above and below (whose
+    plans share windows with the query's) — so the fuzz runner's
+    cross-backend diff checks the shared, memoised answer, not a
+    degenerate single-query batch.  The other sink is the first head node
+    in :meth:`~repro.temporal.network.TemporalFlowNetwork.edge_columns`
+    order that is neither endpoint (none when there is no such node).
+    The duplicate's answer is asserted byte-identical before the
+    original's is returned.
     """
+    heads = network.edge_columns()[2]
+    other = next((v for v in heads if v != query.source and v != query.sink), None)
+    batch = [] if other is None else [
+        BurstingFlowQuery(query.source, other, query.delta)
+    ]
+    position = len(batch)
     deltas = [query.delta]  # the duplicate
     if query.delta > 1:
         deltas.append(query.delta - 1)
     deltas.append(query.delta + 1)
-    batch = [query] + [
+    batch += [query] + [
         BurstingFlowQuery(query.source, query.sink, delta) for delta in deltas
     ]
     results, _report = answer_planned(network, batch)
-    original, duplicate = results[0], results[1]
+    original, duplicate = results[position], results[position + 1]
     if (
         duplicate.density != original.density
         or duplicate.interval != original.interval

@@ -147,8 +147,9 @@ def density_profile(
     """The optimal density for every requested delta (ascending).
 
     The deltas are answered as one planner batch
-    (:func:`repro.core.planner.answer_planned`): one skeleton compile, and
-    each candidate window's maxflow solved once across the whole ladder.
+    (:func:`repro.core.planner.answer_planned`): one compile of the
+    source's skeleton, and each candidate window's maxflow solved once
+    across the whole ladder.
 
     Args:
         deltas: deltas to evaluate; defaults to a geometric ladder

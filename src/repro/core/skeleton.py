@@ -32,8 +32,15 @@ included edges in stamp order, extended by the one ``ld[p] >= tau_s``
 comparison, so the included-edge list of *any* window ``[tau_s, tau_e]``
 is a bisect-found **prefix** of that memo.  Within one timestamp the
 edges come in column (``edges_in_window``) order, as in
-``reachable_edges``.  The memo also records the start's earliest included
-sink in-edge, which answers :meth:`WindowSkeleton.reaches_sink`.
+``reachable_edges``.  The memo also records, per head node, the stamp of
+the start's earliest included in-edge, which answers
+:meth:`WindowSkeleton.reaches_sink` for any sink.
+
+Neither the column nor the memos depend on the sink: included edges are
+the ones some flow leaving the source can use, and a sink-out edge still
+carries reachability to later edges.  One skeleton therefore serves every
+sink of its source, and the planner shares it across a source's
+``(source, sink)`` groups.
 
 The skeleton only answers *which* edges a window includes.  The one arena
 builder, :class:`~repro.core.incremental.IncrementalTransformedNetwork`,
@@ -71,33 +78,32 @@ class _StartIndex:
     tau_e)]`` and an incremental extension ``(lo, hi]`` is an interior
     slice — exactly what ``reachable_edges`` would have produced, in the
     same order.  ``next_pos`` is the global array position of the first
-    edge not yet filtered; ``first_sink`` is the stamp of the earliest
-    included edge into the sink (``inf`` while there is none).
+    edge not yet filtered; ``first_in[v]`` is the stamp of the earliest
+    included edge into ``v`` (absent while there is none).
     """
 
-    __slots__ = ("edges", "taus", "next_pos", "first_sink")
+    __slots__ = ("edges", "taus", "next_pos", "first_in")
 
     def __init__(self, next_pos: int) -> None:
         self.edges: list[tuple[NodeId, NodeId, Timestamp, float]] = []
         self.taus: list[Timestamp] = []
         self.next_pos = next_pos
-        self.first_sink: float = _INF
+        self.first_in: dict[NodeId, Timestamp] = {}
 
 
 class WindowSkeleton:
-    """A per-query compilation of the temporal network (see module docs).
+    """A per-source compilation of the temporal network (see module docs).
 
-    Compile once per ``(network, source, sink)`` triple; windows of *any*
-    ``[tau_s, tau_e]`` can then be sliced out.  The skeleton holds the
-    network's edge columns of its compile epoch and refuses to serve
-    windows after the temporal network mutates (the epoch check), since
-    those columns would be stale.
+    Compile once per ``(network, source)`` pair; windows of *any*
+    ``[tau_s, tau_e]``, towards any sink, can then be sliced out.  The
+    skeleton holds the network's edge columns of its compile epoch and
+    refuses to serve windows after the temporal network mutates (the
+    epoch check), since those columns would be stale.
     """
 
     __slots__ = (
         "temporal",
         "source",
-        "sink",
         "_epoch",
         "_eu",
         "_ev",
@@ -111,12 +117,9 @@ class WindowSkeleton:
         "_start_cache",
     )
 
-    def __init__(
-        self, temporal: TemporalFlowNetwork, source: NodeId, sink: NodeId
-    ) -> None:
+    def __init__(self, temporal: TemporalFlowNetwork, source: NodeId) -> None:
         self.temporal = temporal
         self.source = source
-        self.sink = sink
         # The network's shared edge columns, in edges_in_window order.
         self._epoch, self._eu, self._ev, self._etau, self._ecap = (
             temporal.edge_columns()
@@ -224,11 +227,11 @@ class WindowSkeleton:
         eu = self._eu
         ev = self._ev
         ecap = self._ecap
-        sink = self.sink
         pos = self._pos
         ld = self._ld
         edges = index.edges
         taus = index.taus
+        first_in = index.first_in
         for k in range(bisect_left(pos, i), bisect_left(pos, hi)):
             if ld[k] >= tau_s:
                 p = pos[k]
@@ -236,8 +239,8 @@ class WindowSkeleton:
                 v = ev[p]
                 edges.append((eu[p], v, tau, ecap[p]))
                 taus.append(tau)
-                if v == sink and tau < index.first_sink:
-                    index.first_sink = tau
+                if v not in first_in:
+                    first_in[v] = tau
         index.next_pos = hi
         return index
 
@@ -264,13 +267,15 @@ class WindowSkeleton:
         taus = index.taus
         return index.edges[bisect_left(taus, lo) : bisect_right(taus, hi)]
 
-    def reaches_sink(self, tau_s: Timestamp, tau_e: Timestamp) -> bool:
-        """Whether some edge included in ``[tau_s, tau_e]`` enters the sink.
+    def reaches_sink(
+        self, tau_s: Timestamp, tau_e: Timestamp, sink: NodeId
+    ) -> bool:
+        """Whether some edge included in ``[tau_s, tau_e]`` enters ``sink``.
 
-        When it is False the window's transformed network has no capacity
-        edge into the sink, so its Maxflow is 0.
+        When it is False the window's transformed network towards
+        ``sink`` has no capacity edge into the sink, so its Maxflow is 0.
 
         Raises:
             GraphError: when the temporal network mutated after compile.
         """
-        return self.start_index(tau_s, tau_e).first_sink <= tau_e
+        return self.start_index(tau_s, tau_e).first_in.get(sink, _INF) <= tau_e

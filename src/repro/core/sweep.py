@@ -6,7 +6,7 @@ BFQ, BFQ+, BFQ* and the planner evaluate their windows on
 :class:`~repro.core.query.IntervalSample` and returns the state's
 :meth:`~IncrementalTransformedNetwork.flow_value` — the one value source
 of all four backends; :func:`solve_fresh` first builds the window from
-the query's compiled skeleton.
+the source's compiled skeleton.
 
 :func:`insertion_step` is lines 5-11 of Algorithms 2 and 3: move a
 running state's end to the next candidate ending (Lemma 3), test the
@@ -23,7 +23,7 @@ from repro.core.incremental import IncrementalTransformedNetwork
 from repro.core.query import IntervalSample, QueryStats
 from repro.core.record import BestRecord, should_prune
 from repro.core.skeleton import WindowSkeleton
-from repro.temporal.edge import Timestamp
+from repro.temporal.edge import NodeId, Timestamp
 
 
 def solve(
@@ -62,14 +62,16 @@ def solve(
 
 def solve_fresh(
     skeleton: WindowSkeleton,
+    sink: NodeId,
     tau_s: Timestamp,
     tau_e: Timestamp,
     stats: QueryStats,
 ) -> tuple[IncrementalTransformedNetwork, float]:
-    """Build ``[tau_s, tau_e]`` from ``skeleton`` and solve it from scratch."""
+    """Build ``[tau_s, tau_e]`` towards ``sink`` from the source's
+    ``skeleton`` and solve it from scratch."""
     t0 = time.perf_counter()
     state = IncrementalTransformedNetwork(
-        skeleton.temporal, skeleton.source, skeleton.sink, tau_s, tau_e,
+        skeleton.temporal, skeleton.source, sink, tau_s, tau_e,
         skeleton=skeleton,
     )
     return state, solve(state, stats, "dinic", t0)

@@ -214,7 +214,8 @@ class ServiceClient:
     ) -> BatchReply:
         """Answer a batch of ``(source, sink, delta)`` queries in one
         round trip; ``plan="shared"`` lets the server's planner share one
-        window skeleton and the Maxflow memo per (source, sink) group."""
+        window skeleton per source and the Maxflow memo per (source, sink)
+        group."""
         reply = self.request(
             BatchRequest(
                 id=f"b{next(self._ids)}",

@@ -38,7 +38,9 @@ class TestRaiseMode:
         poisoned(monkeypatch, ("s", "t"))
         detector = BurstDetector(network)
         with pytest.raises(ScanQueryError) as excinfo:
-            detector.scan(["s", "a"], ["t"], [2])
+            # "s" is one batch over both sinks; the error still names the
+            # poisoned pair, not the batch's first query (s, c).
+            detector.scan(["s", "a"], ["c", "t"], [2])
         error = excinfo.value
         assert (error.source, error.sink, error.delta) == ("s", "t", 2)
         assert "RuntimeError: engine exploded" in str(error)
@@ -54,10 +56,11 @@ class TestRecordMode:
     def test_failures_become_rows_and_the_sweep_continues(
         self, network, monkeypatch
     ):
+        clean = BurstDetector(network).scan(["s"], ["c"], [2, 3])
         poisoned(monkeypatch, ("s", "t"))
         detector = BurstDetector(network)
         report = detector.scan(
-            ["s", "a"], ["t"], [2, 3], on_error="record"
+            ["s", "a"], ["t", "c"], [2, 3], on_error="record"
         )
         assert report.errors == [
             ScanError(source="s", sink="t", delta=2,
@@ -65,9 +68,16 @@ class TestRecordMode:
             ScanError(source="s", sink="t", delta=3,
                       error="RuntimeError: engine exploded"),
         ]
-        # The healthy combinations were all still answered.
-        assert {(f.source, f.sink) for f in report.findings} == {("a", "t")}
-        assert len(report.findings) == 2
+        # The healthy combinations were all still answered, the poisoned
+        # source's other pair (s, c) included: its batch failure did not
+        # void the whole source.
+        assert {(f.source, f.sink) for f in report.findings} == {
+            ("s", "c"), ("a", "t"), ("a", "c"),
+        }
+        assert len(report.findings) == 6
+        assert [
+            report.finding_for("s", "c", delta) for delta in (2, 3)
+        ] == clean.findings
 
     def test_invalid_delta_fails_alone(self, network):
         report = BurstDetector(network).scan(

@@ -54,7 +54,7 @@ def temporal_networks(draw) -> TemporalFlowNetwork:
 
 
 def _twins(network, tau_s, tau_e):
-    skeleton = WindowSkeleton(network, "n0", "n1")
+    skeleton = WindowSkeleton(network, "n0")
     compiled = IncrementalTransformedNetwork(
         network, "n0", "n1", tau_s, tau_e, skeleton=skeleton
     )
@@ -161,7 +161,7 @@ def test_value_bound_run_matches_unbounded_twin(network):
 
 
 def test_clone_preserves_kernel(burst_network):
-    skeleton = WindowSkeleton(burst_network, "s", "t")
+    skeleton = WindowSkeleton(burst_network, "s")
     state = IncrementalTransformedNetwork(
         burst_network, "s", "t", 0, 2, skeleton=skeleton
     )
@@ -232,7 +232,7 @@ def test_moves_and_clones_keep_slots_paired(network, data):
     if t_max - t_min < 2:
         return
     skeleton = (
-        WindowSkeleton(network, "n0", "n1")
+        WindowSkeleton(network, "n0")
         if data.draw(st.booleans(), label="compiled")
         else None
     )

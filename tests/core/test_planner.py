@@ -180,6 +180,32 @@ class TestPlannerEquivalence:
         assert pool_report.windows_solved == seq_report.windows_solved
         assert pool_report.windows_reused == seq_report.windows_reused
 
+    def test_process_pool_shards_by_source(self):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+        network = random_network(5)
+        batch = [
+            BurstingFlowQuery(source, sink, delta)
+            for delta in (2, 3)
+            for source, sink in (
+                ("n0", "n1"), ("n2", "n3"), ("n0", "n3"), ("n2", "n1")
+            )
+        ]
+        sequential, seq_report = answer_planned(network, batch)
+        pooled, pool_report = answer_planned(
+            network, batch, processes=2, mp_context="fork"
+        )
+        assert_results_identical(pooled, sequential)
+        assert_results_identical(
+            sequential, [find_bursting_flow(network, query) for query in batch]
+        )
+        # One skeleton per source, shared by its two sinks; the pool
+        # shards whole sources, so the merged report is identical.
+        assert pool_report.groups == 4
+        assert pool_report.skeletons_compiled == 2
+        seq_report.solve_seconds = pool_report.solve_seconds = 0.0
+        assert pool_report == seq_report
+
     def test_answer_many_shared_plan_matches_independent(self):
         network = random_network(11)
         batch = overlapping_batch()

@@ -82,7 +82,7 @@ class TestWindowEquality:
     @pytest.mark.parametrize("seed", range(8))
     def test_same_nodes_value_and_certificate(self, seed):
         network = random_network(seed)
-        skeleton = WindowSkeleton(network, "n0", "n1")
+        skeleton = WindowSkeleton(network, "n0")
         for tau_s, tau_e in candidate_windows(network):
             window = IncrementalTransformedNetwork(
                 network, "n0", "n1", tau_s, tau_e, skeleton=skeleton
@@ -115,7 +115,7 @@ class TestWindowEquality:
     @pytest.mark.parametrize("seed", range(4))
     def test_to_flow_network_is_byte_identical(self, seed):
         network = random_network(seed, edges=15)
-        skeleton = WindowSkeleton(network, "n0", "n1")
+        skeleton = WindowSkeleton(network, "n0")
         for tau_s, tau_e in candidate_windows(network)[:6]:
             rebuilt = assemble(
                 network, "n0", "n1", tau_s, tau_e,
@@ -131,7 +131,7 @@ class TestWindowEquality:
 
     def test_reversed_window_raises(self):
         network = random_network(0)
-        skeleton = WindowSkeleton(network, "n0", "n1")
+        skeleton = WindowSkeleton(network, "n0")
         with pytest.raises(InvalidIntervalError):
             IncrementalTransformedNetwork(
                 network, "n0", "n1", 5, 3, skeleton=skeleton
@@ -157,11 +157,11 @@ class TestSkeletonMatchesState:
         network = self._network()
         with pytest.raises(GraphError, match="another network or"):
             IncrementalTransformedNetwork(
-                network, "s", "t", 1, 2, skeleton=WindowSkeleton(network, "x", "t")
+                network, "s", "t", 1, 2, skeleton=WindowSkeleton(network, "x")
             )
 
     def test_skeleton_for_another_network_raises(self):
-        skeleton = WindowSkeleton(self._network(), "s", "t")
+        skeleton = WindowSkeleton(self._network(), "s")
         with pytest.raises(GraphError, match="another network or"):
             IncrementalTransformedNetwork(
                 self._network(), "s", "t", 1, 2, skeleton=skeleton
@@ -170,7 +170,7 @@ class TestSkeletonMatchesState:
     def test_matching_skeleton_builds_the_live_window(self):
         network = self._network()
         state = IncrementalTransformedNetwork(
-            network, "s", "t", 1, 2, skeleton=WindowSkeleton(network, "s", "t")
+            network, "s", "t", 1, 2, skeleton=WindowSkeleton(network, "s")
         )
         assert state.run_maxflow().value == 5.0
 
@@ -181,7 +181,7 @@ class TestLazySweep:
     @pytest.mark.parametrize("seed", range(6))
     def test_included_matches_reachable_edges(self, seed):
         network = random_network(seed)
-        skeleton = WindowSkeleton(network, "n0", "n1")
+        skeleton = WindowSkeleton(network, "n0")
         t_min, t_max = network.t_min, network.t_max
         for tau_s in range(t_min, t_max):
             # Ask for growing prefixes, exercising the resume path.
@@ -204,7 +204,7 @@ class TestLazySweep:
         network.add_edge(TemporalEdge("a", "b", 3, 2.0))
         network.add_edge(TemporalEdge("s", "a", 3, 4.0))
         network.add_edge(TemporalEdge("b", "t", 4, 1.0))
-        skeleton = WindowSkeleton(network, "s", "t")
+        skeleton = WindowSkeleton(network, "s")
         expected = [("a", "b", 3, 2.0), ("s", "a", 3, 4.0)]
         assert reachable_edges(network, "s", 3, 3) == expected
         assert skeleton.included_between(3, 3, 3) == expected
@@ -212,50 +212,71 @@ class TestLazySweep:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("order", ["descending", "random"])
     def test_any_start_order_matches_reachable_edges(self, seed, order):
-        # A start below every earlier one resets the column's floor.
+        # A start below every earlier one resets the column's floor.  One
+        # skeleton serves every sink: the windows interleave sinks, so a
+        # reset can follow memos another sink's windows extended.
         network = random_network(seed)
-        skeleton = WindowSkeleton(network, "n0", "n1")
+        skeleton = WindowSkeleton(network, "n0")
         t_min, t_max = network.t_min, network.t_max
         windows = [
-            (tau_s, tau_e)
+            (tau_s, tau_e, sink)
             for tau_s in range(t_min, t_max + 1)
             for tau_e in range(tau_s, t_max + 1)
+            for sink in sorted(network.nodes)
+            if sink != "n0"
         ]
         if order == "descending":
             windows.sort(key=lambda window: (-window[0], window[1]))
         else:
             random.Random(seed).shuffle(windows)
-        for tau_s, tau_e in windows:
+        for tau_s, tau_e, sink in windows:
             expected = reachable_edges(network, "n0", tau_s, tau_e)
             assert skeleton.included_between(tau_s, tau_s, tau_e) == expected
             lo = (tau_s + tau_e) // 2
             assert skeleton.included_between(tau_s, lo, tau_e) == [
                 edge for edge in expected if edge[2] >= lo
             ]
+            assert skeleton.reaches_sink(tau_s, tau_e, sink) == any(
+                v == sink for _u, v, _tau, _cap in expected
+            )
 
     @pytest.mark.parametrize("seed", range(10))
     def test_reaches_sink_matches_included_sink_edges(self, seed):
         network = random_network(seed, edges=12)
-        skeleton = WindowSkeleton(network, "n0", "n1")
+        skeleton = WindowSkeleton(network, "n0")
         t_min, t_max = network.t_min, network.t_max
-        for tau_s in range(t_max, t_min - 1, -1):
-            for tau_e in range(tau_s + 1, t_max + 1):
-                reaches = any(
-                    v == "n1"
-                    for _u, v, _tau, _cap in reachable_edges(
-                        network, "n0", tau_s, tau_e
-                    )
+        windows = [
+            (tau_s, tau_e, "n1")
+            for tau_s in range(t_max, t_min - 1, -1)
+            for tau_e in range(tau_s + 1, t_max + 1)
+        ]
+        # Then every sink on the same skeleton, starts shuffled and
+        # interleaved across sinks.
+        shuffled = [
+            (tau_s, tau_e, sink)
+            for tau_s in range(t_min, t_max + 1)
+            for tau_e in range(tau_s + 1, t_max + 1)
+            for sink in sorted(network.nodes)
+            if sink != "n0"
+        ]
+        random.Random(seed).shuffle(shuffled)
+        for tau_s, tau_e, sink in windows + shuffled:
+            reaches = any(
+                v == sink
+                for _u, v, _tau, _cap in reachable_edges(
+                    network, "n0", tau_s, tau_e
                 )
-                assert skeleton.reaches_sink(tau_s, tau_e) == reaches
-                if not reaches:
-                    _state, value = solve_fresh(
-                        skeleton, tau_s, tau_e, QueryStats()
-                    )
-                    assert value == 0.0
+            )
+            assert skeleton.reaches_sink(tau_s, tau_e, sink) == reaches
+            if not reaches:
+                _state, value = solve_fresh(
+                    skeleton, sink, tau_s, tau_e, QueryStats()
+                )
+                assert value == 0.0
 
     def test_epoch_guard_fires_after_mutation(self):
         network = random_network(1)
-        skeleton = WindowSkeleton(network, "n0", "n1")
+        skeleton = WindowSkeleton(network, "n0")
         IncrementalTransformedNetwork(
             network, "n0", "n1", network.t_min, network.t_max, skeleton=skeleton
         )
@@ -268,12 +289,12 @@ class TestLazySweep:
 
     def test_stale_skeleton_keeps_its_columns(self):
         network = random_network(2)
-        skeleton = WindowSkeleton(network, "n0", "n1")
+        skeleton = WindowSkeleton(network, "n0")
         columns = (skeleton._eu, skeleton._ev, skeleton._etau, skeleton._ecap)
         frozen = tuple(list(column) for column in columns)
         network.add_edge(TemporalEdge("n1", "n0", network.t_max + 1, 1.0))
         network.add_edge(TemporalEdge("n0", "n1", network.t_min, 1.0))
-        fresh = WindowSkeleton(network, "n0", "n1")
+        fresh = WindowSkeleton(network, "n0")
         assert len(fresh._etau) == len(frozen[2]) + 2
         assert (skeleton._eu, skeleton._ev, skeleton._etau, skeleton._ecap) == frozen
         with pytest.raises(GraphError, match="mutated after skeleton compile"):

@@ -191,7 +191,7 @@ def test_engine_states_augment_exactly_as_the_sink_rooted_search(network, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(incremental, "arena_maxflow", _differential_run)
         skeleton = (
-            WindowSkeleton(network, "n0", "n1")
+            WindowSkeleton(network, "n0")
             if data.draw(st.booleans(), label="compiled")
             else None
         )

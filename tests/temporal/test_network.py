@@ -223,7 +223,7 @@ class TestEdgeColumns:
     def test_pickle_leaves_columns_out(self, small):
         small.timestamps  # settle the lazily sorted indexes first
         before = pickle.dumps(small)
-        WindowSkeleton(small, "s", "t")
+        WindowSkeleton(small, "s")
         assert small._columns is not None
         after = pickle.dumps(small)
         assert len(after) == len(before)
