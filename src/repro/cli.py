@@ -949,31 +949,18 @@ def _run_cluster(args: argparse.Namespace) -> int:
             seed.close()
 
     async def _serve() -> int:
-        replicas = []
-        for index in range(args.replicas):
-            replica_id = f"r{index}"
-            if args.replica_mode == "process":
-                replicas.append(
-                    ProcessReplica(
-                        replica_id,
-                        log_path,
-                        snapshots=args.snapshots,
-                        cache_capacity=args.cache_capacity,
-                        max_pending=args.max_pending,
-                        algorithm=args.algorithm,
-                    )
-                )
-            else:
-                replicas.append(
-                    InlineReplica(
-                        replica_id,
-                        log_path,
-                        snapshots=args.snapshots,
-                        cache_capacity=args.cache_capacity,
-                        max_pending=args.max_pending,
-                        algorithm=args.algorithm,
-                    )
-                )
+        shape = ProcessReplica if args.replica_mode == "process" else InlineReplica
+        replicas = [
+            shape(
+                f"r{index}",
+                log_path,
+                snapshots=args.snapshots,
+                cache_capacity=args.cache_capacity,
+                max_pending=args.max_pending,
+                algorithm=args.algorithm,
+            )
+            for index in range(args.replicas)
+        ]
         coordinator = ClusterCoordinator(
             log_path,
             replicas,

@@ -25,7 +25,14 @@ port it adds the replicated serving tier:
   consistent hash on ``(source, sink)`` (per-replica caches become
   additive shards), falling back least-in-flight-first, trying each
   surviving replica **at most once** per round; ``overloaded`` rounds
-  back off under the shared :class:`~repro.service.RetryPolicy`.
+  back off under the shared :class:`~repro.service.RetryPolicy`.  A
+  batch or top-k request is forwarded as one sub-request per replica
+  that owns any of its pairs (:meth:`ClusterCoordinator._scatter`), so
+  a replica's planner sees all the pairs it owns in one call.
+* **The service's mining funnel.**  A ``scan`` runs the same
+  :class:`~repro.mining.MiningPipeline` a single service runs, over the
+  coordinator's committed mirror; only the confirmation between its
+  ``shortlist`` and ``settle`` steps is routed (as a top-k).
 * **Self-healing.**  A replica that fails a probe or drops a forwarded
   request is taken out of rotation and re-joined by restoring the
   latest snapshot and replaying the log suffix behind it — under the
@@ -53,7 +60,7 @@ import asyncio
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.cluster.health import HealthMonitor
 from repro.cluster.replica import InlineReplica, ProcessReplica, ReplicaError
@@ -87,14 +94,12 @@ from repro.service.protocol import (
     ErrorReply,
     MetricsReply,
     MetricsRequest,
-    PatternsReply,
     PatternsRequest,
     PingRequest,
     PongReply,
     QueryRequest,
     Reply,
     Request,
-    ScanReply,
     ScanRequest,
     TopKReply,
     TopKRequest,
@@ -102,8 +107,7 @@ from repro.service.protocol import (
     parse_reply,
     request_payload,
 )
-from repro.mining.pipeline import flag_entries, persist_entries, score_entries
-from repro.mining.prefilter import NodeIntensity, rank_candidates_for_network
+from repro.mining.pipeline import MiningPipeline
 from repro.mining.store import PatternStore
 from repro.store.log import AppendLog
 from repro.store.snapshot import SnapshotStore
@@ -255,12 +259,12 @@ class ClusterCoordinator(WireFrontEnd):
             (``None`` disables automatic checkpoints; :meth:`checkpoint`
             stays available).
         patterns_dir: directory of the cluster's durable pattern store,
-            enabling the ``scan``/``patterns`` ops: the coordinator
-            pre-filters candidates on its committed mirror, scatters the
-            δ-BFlow confirmation across the replicas by pair affinity
-            (the top-k shard machinery), and persists flagged patterns
-            here.  ``None`` (default) answers those ops with a typed
-            ``invalid`` error.
+            enabling the ``scan``/``patterns`` ops: a
+            :class:`~repro.mining.MiningPipeline` over the committed
+            mirror runs the funnel, the δ-BFlow confirmation is scattered
+            across the replicas by pair affinity (the top-k route), and
+            flagged patterns persist here.  ``None`` (default) answers
+            those ops with a typed ``invalid`` error.
 
     Construction *recovers*: the coordinator rebuilds its committed
     state — a mirror of the replayed network, the committed epoch and
@@ -269,6 +273,8 @@ class ClusterCoordinator(WireFrontEnd):
     therefore restarts with zero lost committed appends and without
     replaying the compacted history.
     """
+
+    _mining_off = "coordinator (start it with patterns_dir)"
 
     def __init__(
         self,
@@ -318,11 +324,12 @@ class ClusterCoordinator(WireFrontEnd):
             replica.replica_id: _ReplicaState(handle=replica)
             for replica in replicas
         }
-        self.patterns: PatternStore | None = (
-            PatternStore(patterns_dir, fsync=fsync)
+        self.mining: MiningPipeline | None = (
+            MiningPipeline(self._mirror, PatternStore(patterns_dir, fsync=fsync))
             if patterns_dir is not None
             else None
         )
+        self.patterns = self.mining.store if self.mining is not None else None
         self.router = ConsistentHashRouter(ids)
         self.retry = retry or RetryPolicy(
             max_attempts=3, base_delay=0.05, max_delay=1.0
@@ -667,56 +674,89 @@ class ClusterCoordinator(WireFrontEnd):
         return reply
 
     # ------------------------------------------------------------------
-    # Batches / top-k: whole (source, sink) groups go to the shard owner
+    # Batches / top-k: one sub-request per shard owner
     # ------------------------------------------------------------------
-    async def _route_batch(self, request: BatchRequest) -> Reply:
-        """Split a batch by ``(source, sink)`` and route each group whole.
+    async def _scatter(
+        self,
+        request_id: str,
+        keys: Sequence[tuple[Any, Any]],
+        fence: int,
+        sub_request: Callable[[str, list[int]], Request],
+    ) -> list[tuple[list[int], Reply]] | ErrorReply:
+        """Forward one sub-request per replica that owns any of ``keys``.
 
-        The replica owning a pair's shard holds that pair's planner
-        cache entries, so sending the *entire* group there — instead of
-        scattering its queries — is what keeps the planner's window memo
-        intact across the cluster: one skeleton per forwarded group,
-        never one per query.  The planner shares a source's skeleton
-        across its sinks only within one replica's batch; each group is
-        forwarded as its own sub-batch, so here every pair compiles its
-        own.  Groups solve concurrently on their distinct owners.
+        ``keys`` are a request's ``(source, sink)`` pairs; positions are
+        grouped by each pair's affinity owner among the eligible
+        replicas, and ``sub_request(sub_id, positions)`` builds the
+        owner's share.  Each share is keyed by its first pair — whose
+        affinity *is* that owner — so failover walks the same ring.
+        Returns ``(positions, reply)`` per owner, or the error reply
+        (shed when no replica is eligible) the whole request fails with.
+        """
+        eligible = [
+            rid
+            for rid, state in self._replicas.items()
+            if state.live and state.acked_epoch >= fence
+        ]
+        by_owner: dict[str | None, list[int]] = {}
+        for position, (source, sink) in enumerate(keys):
+            owner = self.router.affinity(source, sink, eligible)
+            by_owner.setdefault(owner, []).append(position)
+        if None in by_owner:
+            return self._shed(request_id)
+        shards = list(by_owner.values())
+        replies = await asyncio.gather(
+            *(
+                self._forward_keyed(
+                    request_payload(sub_request(f"{request_id}.s{n}", positions)),
+                    *keys[positions[0]],
+                    fence,
+                )
+                for n, positions in enumerate(shards)
+            )
+        )
+        for positions, reply in zip(shards, replies):
+            if reply is None:
+                pairs = [keys[position] for position in positions]
+                return self._shed(request_id, f" for pairs {pairs!r}")
+            if isinstance(reply, ErrorReply):
+                return replace(reply, id=request_id)
+        return list(zip(shards, replies))
+
+    async def _route_batch(self, request: BatchRequest) -> Reply:
+        """Scatter a batch by shard owner; merge in input order.
+
+        Each owner receives every query whose ``(source, sink)`` it owns
+        as one sub-batch, so its planner shares a source's skeleton
+        across that source's sinks and keeps each pair's window memo
+        (and its per-entry cache) on the pair's shard.  The replies'
+        planner reports are summed.
         """
         started = time.perf_counter()
         fence = self._fence(request)
         if isinstance(fence, ErrorReply):
             return fence
-        groups: dict[tuple[Any, Any], list[int]] = {}
-        for index, (source, sink, _delta) in enumerate(request.queries):
-            groups.setdefault((source, sink), []).append(index)
-
-        async def solve_group(key: tuple[Any, Any], indices: list[int]) -> Reply | None:
-            source, sink = key
-            sub = BatchRequest(
-                id=f"{request.id}.g{indices[0]}",
-                queries=tuple(request.queries[i] for i in indices),
+        queries = request.queries
+        scattered = await self._scatter(
+            request.id,
+            [(source, sink) for source, sink, _delta in queries],
+            fence,
+            lambda sub_id, positions: BatchRequest(
+                id=sub_id,
+                queries=tuple(queries[i] for i in positions),
                 plan=request.plan,
                 timeout=request.timeout,
                 min_epoch=fence,
-            )
-            return await self._forward_keyed(
-                request_payload(sub), source, sink, fence
-            )
-
-        replies = await asyncio.gather(
-            *(solve_group(key, indices) for key, indices in groups.items())
+            ),
         )
-        results: list[BatchAnswer | None] = [None] * len(request.queries)
+        if isinstance(scattered, ErrorReply):
+            return scattered
+        results: list[BatchAnswer | None] = [None] * len(queries)
         planner: dict[str, Any] = {}
-        epoch: int | None = None
-        for (key, indices), reply in zip(groups.items(), replies):
-            if reply is None:
-                return self._shed(request.id, f" for group {key!r}")
-            if isinstance(reply, ErrorReply):
-                return replace(reply, id=request.id)
+        for positions, reply in scattered:
             assert isinstance(reply, BatchReply), reply
-            epoch = reply.epoch if epoch is None else min(epoch, reply.epoch)
-            for position, index in enumerate(indices):
-                results[index] = reply.results[position]
+            for position, answer in zip(positions, reply.results):
+                results[position] = answer
             for name, value in reply.planner.items():
                 if isinstance(value, (int, float)) and not isinstance(value, bool):
                     planner[name] = planner.get(name, 0) + value
@@ -724,11 +764,11 @@ class ClusterCoordinator(WireFrontEnd):
             planner["amortization"] = planner["windows_total"] / max(
                 1, planner.get("windows_solved", 0)
             )
-        planner["groups_routed"] = len(groups)
+        planner["groups_routed"] = len({(s, t) for s, t, _d in queries})
         return BatchReply(
             id=request.id,
             results=tuple(results),  # type: ignore[arg-type]
-            epoch=epoch if epoch is not None else self.committed_epoch,
+            epoch=min(reply.epoch for _positions, reply in scattered),
             elapsed_ms=(time.perf_counter() - started) * 1000.0,
             planner=planner,
         )
@@ -736,219 +776,96 @@ class ClusterCoordinator(WireFrontEnd):
     async def _route_topk(self, request: TopKRequest) -> Reply:
         """Scatter a top-k request by shard owner; merge at the coordinator.
 
-        Pairs are grouped by the replica whose shard owns them, each
-        owner ranks its own pairs (its local top-k), and the coordinator
-        merges with the planner's exact canonical order — density
-        descending, then earlier start, shorter interval, and first
-        appearance in the request's pair list — so the routed answer is
-        byte-identical to a single node ranking every pair.
+        Each owner ranks its own pairs (its local top-k), and the
+        coordinator merges with the planner's exact canonical order —
+        density descending, then earlier start, shorter interval, and
+        first appearance in the request's pair list — so the routed
+        answer is byte-identical to a single node ranking every pair.
         """
         started = time.perf_counter()
         fence = self._fence(request)
         if isinstance(fence, ErrorReply):
             return fence
-        positions: dict[tuple[Any, Any], int] = {}
-        for pair in request.pairs:
-            positions.setdefault(tuple(pair), len(positions))
-        eligible = [
-            rid
-            for rid, state in self._replicas.items()
-            if state.live and state.acked_epoch >= fence
-        ]
-        by_owner: dict[str | None, list[tuple[Any, Any]]] = {}
-        for pair in positions:
-            owner = self.router.affinity(pair[0], pair[1], eligible)
-            by_owner.setdefault(owner, []).append(pair)
-        if None in by_owner:
-            return self._shed(request.id)
-
-        async def solve_shard(pairs: list[tuple[Any, Any]]) -> Reply | None:
-            sub = TopKRequest(
-                id=f"{request.id}.s{positions[pairs[0]]}",
-                pairs=tuple(pairs),
+        pairs = list(dict.fromkeys(tuple(pair) for pair in request.pairs))
+        scattered = await self._scatter(
+            request.id,
+            pairs,
+            fence,
+            lambda sub_id, positions: TopKRequest(
+                id=sub_id,
+                pairs=tuple(pairs[i] for i in positions),
                 delta=request.delta,
                 k=request.k,
                 timeout=request.timeout,
                 min_epoch=fence,
-            )
-            # Keyed by the shard's first pair: its affinity IS this
-            # owner, and failover falls through the same ring walk.
-            return await self._forward_keyed(
-                request_payload(sub), pairs[0][0], pairs[0][1], fence
-            )
-
-        shards = list(by_owner.values())
-        replies = await asyncio.gather(*(solve_shard(pairs) for pairs in shards))
-        merged: list[BurstEntry] = []
-        cached = True
-        epoch: int | None = None
-        for pairs, reply in zip(shards, replies):
-            if reply is None:
-                return self._shed(request.id, f" for pairs {pairs!r}")
-            if isinstance(reply, ErrorReply):
-                return replace(reply, id=request.id)
-            assert isinstance(reply, TopKReply), reply
-            merged.extend(reply.entries)
-            cached = cached and reply.cached
-            epoch = reply.epoch if epoch is None else min(epoch, reply.epoch)
-        merged.sort(
+            ),
+        )
+        if isinstance(scattered, ErrorReply):
+            return scattered
+        replies = [reply for _positions, reply in scattered]
+        first_seen = {pair: position for position, pair in enumerate(pairs)}
+        merged = sorted(
+            (entry for reply in replies for entry in reply.entries),
             key=lambda entry: (
                 -entry.density,
                 entry.interval[0],
                 entry.interval[1] - entry.interval[0],
-                positions[(entry.source, entry.sink)],
-            )
+                first_seen[(entry.source, entry.sink)],
+            ),
         )
         return TopKReply(
             id=request.id,
             entries=tuple(merged[: request.k]),
-            epoch=epoch if epoch is not None else self.committed_epoch,
+            epoch=min(reply.epoch for reply in replies),
             elapsed_ms=(time.perf_counter() - started) * 1000.0,
-            cached=cached,
+            cached=all(reply.cached for reply in replies),
         )
 
     # ------------------------------------------------------------------
-    # Mining: pre-filter on the mirror, confirm across shards, persist
+    # Mining: the pipeline's funnel on the mirror, confirmed on the shards
     # ------------------------------------------------------------------
     async def _route_scan(self, request: ScanRequest) -> Reply:
         """One cluster-wide funnel pass over the committed network.
 
-        Candidates are ranked on the coordinator's committed mirror
-        (the same streaming statistics a standalone pipeline keeps), the
-        δ-BFlow confirmation is scattered across the replicas grouped by
-        the shard that owns each pair — exactly the top-k routing, so
-        per-replica caches and failover apply — and flagged patterns are
-        persisted to the coordinator's durable pattern store.
+        The coordinator's :class:`~repro.mining.MiningPipeline` over its
+        committed mirror shortlists the candidates and settles the
+        confirmed entries (flag, persist) exactly as a single service
+        does; only the confirmation in between runs elsewhere, as a
+        top-k over every candidate scattered across the shard owners.
         """
         started = time.perf_counter()
-        if self.patterns is None:
-            return ErrorReply(
-                request.id,
-                ERROR_INVALID,
-                "mining is not enabled on this coordinator "
-                "(start it with patterns_dir)",
-            )
+        if self.mining is None:
+            return self._mining_disabled(request.id)
         fence = self._fence(request)
         if isinstance(fence, ErrorReply):
             return fence
-        top = request.top if request.top is not None else 8
-        min_volume = request.min_volume or 0.0
-        intensity_index: dict[Any, NodeIntensity] = {}
-        funnel: dict[str, Any]
-        if request.pairs is not None:
-            pairs = [
-                (source, sink)
-                for source, sink in request.pairs
-                if source != sink
-                and source in self._mirror
-                and sink in self._mirror
-            ]
-            nodes_scored = 0
-            exhaustive = len(pairs)
-        else:
-            try:
-                candidates = rank_candidates_for_network(
-                    self._mirror,
-                    window=request.delta,
-                    top_sources=top,
-                    top_sinks=top,
-                    min_volume=min_volume,
-                )
-            except ReproError as exc:
-                return ErrorReply(request.id, ERROR_INVALID, str(exc))
-            pairs = [candidate.pair for candidate in candidates]
-            for candidate in candidates:
-                intensity_index.setdefault(
-                    candidate.source, candidate.source_intensity
-                )
-                intensity_index.setdefault(
-                    candidate.sink, candidate.sink_intensity
-                )
-            nodes_scored = self._mirror.num_nodes
-            exhaustive = max(
-                self._mirror.num_nodes * (self._mirror.num_nodes - 1), 0
-            )
-        funnel = {
-            "nodes_scored": nodes_scored,
-            "exhaustive_pairs": exhaustive,
-            "candidates": len(pairs),
-            "solves": len(pairs),
-            "confirmed": 0,
-            "flagged": 0,
-            "amortization": (exhaustive / len(pairs)) if pairs else 1.0,
-        }
-        if not pairs:
-            return ScanReply(
-                id=request.id,
-                new_ids=(),
-                deduped=0,
-                funnel=funnel,
-                epoch=self.committed_epoch,
-                elapsed_ms=(time.perf_counter() - started) * 1000.0,
-            )
-        # Confirm by scattering a k=len(pairs) top-k through the shard
-        # owners — the routed entries are byte-identical to a single
-        # node solving every pair (the _route_topk contract).
-        confirm = await self._route_topk(
-            TopKRequest(
-                id=f"{request.id}.confirm",
-                pairs=tuple(pairs),
-                delta=request.delta,
-                k=len(pairs),
-                timeout=request.timeout,
-                min_epoch=fence,
-            )
-        )
-        if isinstance(confirm, ErrorReply):
-            return replace(confirm, id=request.id)
-        assert isinstance(confirm, TopKReply), confirm
-        entries = list(confirm.entries)
-        funnel["confirmed"] = len(entries)
-        if request.persist == "flagged":
-            selected = flag_entries(entries, horizon=self._mirror.time_span)
-        else:
-            selected = score_entries(entries)
-        funnel["flagged"] = len(selected)
-        records, new_ids, deduped = persist_entries(
-            self.patterns,
-            self._mirror,
-            selected,
-            epoch=self.committed_epoch,
-            intensities=intensity_index,
-        )
-        del records  # dict replies carry ids; full rows serve via patterns
-        return ScanReply(
-            id=request.id,
-            new_ids=tuple(new_ids),
-            deduped=deduped,
-            funnel=funnel,
-            epoch=self.committed_epoch,
-            elapsed_ms=(time.perf_counter() - started) * 1000.0,
-        )
-
-    def _handle_patterns(self, request: PatternsRequest) -> Reply:
-        if self.patterns is None:
-            return ErrorReply(
-                request.id,
-                ERROR_INVALID,
-                "mining is not enabled on this coordinator "
-                "(start it with patterns_dir)",
-            )
         try:
-            records = self.patterns.query(
-                source=request.source,
-                sink=request.sink,
-                since=request.since,
-                until=request.until,
-                min_density=request.min_density,
-                limit=request.limit,
+            shortlist = self.mining.shortlist(
+                request.delta,
+                pairs=request.pairs,
+                persist=request.persist,
+                top=request.top,
+                min_volume=request.min_volume,
             )
         except ReproError as exc:
             return ErrorReply(request.id, ERROR_INVALID, str(exc))
-        return PatternsReply(
-            id=request.id,
-            patterns=tuple(record.as_dict() for record in records),
-        )
+        entries: tuple[BurstEntry, ...] = ()
+        if shortlist.pairs:
+            confirm = await self._route_topk(
+                TopKRequest(
+                    id=f"{request.id}.confirm",
+                    pairs=tuple(shortlist.pairs),
+                    delta=request.delta,
+                    k=len(shortlist.pairs),
+                    timeout=request.timeout,
+                    min_epoch=fence,
+                )
+            )
+            if isinstance(confirm, ErrorReply):
+                return replace(confirm, id=request.id)
+            entries = confirm.entries
+        outcome = self.mining.settle(shortlist, entries)
+        return self._scan_reply(request.id, outcome, started)
 
     # ------------------------------------------------------------------
     # Appends: log first (durability), then fan out (replication)

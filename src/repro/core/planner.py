@@ -462,6 +462,18 @@ def top_k_bursts(
 # ----------------------------------------------------------------------
 # Differential-oracle backend
 # ----------------------------------------------------------------------
+def companion_sink(
+    network: TemporalFlowNetwork, query: BurstingFlowQuery
+) -> NodeId | None:
+    """The first head node in
+    :meth:`~repro.temporal.network.TemporalFlowNetwork.edge_columns`
+    order that is neither endpoint of ``query`` (``None`` when there is
+    no such node): the sink of the oracle backends' same-source
+    companion query."""
+    heads = network.edge_columns()[2]
+    return next((v for v in heads if v != query.source and v != query.sink), None)
+
+
 def planner_bfq(
     network: TemporalFlowNetwork,
     query: BurstingFlowQuery,
@@ -476,14 +488,12 @@ def planner_bfq(
     out of the memo); and overlapping delta sweeps above and below (whose
     plans share windows with the query's) — so the fuzz runner's
     cross-backend diff checks the shared, memoised answer, not a
-    degenerate single-query batch.  The other sink is the first head node
-    in :meth:`~repro.temporal.network.TemporalFlowNetwork.edge_columns`
-    order that is neither endpoint (none when there is no such node).
+    degenerate single-query batch.  The other sink is
+    :func:`companion_sink`.
     The duplicate's answer is asserted byte-identical before the
     original's is returned.
     """
-    heads = network.edge_columns()[2]
-    other = next((v for v in heads if v != query.source and v != query.sink), None)
+    other = companion_sink(network, query)
     batch = [] if other is None else [
         BurstingFlowQuery(query.source, other, query.delta)
     ]

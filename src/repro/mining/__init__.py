@@ -25,7 +25,6 @@ from repro.mining.prefilter import (
     PairCandidate,
     node_intensities,
     rank_candidates,
-    rank_candidates_for_network,
     score_ledgers,
     score_nodes,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "pattern_id_for",
     "persist_entries",
     "rank_candidates",
-    "rank_candidates_for_network",
     "score_ledgers",
     "score_nodes",
 ]

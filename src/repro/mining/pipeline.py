@@ -20,6 +20,12 @@
    :class:`~repro.mining.store.PatternStore`; a re-scan over unchanged
    history dedupes to the same ``pattern_id`` set.
 
+:meth:`MiningPipeline.scan` is :meth:`~MiningPipeline.shortlist` (steps
+1–2), a local ``top_k_bursts`` (step 3), then
+:meth:`~MiningPipeline.settle` (flagging and step 4).  The cluster
+coordinator runs the same two halves over its committed mirror and
+confirms on its replicas in between.
+
 Flagging (:func:`flag_entries`) is the one robust modified-z-score +
 short-interval rule that :class:`repro.anomaly.detector.BurstDetector`
 also flags with (density outlier against the confirmed batch median,
@@ -128,6 +134,20 @@ class ScanOutcome:
             "epoch": self.epoch,
             "elapsed_ms": self.elapsed_ms,
         }
+
+
+@dataclass(slots=True)
+class Shortlist:
+    """A scan between its halves: the candidate pairs awaiting
+    confirmation, and what :meth:`MiningPipeline.settle` needs to finish."""
+
+    persist: str
+    config: MiningConfig
+    #: Carries the scan's epoch and the funnel filled up to ``candidates``.
+    outcome: ScanOutcome
+    started: float
+    pairs: list[tuple[NodeId, NodeId]] = field(default_factory=list)
+    intensities: dict[NodeId, NodeIntensity] = field(default_factory=dict)
 
 
 def score_entries(
@@ -304,7 +324,7 @@ class MiningPipeline:
         return self.stats.sync(self.network)
 
     # ------------------------------------------------------------------
-    # The scan: pre-filter → confirm → flag → persist
+    # The scan: shortlist → confirm → settle (flag and persist)
     # ------------------------------------------------------------------
     def scan(
         self,
@@ -320,9 +340,9 @@ class MiningPipeline:
         Args:
             delta: minimum bursting-interval length for confirmation.
             pairs: explicit candidate pairs (skips the pre-filter; the
-                cluster coordinator and the oracle backend pin
-                candidates this way).  Pairs with identical endpoints or
-                endpoints missing from the network are skipped.
+                oracle backend pins candidates this way).  Pairs with
+                identical endpoints or endpoints missing from the
+                network are skipped.
             persist: ``"flagged"`` stores only robust density outliers
                 (the default, mirroring the case-study detector);
                 ``"all"`` stores every confirmed positive burst above
@@ -330,6 +350,40 @@ class MiningPipeline:
             top: per-scan override of ``config.top_sources`` and
                 ``config.top_sinks`` (wire requests carry this).
             min_volume: per-scan override of ``config.min_volume``.
+        """
+        shortlist = self.shortlist(
+            delta, pairs=pairs, persist=persist, top=top, min_volume=min_volume
+        )
+        entries = (
+            top_k_bursts(
+                self.network,
+                shortlist.pairs,
+                delta,
+                k=len(shortlist.pairs),
+                processes=self.processes,
+                mp_context=self.mp_context,
+            )
+            if shortlist.pairs
+            else []
+        )
+        return self.settle(shortlist, entries)
+
+    def shortlist(
+        self,
+        delta: int,
+        *,
+        pairs: Sequence[tuple[NodeId, NodeId]] | None = None,
+        persist: str = "flagged",
+        top: int | None = None,
+        min_volume: float | None = None,
+    ) -> Shortlist:
+        """The first half of :meth:`scan`: sync, then rank (or pin) the
+        candidate pairs; the funnel is filled up to ``candidates``.
+
+        Takes :meth:`scan`'s arguments.  The caller confirms
+        ``shortlist.pairs`` with a top-k over all of them and hands the
+        entries to :meth:`settle`; the cluster coordinator confirms on
+        its replicas this way.
         """
         if delta < 1:
             raise InvalidQueryError(f"delta must be >= 1, got {delta}")
@@ -340,7 +394,6 @@ class MiningPipeline:
             )
         started = time.perf_counter()
         self.sync()
-        epoch = self.network.epoch
         config = self.config
         if top is not None or min_volume is not None:
             config = replace(
@@ -352,8 +405,13 @@ class MiningPipeline:
                 ),
             )
         window = config.window or delta
-        outcome = ScanOutcome(epoch=epoch)
-        funnel = outcome.funnel
+        shortlist = Shortlist(
+            persist=persist,
+            config=config,
+            outcome=ScanOutcome(epoch=self.network.epoch),
+            started=started,
+        )
+        funnel = shortlist.outcome.funnel
 
         emit_volumes = {
             node for node, entries in self.stats.out_ledgers.items()
@@ -370,7 +428,6 @@ class MiningPipeline:
             emit_volumes & sink_volumes
         )
 
-        intensity_index: dict[NodeId, NodeIntensity] = {}
         if pairs is None:
             candidates = rank_candidates(
                 self.stats,
@@ -381,41 +438,37 @@ class MiningPipeline:
             )
             if config.max_candidates is not None:
                 candidates = candidates[: config.max_candidates]
-            candidate_pairs = [candidate.pair for candidate in candidates]
+            shortlist.pairs = [candidate.pair for candidate in candidates]
             for candidate in candidates:
-                intensity_index.setdefault(
+                shortlist.intensities.setdefault(
                     candidate.source, candidate.source_intensity
                 )
-                intensity_index.setdefault(
+                shortlist.intensities.setdefault(
                     candidate.sink, candidate.sink_intensity
                 )
         else:
-            candidate_pairs = [
+            shortlist.pairs = [
                 (source, sink)
                 for source, sink in pairs
                 if source != sink
                 and source in self.network
                 and sink in self.network
             ]
-        funnel.candidates = len(candidate_pairs)
+        funnel.candidates = len(shortlist.pairs)
+        return shortlist
 
-        if not candidate_pairs:
-            outcome.elapsed_ms = (time.perf_counter() - started) * 1000.0
-            self.scans += 1
-            return outcome
-
-        entries = top_k_bursts(
-            self.network,
-            candidate_pairs,
-            delta,
-            k=len(candidate_pairs),
-            processes=self.processes,
-            mp_context=self.mp_context,
-        )
-        funnel.solves = len(candidate_pairs)
+    def settle(
+        self, shortlist: Shortlist, entries: Sequence[BurstEntry]
+    ) -> ScanOutcome:
+        """The second half of :meth:`scan`: flag (or score) the confirmed
+        ``entries`` of ``shortlist.pairs``, persist them, and finish the
+        funnel."""
+        config = shortlist.config
+        outcome = shortlist.outcome
+        funnel = outcome.funnel
+        funnel.solves = len(shortlist.pairs)
         funnel.confirmed = len(entries)
-
-        if persist == "flagged":
+        if shortlist.persist == "flagged":
             selected = flag_entries(
                 entries,
                 horizon=self.network.time_span,
@@ -426,18 +479,14 @@ class MiningPipeline:
         else:
             selected = score_entries(entries, min_density=config.min_density)
         funnel.flagged = len(selected)
-
-        records, new_ids, deduped = persist_entries(
+        outcome.records, outcome.new_ids, outcome.deduped = persist_entries(
             self.store,
             self.network,
             selected,
-            epoch=epoch,
-            intensities=intensity_index,
+            epoch=outcome.epoch,
+            intensities=shortlist.intensities,
         )
-        outcome.records = records
-        outcome.new_ids = new_ids
-        outcome.deduped = deduped
-        outcome.elapsed_ms = (time.perf_counter() - started) * 1000.0
+        outcome.elapsed_ms = (time.perf_counter() - shortlist.started) * 1000.0
         self.scans += 1
         return outcome
 

@@ -299,26 +299,3 @@ def rank_candidates(
     )
     return candidates
 
-
-def rank_candidates_for_network(
-    network: TemporalFlowNetwork,
-    *,
-    window: int,
-    top_sources: int = 8,
-    top_sinks: int = 8,
-    min_volume: float = 0.0,
-) -> list[PairCandidate]:
-    """One-shot ranking without a maintained :class:`StreamStats`.
-
-    Used where only a network is at hand (the cluster coordinator ranks
-    on its recovered mirror); a fresh stats object is built and dropped.
-    """
-    stats = StreamStats()
-    stats.sync(network)
-    return rank_candidates(
-        stats,
-        window=window,
-        top_sources=top_sources,
-        top_sinks=top_sinks,
-        min_volume=min_volume,
-    )

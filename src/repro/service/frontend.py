@@ -23,31 +23,44 @@ listening port, told apart by the connection's first line.
   query string.  Replies are the protocol's reply objects; typed errors
   map to HTTP statuses (``overloaded`` 429, ``timeout`` 408, ``stale``
   503, ``internal`` 500, others 400).
+
+Both servers also build the mining ops' replies here, from their
+:class:`~repro.mining.MiningPipeline`: the ``patterns`` op whole, and a
+``scan``'s reply from its outcome.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import time
 import urllib.parse
 from dataclasses import fields
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
+from repro.exceptions import ReproError
 from repro.service.protocol import (
     ERROR_INTERNAL,
+    ERROR_INVALID,
     ERROR_OVERLOADED,
     ERROR_STALE,
     ERROR_TIMEOUT,
     OPS,
     ErrorReply,
     MetricsRequest,
+    PatternsReply,
+    PatternsRequest,
     ProtocolError,
     Reply,
     Request,
+    ScanReply,
     encode,
     parse_request,
     reply_payload,
 )
+
+if TYPE_CHECKING:
+    from repro.mining.pipeline import MiningPipeline, ScanOutcome
 
 _HTTP_METHODS = (b"GET", b"POST", b"HEAD", b"PUT", b"DELETE")
 _POST_ROUTES = {spec.http_post: spec for spec in OPS.values() if spec.http_post}
@@ -59,10 +72,18 @@ class WireFrontEnd:
 
     Subclasses implement :meth:`handle_request` (the op dispatch) and
     :meth:`health_payload` (the ``/healthz`` body), and may count
-    messages that fail to parse in :meth:`_count_protocol_error`.
+    messages that fail to parse in :meth:`_count_protocol_error`.  Both
+    servers answer the mining ops from a :attr:`mining` pipeline
+    through :meth:`_mining_disabled`, :meth:`_scan_reply` and
+    :meth:`_handle_patterns`.
     """
 
     _server: asyncio.base_events.Server | None = None
+    #: The pipeline behind the ``scan``/``patterns`` ops; ``None``
+    #: answers both with :meth:`_mining_disabled`.
+    mining: MiningPipeline | None = None
+    #: Where mining is off and how to turn it on, for that error.
+    _mining_off = "server (start it with a pattern store)"
 
     async def handle_request(self, request: Request) -> Reply:
         raise NotImplementedError
@@ -89,6 +110,51 @@ class WireFrontEnd:
             self._count_protocol_error(exc.kind)
             return encode(reply_payload(ErrorReply("", exc.kind, str(exc))))
         return encode(reply_payload(await self.handle_request(request)))
+
+    # ------------------------------------------------------------------
+    # Mining ops
+    # ------------------------------------------------------------------
+    def _mining_disabled(self, request_id: str) -> ErrorReply:
+        return ErrorReply(
+            request_id,
+            ERROR_INVALID,
+            f"mining is not enabled on this {self._mining_off}",
+        )
+
+    @staticmethod
+    def _scan_reply(
+        request_id: str, outcome: ScanOutcome, started: float
+    ) -> ScanReply:
+        return ScanReply(
+            id=request_id,
+            new_ids=tuple(outcome.new_ids),
+            deduped=outcome.deduped,
+            funnel=outcome.funnel.as_dict(),
+            epoch=outcome.epoch,
+            elapsed_ms=(time.perf_counter() - started) * 1000.0,
+        )
+
+    def _handle_patterns(self, request: PatternsRequest) -> Reply:
+        """The ``patterns`` op.  The pattern store is internally locked
+        and the query is a pure read — no admission ticket or network
+        lock is needed."""
+        if self.mining is None:
+            return self._mining_disabled(request.id)
+        try:
+            records = self.mining.patterns(
+                source=request.source,
+                sink=request.sink,
+                since=request.since,
+                until=request.until,
+                min_density=request.min_density,
+                limit=request.limit,
+            )
+        except ReproError as exc:
+            return ErrorReply(request.id, ERROR_INVALID, str(exc))
+        return PatternsReply(
+            id=request.id,
+            patterns=tuple(record.as_dict() for record in records),
+        )
 
     # ------------------------------------------------------------------
     # Listener

@@ -57,7 +57,6 @@ from repro.service.protocol import (
     MetricsReply,
     MetricsRequest,
     OverloadedError,
-    PatternsReply,
     PatternsRequest,
     PingRequest,
     PongReply,
@@ -65,7 +64,6 @@ from repro.service.protocol import (
     QueryRequest,
     Reply,
     Request,
-    ScanReply,
     ScanRequest,
     TopKReply,
     TopKRequest,
@@ -227,7 +225,7 @@ class BurstingFlowService(WireFrontEnd):
         elif isinstance(request, ScanRequest):
             reply = await self._handle_scan(request)
         elif isinstance(request, PatternsRequest):
-            reply = await self._handle_patterns(request)
+            reply = self._handle_patterns(request)
         elif isinstance(request, MetricsRequest):
             reply = MetricsReply(id=request.id, snapshot=self.snapshot())
         elif isinstance(request, PingRequest):
@@ -569,12 +567,7 @@ class BurstingFlowService(WireFrontEnd):
         started = time.perf_counter()
         mining = self.mining
         if mining is None:
-            return ErrorReply(
-                request.id,
-                ERROR_INVALID,
-                "mining is not enabled on this server "
-                "(start it with a pattern store)",
-            )
+            return self._mining_disabled(request.id)
 
         def scan() -> ScanOutcome:
             return mining.scan(
@@ -598,42 +591,9 @@ class BurstingFlowService(WireFrontEnd):
             if isinstance(outcome, ErrorReply):
                 return outcome
             self.metrics.observe_solve("mining", time.perf_counter() - started)
-            return ScanReply(
-                id=request.id,
-                new_ids=tuple(outcome.new_ids),
-                deduped=outcome.deduped,
-                funnel=outcome.funnel.as_dict(),
-                epoch=outcome.epoch,
-                elapsed_ms=(time.perf_counter() - started) * 1000.0,
-            )
+            return self._scan_reply(request.id, outcome, started)
 
         return await self._admitted_read(request, body)
-
-    async def _handle_patterns(self, request: PatternsRequest) -> Reply:
-        if self.mining is None:
-            return ErrorReply(
-                request.id,
-                ERROR_INVALID,
-                "mining is not enabled on this server "
-                "(start it with a pattern store)",
-            )
-        # The pattern store is internally locked and the query is pure
-        # read — no admission ticket or network lock needed.
-        try:
-            records = self.mining.patterns(
-                source=request.source,
-                sink=request.sink,
-                since=request.since,
-                until=request.until,
-                min_density=request.min_density,
-                limit=request.limit,
-            )
-        except ReproError as exc:
-            return ErrorReply(request.id, ERROR_INVALID, str(exc))
-        return PatternsReply(
-            id=request.id,
-            patterns=tuple(record.as_dict() for record in records),
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle (the NDJSON/HTTP front end is WireFrontEnd's)

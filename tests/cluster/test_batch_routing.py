@@ -1,10 +1,12 @@
 """Cluster routing for batch and top-k requests.
 
-The coordinator must not scatter a batch query-by-query: the planner's
-amortisation lives in the (source, sink) group (one skeleton, one memo),
-so each whole group is forwarded to the replica that owns its shard key.
-These tests pin that routing and the merged replies' exact equality with
-single-node answers.
+The coordinator forwards one sub-request per replica that owns any of
+the request's ``(source, sink)`` pairs, never one per query or per
+pair: the planner's amortisation lives in the batch a replica receives
+(one skeleton per source shared by its sinks, one memo per pair), and
+the pair's shard owner holds its cache entries.  These tests pin that
+routing and the merged replies' exact equality with single-node
+answers.
 """
 
 import asyncio
@@ -62,11 +64,12 @@ def test_batch_groups_land_on_their_affinity_owner(tmp_path):
                 BatchRequest(id="b1", queries=BATCH, plan="shared")
             )
             assert reply.ok, reply
-            expected = {"r0": 0, "r1": 0}
-            for source, sink in {(s, t) for s, t, _d in BATCH}:
-                expected[
-                    coordinator.router.affinity(source, sink, ["r0", "r1"])
-                ] += 1
+            # One sub-batch per owner that holds any of the batch's pairs.
+            owners = {
+                coordinator.router.affinity(source, sink, ["r0", "r1"])
+                for source, sink, _delta in BATCH
+            }
+            expected = {name: int(name in owners) for name in ("r0", "r1")}
             snapshot = await coordinator.snapshot()
             return expected, snapshot
         finally:
@@ -78,6 +81,38 @@ def test_batch_groups_land_on_their_affinity_owner(tmp_path):
         for name, replica in snapshot["replicas"].items()
     }
     assert served == expected
+
+
+def test_sinks_of_one_source_on_one_owner_share_a_skeleton(tmp_path):
+    async def scenario():
+        coordinator = await boot_cluster(tmp_path)
+        try:
+            by_owner = {}
+            for sink in ("t", "a", "b"):  # 3 sinks, 2 owners: one repeats
+                owner = coordinator.router.affinity("s", sink, ["r0", "r1"])
+                by_owner.setdefault(owner, []).append(sink)
+            sinks = next(group for group in by_owner.values() if len(group) > 1)
+            queries = tuple(("s", sink, 2) for sink in sinks[:2])
+            reply = await coordinator.handle_request(
+                BatchRequest(id="b1", queries=queries, plan="shared")
+            )
+            assert reply.ok, reply
+            snapshot = await coordinator.snapshot()
+            return queries, reply, snapshot
+        finally:
+            await coordinator.stop()
+
+    queries, reply, snapshot = asyncio.run(scenario())
+    served = [
+        replica["requests"].get("batch", 0)
+        for replica in snapshot["replicas"].values()
+    ]
+    assert reply.planner["skeletons_compiled"] == 1  # shared across sinks
+    assert sorted(served) == [0, 1]  # one sub-batch, to the pairs' owner
+    assert reply.planner["groups_routed"] == 2
+    assert [
+        (r.density, r.interval, r.flow_value) for r in reply.results
+    ] == [fresh_triple(SEED_EDGES, s, t, d) for s, t, d in queries]
 
 
 def test_batch_survives_replica_loss(tmp_path):

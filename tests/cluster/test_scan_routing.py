@@ -1,15 +1,18 @@
-"""Cluster mining: scan confirmation scattered by affinity, durable store.
+"""Cluster mining: the service's funnel, confirmed across the shards.
 
-The coordinator ranks candidates on its *committed mirror*, then routes
-the confirmation solves through the same top-k scatter every ranked
-query uses (affinity sharding, failover, canonical merge) — and
-persists flagged patterns to its own durable store, which must survive
+The coordinator runs the same :class:`~repro.mining.MiningPipeline`
+funnel a single service runs, over its *committed mirror*: the pipeline
+shortlists and settles (flag, persist), and only the confirmation
+solves in between are routed, through the top-k scatter every ranked
+query uses (affinity sharding, failover, canonical merge).  Flagged
+patterns persist to the coordinator's durable store, which must survive
 a coordinator restart with the identical id set.
 """
 
 import asyncio
 
 from repro.cluster import ClusterCoordinator, InlineReplica, seed_log
+from repro.mining import MiningPipeline
 from repro.mining.store import PatternStore
 from repro.service.protocol import (
     AppendRequest,
@@ -18,6 +21,7 @@ from repro.service.protocol import (
     ScanRequest,
 )
 from repro.store.log import AppendLog
+from repro.temporal import TemporalFlowNetwork
 
 from tests.mining.conftest import PLANTED_PAIRS, planted_edges
 
@@ -154,6 +158,53 @@ class TestScanRouting:
         assert isinstance(scan, ErrorReply) and scan.kind == "invalid"
         assert "mining is not enabled" in scan.message
         assert isinstance(patterns, ErrorReply)
+
+
+#: An auto-ranked scan, then pinned pairs (one a self-pair, one naming
+#: an unknown node) with every override and ``persist="all"``.
+SCANS = (
+    {"delta": 4},
+    {
+        "delta": 4,
+        "pairs": PLANTED_PAIRS + (("u0", "v0"), ("mid", "mid"), ("u1", "ghost")),
+        "top": 3,
+        "min_volume": 0.5,
+        "persist": "all",
+    },
+)
+
+
+class TestSameFunnelAsTheService:
+    def test_scan_replies_equal_a_single_node_pipeline(self, tmp_path):
+        async def scenario():
+            coordinator = await boot_mining_cluster(tmp_path)
+            try:
+                replies = []
+                for n, scan in enumerate(SCANS):
+                    request = ScanRequest(
+                        id=f"s{n}",
+                        delta=scan["delta"],
+                        pairs=scan.get("pairs"),
+                        top=scan.get("top"),
+                        min_volume=scan.get("min_volume"),
+                        persist=scan.get("persist", "flagged"),
+                    )
+                    replies.append(await coordinator.handle_request(request))
+                return replies
+            finally:
+                await coordinator.stop()
+
+        replies = asyncio.run(scenario())
+        network = TemporalFlowNetwork.from_tuples(planted_edges())
+        with PatternStore(tmp_path / "single") as store:
+            pipeline = MiningPipeline(network, store)
+            outcomes = [pipeline.scan(**scan) for scan in SCANS]
+        for reply, outcome in zip(replies, outcomes):
+            assert reply.ok, reply
+            assert reply.funnel == outcome.funnel.as_dict()
+            assert list(reply.new_ids) == outcome.new_ids
+            assert reply.deduped == outcome.deduped
+        assert outcomes[0].new_ids and outcomes[1].deduped  # both halves ran
 
 
 class TestCoordinatorRestartStability:

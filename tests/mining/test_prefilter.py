@@ -7,13 +7,19 @@ from repro.exceptions import InvalidQueryError
 from repro.mining.prefilter import (
     node_intensities,
     rank_candidates,
-    rank_candidates_for_network,
     score_nodes,
 )
 from repro.mining.stats import StreamStats
-from repro.temporal import TemporalFlowNetwork
+from repro.temporal import TemporalEdge, TemporalFlowNetwork
 
-from tests.mining.conftest import PLANTED_WINDOW
+from tests.mining.conftest import PLANTED_WINDOW, planted_edges
+
+
+def synced_ranking(network, **kwargs):
+    """Rank on a fresh :class:`StreamStats` synced once to ``network``."""
+    stats = StreamStats()
+    stats.sync(network)
+    return rank_candidates(stats, **kwargs)
 
 
 class TestScoreNodes:
@@ -40,7 +46,7 @@ class TestScoreNodes:
 
 class TestRankCandidates:
     def test_planted_pairs_rank_at_the_top(self, planted_network):
-        candidates = rank_candidates_for_network(
+        candidates = synced_ranking(
             planted_network, window=4, top_sources=6, top_sinks=6
         )
         pairs = [c.pair for c in candidates]
@@ -51,7 +57,7 @@ class TestRankCandidates:
             assert planted in pairs
 
     def test_overlap_doubles_the_rank_score(self, planted_network):
-        candidates = rank_candidates_for_network(
+        candidates = synced_ranking(
             planted_network, window=4, top_sources=6, top_sinks=6
         )
         by_pair = {c.pair: c for c in candidates}
@@ -64,14 +70,25 @@ class TestRankCandidates:
         )
 
     def test_matches_rank_on_synced_stats(self, planted_network):
+        # Stats maintained across appends rank exactly like a fresh sync.
+        edges = planted_edges()
+        half = len(edges) // 2
+        growing = TemporalFlowNetwork.from_tuples(edges[:half])
         stats = StreamStats()
-        stats.sync(planted_network)
-        direct = rank_candidates(stats, window=4, top_sources=5, top_sinks=5)
-        oneshot = rank_candidates_for_network(
+        stats.sync(growing)
+        rebuilds = stats.rebuilds
+        for edge in edges[half:]:
+            growing.add_edge(TemporalEdge(*edge))
+        stats.sync(growing)
+        assert stats.rebuilds == rebuilds  # streamed, not rebuilt
+        maintained = rank_candidates(
+            stats, window=4, top_sources=5, top_sinks=5
+        )
+        oneshot = synced_ranking(
             planted_network, window=4, top_sources=5, top_sinks=5
         )
-        assert [c.pair for c in direct] == [c.pair for c in oneshot]
-        assert [c.rank_score for c in direct] == [
+        assert [c.pair for c in maintained] == [c.pair for c in oneshot]
+        assert [c.rank_score for c in maintained] == [
             c.rank_score for c in oneshot
         ]
 
@@ -112,7 +129,7 @@ class TestKnownMiss:
             network, BurstingFlowQuery("quiet_s", "quiet_t", 4)
         )
         assert result.density > 0  # the flow is real...
-        candidates = rank_candidates_for_network(
+        candidates = synced_ranking(
             network, window=3, top_sources=4, top_sinks=4
         )
         pairs = [c.pair for c in candidates]
