@@ -4,7 +4,9 @@ One experiment, selected with ``--experiment shm``: an append-heavy
 service microbench comparing the shared-memory edge log
 (:mod:`repro.temporal.shared`, pool workers replay only the appended
 records) against per-epoch pool rebuilds (tear the pool down and
-re-pickle the network on every append).  Each cycle appends a few edges
+re-pickle the network on every append) — the pool's fallback where
+shared memory cannot be created, reached here by making the store's
+construction fail.  Each cycle appends a few edges
 and immediately queries; the per-cycle state-refresh overhead is the
 cycle time minus the warm solve time.
 
@@ -48,17 +50,27 @@ def _shm_section(shm_cycles: int, shm_scale: float):
     """
     import asyncio
 
-    from repro.service.workers import ProcessEnginePool
+    from repro.service import workers
     from repro.temporal.edge import TemporalEdge
+
+    def no_shared_memory(network):
+        raise OSError("shared memory off for the rebuild baseline")
 
     async def measure(shared: bool) -> dict:
         network = make_dataset("ctu13", scale=shm_scale)
         workload = generate_queries(network, count=2, seed=QUERY_SEED)
         source, sink = workload.pairs[0]
         delta = workload.delta_for(DELTA_FRACTION)
-        pool = ProcessEnginePool(
-            network, processes=2, mp_context="fork", shared=shared
-        )
+        store_class = workers.SharedNetworkStore
+        if not shared:
+            workers.SharedNetworkStore = no_shared_memory
+        try:
+            pool = workers.ProcessEnginePool(
+                network, processes=2, mp_context="fork"
+            )
+        finally:
+            workers.SharedNetworkStore = store_class
+        assert pool.shared == shared
         try:
             await pool.answer(source, sink, delta, "bfq*")  # warm
             warm_start = time.perf_counter()

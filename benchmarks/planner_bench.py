@@ -10,9 +10,10 @@ This benchmark builds exactly that workload — ``--queries`` queries over
 at most ``--pairs`` (source, sink) pairs, each pair swept across
 overlapping deltas with repeats — then times:
 
-* **independent**: ``answer_many(plan="independent")`` (one full solve
-  per query, the only path before the planner);
-* **shared**: ``answer_many(plan="shared")`` (the planner).
+* **independent**: ``[find_bursting_flow(network, q) for q in batch]``
+  (one full default-algorithm solve per query, the only path before the
+  planner);
+* **shared**: ``answer_planned(network, batch)`` (the planner).
 
 Answers must be byte-identical; the speedup must clear ``--min-speedup``
 (default 1.5x) or the run exits non-zero.  ``--output`` writes the
@@ -35,7 +36,7 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-from repro.core import BurstingFlowQuery, answer_many, answer_planned
+from repro.core import BurstingFlowQuery, answer_planned, find_bursting_flow
 from repro.datasets.queries import generate_queries
 from repro.datasets.registry import make_dataset
 
@@ -92,7 +93,7 @@ def run_bench(
     assert distinct_pairs <= pairs
 
     independent_s, independent = best_of(
-        repeats, lambda: answer_many(network, batch, plan="independent")
+        repeats, lambda: [find_bursting_flow(network, q) for q in batch]
     )
     shared_s, (planned, report) = best_of(
         repeats, lambda: answer_planned(network, batch)

@@ -7,8 +7,8 @@ round-tripping — then demonstrates the library's analyst workflow:
 
 1. choose delta with :func:`repro.core.suggest_delta` (the knee of the
    density-vs-delta curve);
-2. sweep suspect and control pairs in parallel with
-   :func:`repro.core.answer_many`;
+2. sweep suspect and control pairs in one planner batch with
+   :func:`repro.core.answer_planned`;
 3. separate frauds from controls by density;
 4. pull the evidence trail of the worst finding.
 
@@ -17,7 +17,7 @@ Run:  python examples/aml_simulation.py
 
 from repro.core import (
     BurstingFlowQuery,
-    answer_many,
+    answer_planned,
     bursting_flow_trails,
     density_profile,
     suggest_delta,
@@ -56,7 +56,7 @@ def main() -> None:
         BurstingFlowQuery(s, t, delta)
         for s, t in scenario.benign_pairs(5, seed=7)
     ]
-    results = answer_many(network, suspect_queries + control_queries)
+    results = answer_planned(network, suspect_queries + control_queries)[0]
     suspects = results[: len(suspect_queries)]
     controls = results[len(suspect_queries):]
 

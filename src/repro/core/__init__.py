@@ -1,6 +1,5 @@
 """The paper's core contribution: delta-BFlow queries and their solutions."""
 
-from repro.core.batch import KNOWN_PLANS, answer_many
 from repro.core.bfq import bfq
 from repro.core.bfq_plus import bfq_plus
 from repro.core.bfq_star import bfq_star
@@ -57,8 +56,6 @@ from repro.core.transform import (
 
 __all__ = [
     "bfq",
-    "answer_many",
-    "KNOWN_PLANS",
     "answer_planned",
     "group_queries",
     "planner_bfq",

@@ -1,9 +1,8 @@
-"""Shared process-pool harness for the batch layers.
+"""Process-pool harness of the planner's fan-out.
 
-:func:`repro.core.batch.answer_many` and the planner's group fan-out both
-shard work over a :class:`~concurrent.futures.ProcessPoolExecutor` with
-the same discipline; :func:`run_pool` is that discipline, factored out
-once:
+:func:`repro.core.planner.answer_planned` shards a batch's sources over a
+:class:`~concurrent.futures.ProcessPoolExecutor`; :func:`run_pool` is the
+discipline it runs under:
 
 * worker state travels through ``initializer``/``initargs`` (pickled for
   ``spawn``/``forkserver``, inherited-then-overwritten for ``fork``), so

@@ -99,8 +99,7 @@ def find_bursting_flow(
             BFQ/BFQ+/BFQ* compile the query's window skeleton once and
             run the persistent arena Dinic on every window.
         **kwargs: forwarded to the algorithm (e.g. ``use_pruning=False``
-            for the incremental solutions, ``solver="push-relabel"`` for
-            BFQ).
+            for the incremental solutions).
 
     Returns:
         The best :class:`BurstingFlowResult` (density 0 / interval ``None``

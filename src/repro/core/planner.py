@@ -269,7 +269,7 @@ def _solve_source(
 
 # ----------------------------------------------------------------------
 # Process-pool fan-out: sources are independent, so they shard cleanly.
-# Same initializer/initargs discipline as repro.core.batch.
+# Worker state travels through run_pool's initializer/initargs.
 # ----------------------------------------------------------------------
 _PLAN_NETWORK: TemporalFlowNetwork | None = None
 
@@ -315,7 +315,9 @@ def answer_planned(
             ``os.cpu_count()``.  A source's skeleton and memos stay
             inside one process, so the pooled answers (and their stats)
             are identical to the sequential ones.
-        mp_context: multiprocessing start method (as in ``answer_many``).
+        mp_context: multiprocessing start method (``"fork"``,
+            ``"forkserver"`` or ``"spawn"``); ``None`` uses the platform
+            default.  Ignored for sequential runs.
 
     Returns:
         ``(results, report)`` — one result per query, plus the

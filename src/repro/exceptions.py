@@ -55,14 +55,16 @@ class InvalidQueryError(ReproError):
 class BatchQueryError(ReproError):
     """One item of a batch failed and the rest of the batch was abandoned.
 
-    Raised by the batch layers (:func:`repro.core.batch.answer_many`, the
-    planner) when a worker raises an ordinary exception: outstanding
-    futures are cancelled and this error identifies exactly which item
-    failed.
+    Raised by the planner's process fan-out
+    (:func:`repro.core.planner.answer_planned` with ``processes > 1``)
+    when a worker raises an ordinary exception: outstanding futures are
+    cancelled and this error identifies exactly which item failed.
 
     Attributes:
-        index: position of the failing item in the submitted batch.
-        item: the failing item itself (e.g. the ``BurstingFlowQuery``).
+        index: position of the failing item among the submitted payloads
+            (for the planner, the source's first-appearance position).
+        item: a description of the failing item (for the planner, the
+            source and its sink count).
     """
 
     def __init__(self, index: int, item: object, cause: BaseException) -> None:

@@ -2,8 +2,8 @@
 
 The delta-BFlow solutions are parameterised by a Maxflow solver ("other
 augmenting path-based Maxflow algorithms can be also applied in our
-solutions", Section 3.1).  The registry gives benches, tests and BFQ's
-``solver=`` a single place to resolve solver names.  The engine itself
+solutions", Section 3.1).  The registry gives benches, tests and the
+self-check a single place to resolve solver names.  The engine itself
 (BFQ+/BFQ* and BFQ's compiled windows) always runs the persistent arena
 Dinic (:mod:`repro.flownet.algorithms.dinic_flat_persistent`).
 """

@@ -35,7 +35,7 @@ Requests (``op`` selects the type)::
 ``plan: "shared"`` (the default) routes the batch through the multi-query
 planner — queries grouped by (source, sink) share one window skeleton and
 a per-epoch candidate-window Maxflow memo — while ``"independent"``
-solves each entry on its own.  ``op: "topk"`` is the first-class top-k
+answers each entry as a ``query`` with the server's default algorithm.  ``op: "topk"`` is the first-class top-k
 densest-bursts query over a candidate (source, sink) list.  Both carry
 the same ``min_epoch`` fence as single queries.
 
@@ -181,8 +181,9 @@ class BatchRequest:
 
     ``queries`` are ``(source, sink, delta)`` triples; the reply's
     ``results`` align with them.  ``plan="shared"`` (default) amortises
-    the batch through the planner; ``"independent"`` solves each entry on
-    its own.  ``min_epoch`` fences the whole batch at one epoch.
+    the batch through the planner; ``"independent"`` answers each entry
+    as a ``query`` with the server's default algorithm (same solve, same
+    cache entry).  ``min_epoch`` fences the whole batch at one epoch.
     """
 
     id: str

@@ -404,9 +404,9 @@ class BurstingFlowService(WireFrontEnd):
         """Per-entry cache key for batch answers.
 
         Planner answers are cached under the algorithm label ``"planner"``,
-        so they can never collide with single-query engine entries; ``plan="independent"`` entries
-        share the engine's default-algorithm key shape and therefore *do*
-        interoperate with single-query caching.
+        so they can never collide with single-query engine entries;
+        ``plan="independent"`` entries are solved as ``query`` ops with the
+        server's default algorithm and share that op's cache key.
         """
         if plan == "shared":
             return (epoch, source, sink, delta, "planner")
@@ -445,18 +445,21 @@ class BurstingFlowService(WireFrontEnd):
                 self.metrics.observe_miss()
 
                 async def solve() -> RawBatch:
+                    triples = []
                     for index in misses:
-                        queries[index].validate_against(self.network)
-                    # Solving only the cache misses through the planner is
-                    # sound: every answer is canonical per query, so a
-                    # partial batch agrees with the full one.
-                    return await self.engine.answer_batch(
-                        tuple(
-                            (queries[i].source, queries[i].sink, queries[i].delta)
-                            for i in misses
-                        ),
-                        request.plan,
-                    )
+                        query = queries[index]
+                        query.validate_against(self.network)
+                        triples.append((query.source, query.sink, query.delta))
+                    if request.plan == "shared":
+                        # Solving only the cache misses through the planner
+                        # is sound: every answer is canonical per query, so
+                        # a partial batch agrees with the full one.
+                        return await self.engine.answer_batch(tuple(triples))
+                    algorithm = self.algorithm.lower()
+                    return [
+                        (await self.engine.answer(*triple, algorithm))[:3]
+                        for triple in triples
+                    ], {}
 
                 solved = await self._solve(request.id, deadline, solve)
                 if isinstance(solved, ErrorReply):

@@ -1,30 +1,32 @@
 """Engine execution backends for the query service.
 
-Two interchangeable backends answer the server's reads; both expose the
-same three coroutines and return the same raw shapes:
+Two interchangeable backends answer the server's reads.  Both inherit
+the same three coroutines from :class:`_EngineBackend` and return the
+same raw shapes:
 
 * ``await answer(s, t, delta, algorithm)`` — :data:`RawAnswer`, the
   ``(density, interval, flow_value, phase_seconds)`` of one engine solve;
-* ``await answer_batch(queries, plan)`` — :data:`RawBatch`, one
+* ``await answer_batch(queries)`` — :data:`RawBatch`, one
   ``(density, interval, flow_value)`` triple per query plus the planner
   report;
 * ``await answer_topk(pairs, delta, k)`` — :data:`RawTopK`, the
   planner's :class:`~repro.core.planner.BurstEntry` tuple, densest first.
 
-The backends:
+Each coroutine is one ``self._run(fn, *args)`` call, where ``fn(network,
+*args)`` is a module-level solve; the backends differ only in where
+``_run`` executes it:
 
 * :class:`ProcessEnginePool` — a :class:`~concurrent.futures.
-  ProcessPoolExecutor` with an explicit ``mp_context``.  By default the
-  workers attach to a :class:`~repro.temporal.shared.SharedNetworkStore`
-  (an append-only edge log in ``multiprocessing.shared_memory``): the
-  pool is built **once**, streaming appends publish only the new edges
-  into the log, and each worker replays the suffix at its next task —
-  no per-epoch pool teardown, no re-pickling the whole network.  When
-  shared memory is unavailable (or ``shared=False``) the pool falls back
-  to the classic epoch-aware mode: the network travels through
-  ``initializer``/``initargs`` (the exact pattern
-  :func:`repro.core.batch.answer_many` uses) and the next query after an
-  append transparently rebuilds the pool.  Either way a
+  ProcessPoolExecutor` with an explicit ``mp_context``.  The workers
+  attach to a :class:`~repro.temporal.shared.SharedNetworkStore` (an
+  append-only edge log in ``multiprocessing.shared_memory``): the pool
+  is built **once**, streaming appends publish only the new edges into
+  the log, and each worker replays the suffix at its next task — no
+  per-epoch pool teardown, no re-pickling the whole network.  When
+  shared memory is unavailable the pool falls back to the classic
+  epoch-aware mode: the network travels through
+  ``initializer``/``initargs`` and the next query after an append
+  transparently rebuilds the pool.  Either way a
   :class:`BrokenProcessPool` (crashed/OOM-killed worker) is survived by
   rebuilding the pool once and resubmitting.
 
@@ -42,9 +44,8 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
-from repro.core.batch import answer_many
 from repro.core.engine import find_bursting_flow
 from repro.core.planner import BurstEntry, answer_planned, top_k_bursts
 from repro.core.query import BurstingFlowQuery
@@ -61,7 +62,7 @@ RawAnswer = tuple[
 ]
 
 #: A raw batch answer: per-query (density, interval, flow_value) triples in
-#: input order, plus the planner report dict ({} under plan="independent").
+#: input order, plus the planner report dict.
 RawBatch = tuple[
     "list[tuple[float, tuple[Timestamp, Timestamp] | None, float]]",
     dict[str, object],
@@ -75,7 +76,7 @@ RawTopK = tuple[BurstEntry, ...]
 INLINE_THREADS = 2
 
 
-def _solve_inline(
+def _solve_query(
     network: TemporalFlowNetwork,
     source: NodeId,
     sink: NodeId,
@@ -95,32 +96,27 @@ def _solve_inline(
     )
 
 
-def _solve_batch_on(
+def _solve_batch(
     network: TemporalFlowNetwork,
     queries: tuple[tuple[NodeId, NodeId, int], ...],
-    plan: str,
 ) -> RawBatch:
-    """Answer a batch on ``network``; shared work stays in this process.
+    """Answer a batch through the planner; shared work stays in this process.
 
     The planner's own process fan-out is deliberately not used here: the
     process backend already runs this inside a pool worker (which cannot
     spawn children), and the inline backend's thread pool provides the
     concurrency across independent requests instead.
     """
-    batch = [BurstingFlowQuery(s, t, d) for (s, t, d) in queries]
-    if plan == "shared":
-        results, report = answer_planned(network, batch)
-        planner: dict[str, object] = report.as_dict()
-    else:
-        results = answer_many(network, batch)
-        planner = {}
+    results, report = answer_planned(
+        network, [BurstingFlowQuery(s, t, d) for (s, t, d) in queries]
+    )
     return (
         [(r.density, r.interval, r.flow_value) for r in results],
-        planner,
+        report.as_dict(),
     )
 
 
-def _solve_topk_on(
+def _solve_topk(
     network: TemporalFlowNetwork,
     pairs: tuple[tuple[NodeId, NodeId], ...],
     delta: int,
@@ -171,46 +167,60 @@ def _catch_up() -> None:
         _ = _WORKER_READER.network.timestamps
 
 
-def _solve_one(
-    source: NodeId,
-    sink: NodeId,
-    delta: int,
-    algorithm: str,
-) -> RawAnswer:
-    """Worker task: one full engine solve on the installed network."""
+def _on_worker(fn: Callable[..., Any], *args: object) -> Any:
+    """Worker task: catch up on the log, then ``fn(network, *args)``."""
     assert _WORKER_NETWORK is not None, "worker started outside the service"
     _catch_up()
-    return _solve_inline(_WORKER_NETWORK, source, sink, delta, algorithm)
+    return fn(_WORKER_NETWORK, *args)
 
 
-def _solve_batch(
-    queries: tuple[tuple[NodeId, NodeId, int], ...], plan: str
-) -> RawBatch:
-    """Worker task: one whole batch (plan-aware) on the installed network."""
-    assert _WORKER_NETWORK is not None, "worker started outside the service"
-    _catch_up()
-    return _solve_batch_on(_WORKER_NETWORK, queries, plan)
+class _EngineBackend:
+    """The three read coroutines, written once over :meth:`_run`.
+
+    A backend supplies ``_run(fn, *args)``: run ``fn(network, *args)``
+    somewhere off the event loop and return its result.
+    """
+
+    async def _run(self, fn: Callable[..., Any], *args: object) -> Any:
+        raise NotImplementedError
+
+    async def answer(
+        self,
+        source: NodeId,
+        sink: NodeId,
+        delta: int,
+        algorithm: str,
+    ) -> RawAnswer:
+        """Solve one query with ``algorithm``."""
+        return await self._run(_solve_query, source, sink, delta, algorithm)
+
+    async def answer_batch(
+        self, queries: tuple[tuple[NodeId, NodeId, int], ...]
+    ) -> RawBatch:
+        """Solve one whole batch through the planner (skeletons and the
+        window memo are shared within the one solve)."""
+        return await self._run(_solve_batch, tuple(queries))
+
+    async def answer_topk(
+        self,
+        pairs: tuple[tuple[NodeId, NodeId], ...],
+        delta: int,
+        k: int,
+    ) -> RawTopK:
+        """Rank the top-k densest bursts over ``pairs``."""
+        return await self._run(_solve_topk, tuple(pairs), delta, k)
 
 
-def _solve_topk(
-    pairs: tuple[tuple[NodeId, NodeId], ...], delta: int, k: int
-) -> RawTopK:
-    """Worker task: one top-k burst ranking on the installed network."""
-    assert _WORKER_NETWORK is not None, "worker started outside the service"
-    _catch_up()
-    return _solve_topk_on(_WORKER_NETWORK, pairs, delta, k)
-
-
-class ProcessEnginePool:
+class ProcessEnginePool(_EngineBackend):
     """Process-pool engine backend with crash recovery.
 
-    In the default shared-memory mode the network reaches workers as a
+    In shared-memory mode the network reaches workers as a
     :class:`~repro.temporal.shared.SharedNetworkStore` edge log: the pool
     is built once, :meth:`mark_stale` *publishes* appended edges instead
     of forcing a rebuild, and workers replay the log suffix at their next
-    task.  When shared memory cannot be created (or ``shared=False``)
-    the pool degrades to the classic epoch-aware mode that re-ships the
-    pickled network by rebuilding the pool whenever the epoch moves.
+    task.  When shared memory cannot be created the pool degrades to the
+    classic epoch-aware mode that re-ships the pickled network by
+    rebuilding the pool whenever the epoch moves.
 
     Args:
         network: the live network (the server guarantees the epoch is
@@ -221,8 +231,6 @@ class ProcessEnginePool:
             ``"forkserver"``, ``"spawn"``) or ``None`` for the platform
             default.
         on_restart: callback invoked whenever a broken pool is rebuilt.
-        shared: ship the network through shared memory (default); pass
-            ``False`` to force the classic rebuild-on-epoch mode.
     """
 
     def __init__(
@@ -232,7 +240,6 @@ class ProcessEnginePool:
         processes: int = 2,
         mp_context: str | None = None,
         on_restart: Callable[[], None] | None = None,
-        shared: bool = True,
     ) -> None:
         if processes == 0:
             processes = os.cpu_count() or 1
@@ -246,12 +253,11 @@ class ProcessEnginePool:
         self._pool_epoch = -1
         self._rebuild_lock = asyncio.Lock()
         self.restarts = 0
-        self._store: SharedNetworkStore | None = None
-        if shared:
-            try:
-                self._store = SharedNetworkStore(network)
-            except (OSError, ValueError):  # pragma: no cover - no /dev/shm
-                self._store = None
+        self._store: SharedNetworkStore | None
+        try:
+            self._store = SharedNetworkStore(network)
+        except (OSError, ValueError):  # no /dev/shm: classic mode
+            self._store = None
 
     # ------------------------------------------------------------------
     @property
@@ -302,11 +308,11 @@ class ProcessEnginePool:
                     old.shutdown(wait=False, cancel_futures=True)
         return self._pool
 
-    async def _run(self, fn: Callable, *task: object):
-        """Submit one task to a worker; survives one pool crash."""
+    async def _run(self, fn: Callable[..., Any], *args: object) -> Any:
+        """Run ``fn(network, *args)`` on a worker; survives one pool crash."""
         pool = await self._ensure_fresh()
         try:
-            return await asyncio.wrap_future(pool.submit(fn, *task))
+            return await asyncio.wrap_future(pool.submit(_on_worker, fn, *args))
         except BrokenProcessPool:
             # A worker died mid-solve.  Rebuild once and resubmit; a
             # second crash on the same task is systemic and propagates.
@@ -319,35 +325,7 @@ class ProcessEnginePool:
                     if self._on_restart is not None:
                         self._on_restart()
                 fresh = self._pool
-            return await asyncio.wrap_future(fresh.submit(fn, *task))
-
-    async def answer(
-        self,
-        source: NodeId,
-        sink: NodeId,
-        delta: int,
-        algorithm: str,
-    ) -> RawAnswer:
-        """Solve one query on a worker; survives one pool crash."""
-        return await self._run(_solve_one, source, sink, delta, algorithm)
-
-    async def answer_batch(
-        self,
-        queries: tuple[tuple[NodeId, NodeId, int], ...],
-        plan: str,
-    ) -> RawBatch:
-        """Solve one whole batch on a worker (the planner shares skeletons
-        and the window memo within the worker process)."""
-        return await self._run(_solve_batch, tuple(queries), plan)
-
-    async def answer_topk(
-        self,
-        pairs: tuple[tuple[NodeId, NodeId], ...],
-        delta: int,
-        k: int,
-    ) -> RawTopK:
-        """Rank top-k densest bursts on a worker."""
-        return await self._run(_solve_topk, tuple(pairs), delta, k)
+            return await asyncio.wrap_future(fresh.submit(_on_worker, fn, *args))
 
     def mark_stale(self, edges: "Sequence[TemporalEdge] | None" = None) -> None:
         """Tell the pool the network changed (appends call this).
@@ -375,7 +353,7 @@ class ProcessEnginePool:
             self._store = None
 
 
-class InlineEngine:
+class InlineEngine(_EngineBackend):
     """Thread-pool engine backend solving on the live network.
 
     The server's reader/writer lock guarantees no append mutates the
@@ -389,44 +367,10 @@ class InlineEngine:
             max_workers=INLINE_THREADS, thread_name_prefix="repro-service"
         )
 
-    async def answer(
-        self,
-        source: NodeId,
-        sink: NodeId,
-        delta: int,
-        algorithm: str,
-    ) -> RawAnswer:
-        """Solve one query on a worker thread."""
+    async def _run(self, fn: Callable[..., Any], *args: object) -> Any:
+        """Run ``fn(network, *args)`` on a worker thread."""
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._pool,
-            lambda: _solve_inline(self._network, source, sink, delta, algorithm),
-        )
-
-    async def answer_batch(
-        self,
-        queries: tuple[tuple[NodeId, NodeId, int], ...],
-        plan: str,
-    ) -> RawBatch:
-        """Solve one whole batch on a worker thread."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._pool,
-            lambda: _solve_batch_on(self._network, tuple(queries), plan),
-        )
-
-    async def answer_topk(
-        self,
-        pairs: tuple[tuple[NodeId, NodeId], ...],
-        delta: int,
-        k: int,
-    ) -> RawTopK:
-        """Rank top-k densest bursts on a worker thread."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._pool,
-            lambda: _solve_topk_on(self._network, tuple(pairs), delta, k),
-        )
+        return await loop.run_in_executor(self._pool, fn, self._network, *args)
 
     def mark_stale(self, edges: "Sequence[TemporalEdge] | None" = None) -> None:
         """No-op: inline solves always see the live network."""

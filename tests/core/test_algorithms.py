@@ -3,6 +3,8 @@
 import pytest
 
 from repro import BurstingFlowQuery, bfq, bfq_plus, bfq_star, find_bursting_flow
+from repro.core import build_transformed_network
+from repro.flownet.algorithms.edmonds_karp import edmonds_karp
 from repro.temporal import TemporalFlowNetwork
 
 ALL = [bfq, bfq_plus, bfq_star]
@@ -117,7 +119,16 @@ class TestIncrementalInstrumentation:
         assert all(s.mode == "dinic" for s in result.stats.samples)
 
     def test_solver_parameter_for_bfq(self, burst_network):
-        result = bfq(
-            burst_network, BurstingFlowQuery("s", "t", 2), solver="edmonds-karp"
-        )
+        """Edmonds-Karp on each window BFQ solved finds the value it recorded."""
+        result = bfq(burst_network, BurstingFlowQuery("s", "t", 2))
         assert result.density == pytest.approx(300.0)
+        for sample in result.stats.samples:
+            transformed = build_transformed_network(
+                burst_network, "s", "t", *sample.interval
+            )
+            run = edmonds_karp(
+                transformed.flow_network,
+                transformed.source_index,
+                transformed.sink_index,
+            )
+            assert run.value == pytest.approx(sample.flow_value), sample.interval

@@ -19,7 +19,6 @@ from repro.core import (
     BurstingFlowQuery,
     PlannerReport,
     WindowMemo,
-    answer_many,
     answer_planned,
     find_bursting_flow,
     group_queries,
@@ -207,10 +206,12 @@ class TestPlannerEquivalence:
         assert pool_report == seq_report
 
     def test_answer_many_shared_plan_matches_independent(self):
+        """The planner against the independent plan: one default-algorithm
+        solve per query, which the service runs for ``plan="independent"``."""
         network = random_network(11)
         batch = overlapping_batch()
-        shared = answer_many(network, batch, plan="shared")
-        independent = answer_many(network, batch)
+        shared, _report = answer_planned(network, batch)
+        independent = [find_bursting_flow(network, query) for query in batch]
         assert_results_identical(shared, independent)
 
     def test_empty_batch(self):
@@ -222,21 +223,6 @@ class TestPlannerEquivalence:
 
 
 class TestPlanValidation:
-    def test_unknown_plan_rejected(self):
-        network = random_network(0)
-        with pytest.raises(InvalidQueryError, match="unknown plan"):
-            answer_many(network, [], plan="greedy")
-
-    def test_shared_plan_rejects_algorithm_override(self):
-        network = random_network(0)
-        with pytest.raises(InvalidQueryError, match="plan='shared'"):
-            answer_many(
-                network,
-                [BurstingFlowQuery("n0", "n1", 2)],
-                plan="shared",
-                algorithm="bfq",
-            )
-
     def test_unknown_endpoint_rejected_before_solving(self):
         network = random_network(0)
         with pytest.raises(InvalidQueryError, match="ghost"):

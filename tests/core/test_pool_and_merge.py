@@ -2,10 +2,11 @@
 
 Two silent-drop bugs are pinned here:
 
-* the old ``answer_many`` let sibling futures run to completion after one
+* an old batch fan-out let sibling futures run to completion after one
   query failed and re-raised the bare exception with no hint of *which*
   query died — :func:`run_pool` must cancel the siblings and raise a
-  :class:`BatchQueryError` carrying the index and the item;
+  :class:`BatchQueryError` carrying the index and the item (for the
+  planner, the failing source);
 * an old chunk merge hand-copied ``QueryStats`` fields, so a counter
   added later was silently dropped from merged results —
   :func:`merge_query_stats` must be driven by ``dataclasses.fields``.
@@ -14,13 +15,13 @@ Two silent-drop bugs are pinned here:
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import multiprocessing
 
 import pytest
 
-from repro.core import BurstingFlowQuery, find_bursting_flow
+from repro.core import BurstingFlowQuery, answer_planned
 from repro.core._pool import run_pool
-from repro.core.bfq import bfq
 from repro.core.query import IntervalSample, QueryStats, merge_query_stats
 from repro.exceptions import BatchQueryError
 
@@ -92,37 +93,34 @@ class TestRunPool:
 
 
 class TestAnswerManyFailFast:
-    def test_batch_error_carries_index_and_query_repr(self, burst_network):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("fork start method unavailable")
-        from repro.core import answer_many
-        from repro.core import engine as engine_module
+    """The planner's pool fails fast and names the failing source."""
 
-        def poisoned(network, query, **kwargs):
-            if query.delta == 5:
-                raise ValueError("solver rejected this query")
-            return find_bursting_flow(network, query)
+    def test_batch_error_carries_index_and_query_repr(
+        self, burst_network, monkeypatch
+    ):
+        fork_context()
+        planner = importlib.import_module("repro.core.planner")
+        solve_source = planner._solve_source
 
+        def poisoned(network, source, groups):
+            if source == "a":
+                raise ValueError("solver rejected this source")
+            return solve_source(network, source, groups)
+
+        monkeypatch.setattr(planner, "_solve_source", poisoned)
         queries = [
             BurstingFlowQuery("s", "t", 2),
-            BurstingFlowQuery("s", "t", 5),
+            BurstingFlowQuery("a", "t", 2),
+            BurstingFlowQuery("a", "b", 2),
             BurstingFlowQuery("s", "t", 10),
         ]
-        engine_module.ALGORITHMS["poisoned"] = poisoned
-        try:
-            with pytest.raises(BatchQueryError) as info:
-                answer_many(
-                    burst_network,
-                    queries,
-                    processes=2,
-                    algorithm="poisoned",
-                    mp_context="fork",
-                )
-        finally:
-            del engine_module.ALGORITHMS["poisoned"]
+        with pytest.raises(BatchQueryError) as info:
+            answer_planned(burst_network, queries, processes=2, mp_context="fork")
         assert info.value.index == 1
-        assert info.value.item == queries[1]
-        assert repr(queries[1]) in str(info.value)
+        assert info.value.item == "source 'a' x2 sinks"
+        assert "source 'a' x2 sinks" in str(info.value)
+        assert "rejected this source" in str(info.value)
+        assert planner._PLAN_NETWORK is None
 
 
 def sample(tau_s: int, tau_e: int, value: float) -> IntervalSample:

@@ -10,8 +10,8 @@ import asyncio
 
 import pytest
 
-from repro import BurstingFlowQuery, find_bursting_flow
-from repro.core import top_k_bursts
+from repro import BurstingFlowQuery, bfq_plus, find_bursting_flow
+from repro.core import engine, top_k_bursts
 from repro.service import BurstingFlowService, QueryRequest
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -162,6 +162,47 @@ class TestBatchOperation:
         reply = run(scenario())
         assert isinstance(reply, ErrorReply)
         assert reply.kind == "invalid"
+
+    def test_independent_plan_solves_with_the_server_algorithm(
+        self, burst_network, monkeypatch
+    ):
+        """An independent batch is solved, and cached, under the server's
+        algorithm: a following query with that algorithm hits its entry."""
+        solved_by = []
+        for name, solve in list(engine.ALGORITHMS.items()):
+
+            def spy(network, query, _name=name, _solve=solve, **kwargs):
+                solved_by.append(_name)
+                return _solve(network, query, **kwargs)
+
+            monkeypatch.setitem(engine.ALGORITHMS, name, spy)
+        triples = (("s", "t", 2), ("a", "t", 2), ("s", "t", 5))
+
+        async def scenario():
+            service = BurstingFlowService(burst_network, algorithm="bfq+")
+            async with service:
+                batch = await service.handle_request(
+                    BatchRequest(id="b1", queries=triples, plan="independent")
+                )
+                query = await service.handle_request(
+                    QueryRequest(
+                        id="q1", source="s", sink="t", delta=2, algorithm="bfq+"
+                    )
+                )
+                return batch, query
+
+        batch, query = run(scenario())
+        assert isinstance(batch, BatchReply), batch
+        assert solved_by == ["bfq+"] * len(triples)
+        expected = []
+        for triple in triples:
+            result = bfq_plus(burst_network, BurstingFlowQuery(*triple))
+            expected.append((result.density, result.interval, result.flow_value))
+        got = [(r.density, r.interval, r.flow_value) for r in batch.results]
+        assert got == expected
+        assert batch.planner == {"cache_hits": 0, "cache_misses": len(triples)}
+        assert query.cached is True
+        assert (query.density, query.interval, query.flow_value) == expected[0]
 
 
 class TestTopKOperation:

@@ -9,8 +9,8 @@ The properties that matter operationally:
   the same store and replays the full log;
 * ``close()`` unlinks every segment — no ``/dev/shm`` leaks after any of
   the above;
-* ``shared=False`` keeps the answers byte-identical to the classic
-  pickled-``initargs`` path.
+* where shared memory cannot be created, the pool falls back to the
+  classic pickled-``initargs`` path and still answers correctly.
 """
 
 import asyncio
@@ -22,7 +22,9 @@ from repro.core.engine import find_bursting_flow
 from repro.core.query import BurstingFlowQuery
 from repro.service.protocol import AppendRequest, QueryRequest
 from repro.service.server import BurstingFlowService
+from repro.service import workers
 from repro.service.workers import ProcessEnginePool
+from repro.temporal import TemporalEdge
 
 
 def run(coro):
@@ -123,19 +125,29 @@ class TestProcessPoolSharedMemory:
         assert not _segments(first_store)
         assert not _segments(second_store)
 
-    def test_shared_false_still_works(self, burst_network):
+    def test_shared_false_still_works(self, burst_network, monkeypatch):
+        def no_shared_memory(network):
+            raise OSError("shared memory unavailable")
+
+        monkeypatch.setattr(workers, "SharedNetworkStore", no_shared_memory)
+        query = BurstingFlowQuery("s", "t", 2)
+        before = find_bursting_flow(burst_network, query)
+
         async def scenario():
-            pool = ProcessEnginePool(
-                burst_network, processes=2, mp_context="fork", shared=False
-            )
+            pool = ProcessEnginePool(burst_network, processes=2, mp_context="fork")
             try:
                 assert not pool.shared
-                return await pool.answer("s", "t", 2, "bfq*")
+                first = await pool.answer("s", "t", 2, "bfq*")
+                # Classic mode: an append rebuilds the pool, which re-ships
+                # the pickled network to fresh workers.
+                burst_network.add_edge(TemporalEdge("s", "t", 11, 90.0))
+                pool.mark_stale([])
+                return first, await pool.answer("s", "t", 2, "bfq*")
             finally:
                 pool.close()
 
-        answer = run(scenario())
-        reference = find_bursting_flow(
-            burst_network, BurstingFlowQuery("s", "t", 2)
-        )
-        assert answer[0] == pytest.approx(reference.density)
+        answer, after_append = run(scenario())
+        after = find_bursting_flow(burst_network, query)
+        assert answer[:3] == (before.density, before.interval, before.flow_value)
+        assert after_append[:3] == (after.density, after.interval, after.flow_value)
+        assert after.density != before.density

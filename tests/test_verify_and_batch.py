@@ -1,15 +1,40 @@
-"""Tests for the self-check module and the batch query engine."""
+"""Tests for the self-check module and the planner's process pool."""
 
+import importlib
 import multiprocessing
+import os
 
 import pytest
 
 from repro import BurstingFlowQuery, find_bursting_flow
-from repro.core import batch as batch_module
-from repro.core.batch import answer_many
-from repro.core.engine import DEFAULT_ALGORITHM
+from repro.core.planner import answer_planned
 from repro.exceptions import InvalidQueryError
 from repro.verify import SelfCheckError, self_check
+
+planner_module = importlib.import_module("repro.core.planner")
+
+#: Two sources, interleaved, so the planner's pool shards real work and
+#: has to put the answers back in input order.
+QUERIES = [
+    BurstingFlowQuery("s", "t", 2),
+    BurstingFlowQuery("a", "t", 1),
+    BurstingFlowQuery("s", "t", 5),
+    BurstingFlowQuery("a", "t", 3),
+    BurstingFlowQuery("s", "t", 10),
+]
+
+
+def answers(results):
+    return [(r.density, r.interval, r.flow_value) for r in results]
+
+
+def individual(network, queries):
+    return answers(find_bursting_flow(network, q, algorithm="bfq") for q in queries)
+
+
+def require_fork():
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fork start method unavailable")
 
 
 class TestSelfCheck:
@@ -32,156 +57,99 @@ class TestSelfCheck:
 
 
 class TestBatch:
+    """``answer_planned(processes=2)`` equals the sequential planner."""
+
     @pytest.fixture
     def queries(self):
-        return [
-            BurstingFlowQuery("s", "t", 2),
-            BurstingFlowQuery("s", "t", 5),
-            BurstingFlowQuery("s", "t", 10),
-        ]
+        return list(QUERIES)
 
     def test_sequential_matches_individual(self, burst_network, queries):
-        batch = answer_many(burst_network, queries)
-        for query, result in zip(queries, batch):
-            single = find_bursting_flow(burst_network, query)
-            assert result.density == pytest.approx(single.density)
-            assert result.interval == single.interval
+        results, _report = answer_planned(burst_network, queries)
+        assert answers(results) == individual(burst_network, queries)
 
-    def test_parallel_matches_sequential(self, burst_network, queries):
-        sequential = answer_many(burst_network, queries, processes=None)
-        parallel = answer_many(burst_network, queries, processes=2)
-        assert [r.density for r in parallel] == pytest.approx(
-            [r.density for r in sequential]
-        )
-        assert [r.interval for r in parallel] == [r.interval for r in sequential]
+    def test_parallel_matches_sequential(self, burst_network, queries, monkeypatch):
+        sequential, seq_report = answer_planned(burst_network, queries)
+        monkeypatch.setattr(planner_module, "_PLAN_NETWORK", burst_network)
+        parallel, pool_report = answer_planned(burst_network, queries, processes=2)
+        assert answers(parallel) == answers(sequential)
+        assert pool_report.skeletons_compiled == seq_report.skeletons_compiled == 2
+        # The parent's worker global is reset after a pooled batch.
+        assert planner_module._PLAN_NETWORK is None
 
     def test_result_order_is_input_order(self, burst_network, queries):
-        results = answer_many(burst_network, queries, processes=2)
-        # Densities are antitone in delta, so order is verifiable.
-        densities = [r.density for r in results]
-        assert densities == sorted(densities, reverse=True)
+        results, _report = answer_planned(burst_network, queries, processes=2)
+        assert answers(results) == individual(burst_network, queries)
 
     def test_empty_batch(self, burst_network):
-        assert answer_many(burst_network, []) == []
+        results, report = answer_planned(burst_network, [], processes=2)
+        assert results == []
+        assert report.queries == 0
 
-    def test_unknown_algorithm_fails_fast(self, burst_network, queries):
-        with pytest.raises(InvalidQueryError):
-            answer_many(burst_network, queries, algorithm="wizardry")
+    def test_invalid_query_fails_before_any_work(self, burst_network, monkeypatch):
+        def never(*_args):
+            raise AssertionError("solved before validation")
 
-    def test_invalid_query_fails_before_any_work(self, burst_network):
-        bad = [BurstingFlowQuery("s", "ghost", 2)]
+        monkeypatch.setattr(planner_module, "_solve_source", never)
+        bad = [BurstingFlowQuery("s", "t", 2), BurstingFlowQuery("s", "ghost", 2)]
         with pytest.raises(InvalidQueryError):
-            answer_many(burst_network, bad)
+            answer_planned(burst_network, bad, processes=2)
 
     def test_cpu_count_sentinel(self, burst_network, queries):
-        results = answer_many(burst_network, queries, processes=0)
-        assert len(results) == len(queries)
+        results, _report = answer_planned(burst_network, queries, processes=0)
+        assert answers(results) == individual(burst_network, queries)
 
     @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
     def test_start_methods_match_sequential(self, burst_network, queries, method):
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"start method {method!r} unavailable on this platform")
-        sequential = answer_many(burst_network, queries, processes=None)
-        parallel = answer_many(
+        sequential, _ = answer_planned(burst_network, queries)
+        parallel, _ = answer_planned(
             burst_network, queries, processes=2, mp_context=method
         )
-        assert [r.density for r in parallel] == pytest.approx(
-            [r.density for r in sequential]
-        )
-        assert [r.interval for r in parallel] == [r.interval for r in sequential]
-
-    def test_algorithm_does_not_leak_between_batches(self, burst_network, queries):
-        # Regression: a parallel batch used to leave its algorithm in the
-        # module globals, so a later fork-based batch could inherit it.
-        answer_many(burst_network, queries, processes=2, algorithm="bfq+")
-        assert batch_module._WORKER_ALGORITHM == DEFAULT_ALGORITHM
-        assert batch_module._WORKER_NETWORK is None
-        with pytest.raises(InvalidQueryError):
-            answer_many(burst_network, queries, processes=2, algorithm="nope")
-        assert batch_module._WORKER_ALGORITHM == DEFAULT_ALGORITHM
+        assert answers(parallel) == answers(sequential)
 
 
 class TestBatchCrashRecovery:
-    """answer_many survives one BrokenProcessPool and resubmits the rest."""
+    """The planner's pool survives one BrokenProcessPool and resubmits
+    the sources that had not finished; a second crash propagates.
 
-    @pytest.fixture
-    def queries(self):
-        return [
-            BurstingFlowQuery("s", "t", 2),
-            BurstingFlowQuery("s", "t", 5),
-            BurstingFlowQuery("s", "t", 10),
-            BurstingFlowQuery("s", "t", 3),
-        ]
-
-    @pytest.fixture
-    def crash_once_algorithm(self, tmp_path):
-        """Register an algorithm whose first worker call kills the worker.
-
-        The sentinel file makes the crash one-shot: the first solve writes
-        it and hard-exits the worker process (breaking the pool); every
-        retry finds it and answers normally.  Requires the fork start
-        method so the children inherit the registry entry.
-        """
-        import os
-
-        from repro.core import engine as engine_module
-
-        sentinel = tmp_path / "crashed-once"
-
-        def suicide_bfq(network, query, **kwargs):
-            if not sentinel.exists():
-                sentinel.write_text("boom")
-                os._exit(1)
-            return find_bursting_flow(network, query)
-
-        engine_module.ALGORITHMS["crash-once"] = suicide_bfq
-        try:
-            yield "crash-once"
-        finally:
-            del engine_module.ALGORITHMS["crash-once"]
+    ``_solve_source`` is patched in the parent and reaches the workers
+    through ``fork``; the batch has two sources, so the pool really runs.
+    """
 
     def test_recovers_from_one_broken_pool(
-        self, burst_network, queries, crash_once_algorithm
+        self, burst_network, tmp_path, monkeypatch
     ):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("fork start method unavailable")
-        results = answer_many(
-            burst_network,
-            queries,
-            processes=2,
-            algorithm=crash_once_algorithm,
-            mp_context="fork",
-        )
-        assert len(results) == len(queries)
-        for query, result in zip(queries, results):
-            expected = find_bursting_flow(burst_network, query)
-            assert result.density == pytest.approx(expected.density)
-            assert result.interval == expected.interval
+        require_fork()
+        sentinel = tmp_path / "crashed-once"
+        solve_source = planner_module._solve_source
 
-    def test_second_crash_propagates(self, burst_network, queries, tmp_path):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("fork start method unavailable")
-        import os
-
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.core import engine as engine_module
-
-        def always_dies(network, query, **kwargs):
+        def crash_once(network, source, groups):
+            try:
+                with open(sentinel, "x") as marker:
+                    marker.write("boom")
+            except FileExistsError:
+                return solve_source(network, source, groups)
             os._exit(1)
 
-        engine_module.ALGORITHMS["always-dies"] = always_dies
-        try:
-            with pytest.raises(BrokenProcessPool):
-                answer_many(
-                    burst_network,
-                    queries,
-                    processes=2,
-                    algorithm="always-dies",
-                    mp_context="fork",
-                )
-        finally:
-            del engine_module.ALGORITHMS["always-dies"]
+        monkeypatch.setattr(planner_module, "_solve_source", crash_once)
+        results, _report = answer_planned(
+            burst_network, QUERIES, processes=2, mp_context="fork"
+        )
+        assert sentinel.exists()
+        assert answers(results) == individual(burst_network, QUERIES)
+        assert planner_module._PLAN_NETWORK is None
+
+    def test_second_crash_propagates(self, burst_network, monkeypatch):
+        require_fork()
+        from concurrent.futures.process import BrokenProcessPool
+
+        def always_dies(network, source, groups):
+            os._exit(1)
+
+        monkeypatch.setattr(planner_module, "_solve_source", always_dies)
+        monkeypatch.setattr(planner_module, "_PLAN_NETWORK", burst_network)
+        with pytest.raises(BrokenProcessPool):
+            answer_planned(burst_network, QUERIES, processes=2, mp_context="fork")
         # Worker bookkeeping is reset even on the failure path.
-        assert batch_module._WORKER_NETWORK is None
-        assert batch_module._WORKER_ALGORITHM == DEFAULT_ALGORITHM
+        assert planner_module._PLAN_NETWORK is None
