@@ -57,8 +57,9 @@ def scaled_config(scale: float) -> EconomyConfig:
 
 def exhaustive_pair_list(pipeline: MiningPipeline) -> list[tuple[str, str]]:
     """Every volume-bearing (emitter, collector) pair — the swept baseline."""
-    emitters = sorted(pipeline.stats.out_ledgers, key=str)
-    collectors = sorted(pipeline.stats.in_ledgers, key=str)
+    out_ledgers, in_ledgers = pipeline.sync()
+    emitters = sorted(out_ledgers, key=str)
+    collectors = sorted(in_ledgers, key=str)
     return [(u, v) for u in emitters for v in collectors if u != v]
 
 
@@ -209,7 +210,7 @@ def main(argv=None) -> int:
             "exhaustive S×T sweep at equal recall"
         ),
         "mechanism": (
-            "StreamStats ledgers -> concentration/z/Kleinberg pre-filter "
+            "edge-column ledgers -> concentration/z/Kleinberg pre-filter "
             "-> top_k_bursts confirmation -> robust-z flagging -> "
             "content-addressed persistence (re-scans dedupe)"
         ),

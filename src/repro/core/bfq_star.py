@@ -22,7 +22,7 @@ step BFQ+ drives, and every window is solved through
 As in BFQ+, one :class:`~repro.core.skeleton.WindowSkeleton` is compiled
 per query, shared by the running state and every snapshot it spawns —
 extensions after an ``advance_start`` slice the included edges of the
-*new* start instead of rebuilding arrival labels over the live graph.
+*new* start.
 """
 
 from __future__ import annotations

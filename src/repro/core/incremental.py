@@ -136,9 +136,11 @@ class IncrementalTransformedNetwork:
         self.tau_s = tau_s
         self.tau_e = tau_e
         # Earliest-arrival labels from the *original* source timestamp.
-        # After advance_start these become lower bounds for the current
-        # source, which keeps edge inclusion sound (a superset of the
-        # edges reachable from the current source is materialised).
+        # After advance_start they are only lower bounds for the current
+        # source, so later extensions materialise a superset of the edges
+        # reachable from it.  That is sound: an edge reachable only from
+        # the retired prefix has no inflow in the materialised graph and
+        # cannot change any Maxflow value.
         self._arrival: dict[NodeId, float] = {}
         # Order matters: the arena starts with the source boundary node
         # <s, tau_s> (its event stamps are >= tau_s, so the timeline appends
@@ -417,14 +419,8 @@ class IncrementalTransformedNetwork:
 
         self.tau_s = new_tau_s
         self.source_index = self._source_boundary(new_tau_s)
-        if self._skeleton is None:
-            self._rebuild_arrival()
-        # A skeleton needs no arrival rebuild: later extensions slice the
-        # skeleton's included edges for the *new* tau_s, a from-scratch
-        # temporal reachability.  That can be a superset of the live-graph labels
-        # rebuilt above (edges enabled only through dropped sink-out edges
-        # reappear), but such edges have no inflow in the materialised
-        # graph and cannot change any Maxflow value.
+        # The arrival labels are not rebuilt (see ``_arrival``); a skeleton
+        # slices its included edges for the *new* tau_s instead.
         return withdrawn
 
     # ------------------------------------------------------------------
@@ -666,48 +662,6 @@ class IncrementalTransformedNetwork:
             if routed > _WITHDRAW_TOLERANCE:
                 crossings.append((index, routed))
         return crossings
-
-    def _rebuild_arrival(self) -> None:
-        """Recompute earliest arrivals from the *current* source.
-
-        After :meth:`advance_start` the inherited arrival labels are only
-        lower bounds (they stem from an earlier source), which would make
-        subsequent :meth:`extend_end` calls materialise edges no longer
-        reachable.  A structural BFS over the live transformed network is
-        exact: ``<u, tau>`` is reachable from ``<s, tau_s>`` iff value
-        could sit at ``u`` by time ``tau``.
-        """
-        arena = self.arena
-        heads = arena.heads
-        caps = arena.caps
-        level = arena.level
-        slots = arena.slots
-        owner = self._owner
-        stamps = self._stamps
-        start = self.source_index
-        seen = {start}
-        stack = [start]
-        arrival: dict[NodeId, float] = {}
-        while stack:
-            index = stack.pop()
-            node = owner[index]
-            tau = stamps[index]
-            known = arrival.get(node)
-            if known is None or tau < known:
-                arrival[node] = float(tau)
-            for slot in slots[index]:
-                if slot & 1:
-                    continue  # reverse arc
-                head = heads[slot]
-                if level[head] == ARENA_RETIRED or head in seen:
-                    continue
-                # Structural presence: residual or routed flow positive
-                # (injection-disabled hold edges have both at zero).
-                if caps[slot] <= 0 and caps[slot + 1] <= 0:
-                    continue
-                seen.add(head)
-                stack.append(head)
-        self._arrival = arrival
 
     def _retire_prefix(self, new_tau_s: Timestamp) -> None:
         """Retire all ``<u, tau>`` nodes with ``tau < new_tau_s``."""

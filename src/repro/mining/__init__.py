@@ -1,8 +1,9 @@
 """Continuous burst mining with a durable, queryable pattern store.
 
-The fleet-scale version of the paper's Grab case study: a streaming
-ingestion stage (:class:`~repro.mining.stats.StreamStats`), a cheap
-statistical pre-filter (:mod:`repro.mining.prefilter` — temporal
+The fleet-scale version of the paper's Grab case study: per-node
+ledgers derived from the network's edge columns
+(:func:`~repro.mining.prefilter.node_ledgers`), a cheap statistical
+pre-filter (:mod:`repro.mining.prefilter` — temporal
 concentration, robust z-scores, Kleinberg burst states), δ-BFlow
 confirmation through the multi-query planner, and content-addressed
 persistence (:mod:`repro.mining.store`).  See ``docs/mining.md``.
@@ -24,16 +25,12 @@ from repro.mining.prefilter import (
     NodeIntensity,
     PairCandidate,
     node_intensities,
+    node_ledgers,
     rank_candidates,
     score_ledgers,
     score_nodes,
 )
-from repro.mining.stats import (
-    StreamStats,
-    burstiness,
-    kleinberg_states,
-    modified_z_score,
-)
+from repro.mining.stats import burstiness, kleinberg_states, modified_z_score
 from repro.mining.store import (
     PatternRecord,
     PatternStore,
@@ -54,7 +51,6 @@ __all__ = [
     "PatternStore",
     "PERSIST_MODES",
     "ScanOutcome",
-    "StreamStats",
     "build_record",
     "burstiness",
     "canonical_evidence",
@@ -63,6 +59,7 @@ __all__ = [
     "mining_bfq",
     "modified_z_score",
     "node_intensities",
+    "node_ledgers",
     "pattern_hash",
     "pattern_id_for",
     "persist_entries",

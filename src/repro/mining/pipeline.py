@@ -3,10 +3,11 @@
 :class:`MiningPipeline` is the paper's Grab case study run as a
 *workload* instead of a one-shot script:
 
-1. **ingest** — :class:`~repro.mining.stats.StreamStats` consumes
-   appended edges incrementally (epoch-aware, so it composes with the
-   service/cluster append path: appends made by anyone on the shared
-   network are picked up by the next ``sync``).
+1. **ingest** — :meth:`MiningPipeline.sync` derives per-node
+   emission/absorption ledgers from the network's edge columns
+   (:func:`~repro.mining.prefilter.node_ledgers`) whenever the epoch
+   moved, so appends made by anyone on the shared network (the
+   service/cluster append path) are seen by the next scan.
 2. **pre-filter** — :func:`~repro.mining.prefilter.rank_candidates`
    crosses the top burst-intense emitters with the top collectors; the
    survivors are a tiny fraction of the exhaustive S×T sweep
@@ -38,16 +39,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from statistics import median
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.core.planner import BurstEntry, top_k_bursts
 from repro.exceptions import InvalidQueryError
 from repro.mining.prefilter import (
+    Ledgers,
     NodeIntensity,
-    node_intensities,
+    node_ledgers,
     rank_candidates,
 )
-from repro.mining.stats import StreamStats, modified_z_score
+from repro.mining.stats import modified_z_score
 from repro.mining.store import (
     PatternRecord,
     PatternStore,
@@ -55,7 +57,7 @@ from repro.mining.store import (
     pattern_hash,
     pattern_id_for,
 )
-from repro.temporal.edge import NodeId, TemporalEdge
+from repro.temporal.edge import NodeId
 from repro.temporal.network import TemporalFlowNetwork
 
 #: ``persist=`` choices for :meth:`MiningPipeline.scan`.
@@ -75,10 +77,6 @@ class MiningConfig:
     max_interval_fraction: float = 0.2
     #: Confirmed bursts below this density are never persisted.
     min_density: float = 0.0
-    #: Hard cap on candidates entering confirmation (None = top product).
-    max_candidates: int | None = None
-    #: Pre-filter window length; None uses the scan's delta.
-    window: int | None = None
 
 
 @dataclass(slots=True)
@@ -303,25 +301,23 @@ class MiningPipeline:
         self.config = config or MiningConfig()
         self.processes = processes
         self.mp_context = mp_context
-        self.stats = StreamStats()
-        self.stats.sync(network)
         self.scans = 0
+        self._ledgers: tuple[int, Ledgers, Ledgers] | None = None
 
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def append(self, edges: Iterable[TemporalEdge]) -> int:
-        """Append edges to the network and ingest them; returns count."""
-        count = 0
-        for edge in edges:
-            self.network.add_edge(edge)
-            count += 1
-        self.sync()
-        return count
+    def sync(self) -> tuple[Ledgers, Ledgers]:
+        """The network's ``(out_ledgers, in_ledgers)`` at its current epoch.
 
-    def sync(self) -> int:
-        """Consume edges appended by anyone since the last sync."""
-        return self.stats.sync(self.network)
+        Derived afresh (:func:`~repro.mining.prefilter.node_ledgers`) only
+        when the epoch moved since the last call, so any mutation of the
+        shared network (appends, capacity merges, adopted epochs) is seen.
+        """
+        epoch = self.network.epoch
+        if self._ledgers is None or self._ledgers[0] != epoch:
+            self._ledgers = (epoch, *node_ledgers(self.network))
+        return self._ledgers[1], self._ledgers[2]
 
     # ------------------------------------------------------------------
     # The scan: shortlist → confirm → settle (flag and persist)
@@ -393,7 +389,7 @@ class MiningPipeline:
                 f"got {persist!r}"
             )
         started = time.perf_counter()
-        self.sync()
+        out_ledgers, in_ledgers = self.sync()
         config = self.config
         if top is not None or min_volume is not None:
             config = replace(
@@ -404,7 +400,6 @@ class MiningPipeline:
                     min_volume if min_volume is not None else config.min_volume
                 ),
             )
-        window = config.window or delta
         shortlist = Shortlist(
             persist=persist,
             config=config,
@@ -414,30 +409,27 @@ class MiningPipeline:
         funnel = shortlist.outcome.funnel
 
         emit_volumes = {
-            node for node, entries in self.stats.out_ledgers.items()
+            node for node, entries in out_ledgers.items()
             if sum(amount for _, amount in entries) >= config.min_volume
         }
         sink_volumes = {
-            node for node, entries in self.stats.in_ledgers.items()
+            node for node, entries in in_ledgers.items()
             if sum(amount for _, amount in entries) >= config.min_volume
         }
-        funnel.nodes_scored = len(
-            set(self.stats.out_ledgers) | set(self.stats.in_ledgers)
-        )
+        funnel.nodes_scored = len(set(out_ledgers) | set(in_ledgers))
         funnel.exhaustive_pairs = len(emit_volumes) * len(sink_volumes) - len(
             emit_volumes & sink_volumes
         )
 
         if pairs is None:
             candidates = rank_candidates(
-                self.stats,
-                window=window,
+                out_ledgers,
+                in_ledgers,
+                window=delta,
                 top_sources=config.top_sources,
                 top_sinks=config.top_sinks,
                 min_volume=config.min_volume,
             )
-            if config.max_candidates is not None:
-                candidates = candidates[: config.max_candidates]
             shortlist.pairs = [candidate.pair for candidate in candidates]
             for candidate in candidates:
                 shortlist.intensities.setdefault(
@@ -496,12 +488,3 @@ class MiningPipeline:
     def patterns(self, **filters: Any) -> list[PatternRecord]:
         """Query the durable store (passthrough to ``PatternStore.query``)."""
         return self.store.query(**filters)
-
-    def intensity_profile(
-        self, *, window: int, direction: str = "out", min_volume: float = 0.0
-    ) -> list[NodeIntensity]:
-        """The current per-node intensity ranking (diagnostics/CLI)."""
-        ledgers = (
-            self.stats.out_ledgers if direction == "out" else self.stats.in_ledgers
-        )
-        return node_intensities(ledgers, window=window, min_volume=min_volume)

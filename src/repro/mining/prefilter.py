@@ -2,7 +2,8 @@
 
 Scanning all ``|V|²`` (source, sink) pairs with the exact engine is
 hopeless at fleet scale; this module ranks candidates with statistics
-that cost one pass over the ledgers:
+that cost one pass over the ledgers (:func:`node_ledgers`, one pass over
+the network's edge columns):
 
 1. **temporal concentration** (:class:`NodeBurstScore`) — the share of a
    node's transfer volume inside its busiest window.  This is the
@@ -37,16 +38,29 @@ from statistics import median
 from typing import Mapping
 
 from repro.exceptions import InvalidQueryError
-from repro.mining.stats import (
-    StreamStats,
-    burstiness,
-    kleinberg_states,
-    modified_z_score,
-)
+from repro.mining.stats import burstiness, kleinberg_states, modified_z_score
 from repro.temporal.edge import NodeId, Timestamp
 from repro.temporal.network import TemporalFlowNetwork
 
 Ledger = list[tuple[Timestamp, float]]
+Ledgers = dict[NodeId, Ledger]
+
+
+def node_ledgers(network: TemporalFlowNetwork) -> tuple[Ledgers, Ledgers]:
+    """Every node's ``(tau, amount)`` emission and absorption ledgers.
+
+    One pass over :meth:`~repro.temporal.network.TemporalFlowNetwork
+    .edge_columns` (timestamp-major), so each ledger comes out sorted by
+    timestamp; nodes without edges have no ledger.
+    """
+    _, us, vs, taus, caps = network.edge_columns()
+    out_ledgers: Ledgers = {}
+    in_ledgers: Ledgers = {}
+    for u, v, tau, capacity in zip(us, vs, taus, caps):
+        entry = (tau, capacity)
+        out_ledgers.setdefault(u, []).append(entry)
+        in_ledgers.setdefault(v, []).append(entry)
+    return out_ledgers, in_ledgers
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,10 +211,8 @@ def score_nodes(
         raise InvalidQueryError(
             f"direction must be 'out' or 'in', got {direction!r}"
         )
-    ledgers: dict[NodeId, Ledger] = {}
-    for edge in network.edges():
-        key = edge.u if direction == "out" else edge.v
-        ledgers.setdefault(key, []).append((edge.tau, edge.capacity))
+    out_ledgers, in_ledgers = node_ledgers(network)
+    ledgers = out_ledgers if direction == "out" else in_ledgers
     return score_ledgers(ledgers, window=window, min_volume=min_volume)
 
 
@@ -251,7 +263,8 @@ def _peak_z(peak_volume: float, volumes: list[float]) -> float:
 
 
 def rank_candidates(
-    stats: StreamStats,
+    out_ledgers: Mapping[NodeId, Ledger],
+    in_ledgers: Mapping[NodeId, Ledger],
     *,
     window: int,
     top_sources: int = 8,
@@ -260,6 +273,7 @@ def rank_candidates(
 ) -> list[PairCandidate]:
     """Cross the top emitters with the top collectors, ranked.
 
+    Takes the two ledger maps of :func:`node_ledgers`.
     The rank score is the product of the endpoint intensities, doubled
     when the peak windows overlap (money leaving the source while it is
     arriving at the sink is the laundering signature; independent bursts
@@ -272,10 +286,10 @@ def rank_candidates(
             f"got {top_sources}/{top_sinks}"
         )
     emitters = node_intensities(
-        stats.out_ledgers, window=window, min_volume=min_volume
+        out_ledgers, window=window, min_volume=min_volume
     )[:top_sources]
     collectors = node_intensities(
-        stats.in_ledgers, window=window, min_volume=min_volume
+        in_ledgers, window=window, min_volume=min_volume
     )[:top_sinks]
     candidates = []
     for emitter in emitters:

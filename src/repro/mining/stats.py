@@ -1,22 +1,7 @@
-"""Streaming statistics for the burst-mining pipeline.
+"""The intensity primitives the mining pre-filter scores with.
 
-The ingestion stage of :class:`repro.mining.MiningPipeline` keeps one
-:class:`StreamStats` per served network: per-node emission/absorption
-ledgers and per-pair direct-flow tallies, maintained *incrementally* as
-edges are appended.  The epoch contract mirrors the rest of the system:
-
-* The network's monotone ``epoch`` counts every mutation.  When the
-  epoch advanced by exactly the number of new distinct edges, the new
-  edges are the dict-ordered suffix of ``network.edges()`` and
-  :meth:`StreamStats.sync` consumes only that suffix (the streaming
-  fast path).
-* Any other advance (capacity merges onto existing edges, bare
-  ``add_node`` calls, snapshot ``adopt_epoch`` fast-forwards) cannot be
-  attributed to a suffix, so ``sync`` falls back to a full rebuild —
-  never a silently stale ledger.
-
-The module also hosts the two intensity primitives the pre-filter (and,
-via delegation, :mod:`repro.anomaly.detector`) scores with:
+:mod:`repro.mining.prefilter` (and, via delegation,
+:mod:`repro.anomaly.detector`) scores node ledgers with:
 
 * :func:`modified_z_score` — the robust ``0.6745 * (x - median) / MAD``
   outlier score (SNIPPETS.md snippet 1's ``z_score_threshold`` screen);
@@ -30,11 +15,7 @@ via delegation, :mod:`repro.anomaly.detector`) scores with:
 from __future__ import annotations
 
 import math
-from itertools import islice
-from typing import Iterable, Sequence
-
-from repro.temporal.edge import NodeId, TemporalEdge, Timestamp
-from repro.temporal.network import TemporalFlowNetwork
+from typing import Sequence
 
 
 def modified_z_score(value: float, mid: float, mad: float) -> float:
@@ -113,84 +94,3 @@ def burstiness(counts: Sequence[int | float], states: Sequence[int]) -> float:
     )
     return in_burst / total
 
-
-class StreamStats:
-    """Incrementally maintained per-node / per-pair flow statistics.
-
-    Attributes:
-        out_ledgers: per-node list of ``(tau, amount)`` emissions.
-        in_ledgers: per-node list of ``(tau, amount)`` absorptions.
-        pair_volume / pair_count: direct ``(u, v)`` edge tallies.
-        observed_epoch: the network epoch the stats are current for.
-        edges_seen: distinct edges consumed so far.
-        rebuilds: how many times ``sync`` had to fall back to a full
-            rebuild (capacity merges / adopted epochs); the streaming
-            fast path keeps this at zero for pure-append workloads.
-    """
-
-    def __init__(self) -> None:
-        self.out_ledgers: dict[NodeId, list[tuple[Timestamp, float]]] = {}
-        self.in_ledgers: dict[NodeId, list[tuple[Timestamp, float]]] = {}
-        self.pair_volume: dict[tuple[NodeId, NodeId], float] = {}
-        self.pair_count: dict[tuple[NodeId, NodeId], int] = {}
-        self.observed_epoch = 0
-        self.edges_seen = 0
-        self.rebuilds = 0
-
-    def observe(self, edge: TemporalEdge) -> None:
-        """Fold one edge into the ledgers (does not move the epoch)."""
-        entry = (edge.tau, edge.capacity)
-        self.out_ledgers.setdefault(edge.u, []).append(entry)
-        self.in_ledgers.setdefault(edge.v, []).append(entry)
-        pair = (edge.u, edge.v)
-        self.pair_volume[pair] = self.pair_volume.get(pair, 0.0) + edge.capacity
-        self.pair_count[pair] = self.pair_count.get(pair, 0) + 1
-
-    def observe_many(self, edges: Iterable[TemporalEdge]) -> int:
-        count = 0
-        for edge in edges:
-            self.observe(edge)
-            count += 1
-        return count
-
-    def sync(self, network: TemporalFlowNetwork) -> int:
-        """Bring the stats up to ``network.epoch``; returns edges consumed.
-
-        Pure appends of fresh distinct edges stream in as the insertion
-        -ordered suffix of ``network.edges()``; any epoch advance the
-        suffix cannot explain (capacity merges, added nodes, adopted
-        snapshot epochs) triggers a full rebuild instead.
-        """
-        epoch = network.epoch
-        if epoch == self.observed_epoch:
-            return 0
-        new_edges = network.num_edges - self.edges_seen
-        if (
-            epoch - self.observed_epoch == new_edges
-            and new_edges >= 0
-            and self.edges_seen <= network.num_edges
-        ):
-            consumed = self.observe_many(
-                islice(network.edges(), self.edges_seen, None)
-            )
-            self.edges_seen = network.num_edges
-            self.observed_epoch = epoch
-            return consumed
-        self.rebuild(network)
-        return network.num_edges
-
-    def rebuild(self, network: TemporalFlowNetwork) -> None:
-        """Recompute every ledger from scratch (the merge/restore path)."""
-        self.out_ledgers = {}
-        self.in_ledgers = {}
-        self.pair_volume = {}
-        self.pair_count = {}
-        self.observe_many(network.edges())
-        self.edges_seen = network.num_edges
-        self.observed_epoch = network.epoch
-        self.rebuilds += 1
-
-    def node_volume(self, node: NodeId, direction: str = "out") -> float:
-        """Total emitted (``"out"``) or absorbed (``"in"``) volume."""
-        ledgers = self.out_ledgers if direction == "out" else self.in_ledgers
-        return sum(amount for _, amount in ledgers.get(node, ()))

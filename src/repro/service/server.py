@@ -276,7 +276,6 @@ class BurstingFlowService(WireFrontEnd):
             snapshot["mining"] = {
                 "scans": self.mining.scans,
                 "patterns": len(self.mining.store),
-                "stats_rebuilds": self.mining.stats.rebuilds,
             }
         snapshot["draining"] = self._draining
         return snapshot
@@ -440,13 +439,18 @@ class BurstingFlowService(WireFrontEnd):
             answers: list[tuple | None] = [self.cache.get(key) for key in keys]
             cached_flags = [answer is not None for answer in answers]
             misses = [i for i, hit in enumerate(cached_flags) if not hit]
+            # Each distinct missed key is solved once, for its first
+            # position; duplicates are filled from that answer.
+            unique: dict[tuple, int] = {}
+            for index in misses:
+                unique.setdefault(keys[index], index)
             planner: dict[str, Any] = {}
             if misses:
                 self.metrics.observe_miss()
 
                 async def solve() -> RawBatch:
                     triples = []
-                    for index in misses:
+                    for index in unique.values():
                         query = queries[index]
                         query.validate_against(self.network)
                         triples.append((query.source, query.sink, query.delta))
@@ -465,9 +469,11 @@ class BurstingFlowService(WireFrontEnd):
                 if isinstance(solved, ErrorReply):
                     return solved
                 raw, planner = solved
-                for position, index in enumerate(misses):
-                    answers[index] = raw[position]
-                    self.cache.put(keys[index], raw[position])
+                solved_by_key = dict(zip(unique, raw))
+                for key, answer in solved_by_key.items():
+                    self.cache.put(key, answer)
+                for index in misses:
+                    answers[index] = solved_by_key[keys[index]]
                 elapsed = time.perf_counter() - started
                 label = "planner" if request.plan == "shared" else self.algorithm
                 self.metrics.observe_solve(label, elapsed)
@@ -551,10 +557,6 @@ class BurstingFlowService(WireFrontEnd):
                 # made it in (commit order) instead of rebuilding its
                 # pool; other engines ignore the argument.
                 self.engine.mark_stale(applied)
-                if self.mining is not None:
-                    # Ingest the appended edges into the streaming stats
-                    # while the writer lock guarantees a quiet network.
-                    self.mining.sync()
             epoch = self.network.epoch
             invalidated = self.cache.purge_epochs_below(epoch)
         self.metrics.observe_append(len(request.edges))
@@ -584,8 +586,8 @@ class BurstingFlowService(WireFrontEnd):
         async def body(epoch: int, deadline: float) -> Reply:
             # A scan has durable side effects (it persists patterns), so it
             # is never cached and scans are serialized among themselves:
-            # concurrent scans would race on the shared streaming
-            # statistics.
+            # concurrent scans would race on the pattern store and on the
+            # pipeline's ledgers, which the ranking sorts in place.
             loop = asyncio.get_running_loop()
             async with self._scan_lock:
                 outcome = await self._solve(

@@ -17,6 +17,7 @@ from repro.mining import (
     MiningPipeline,
     PatternStore,
     mining_bfq,
+    node_ledgers,
 )
 from repro.temporal import TemporalEdge, TemporalFlowNetwork
 
@@ -107,28 +108,97 @@ class TestStableIds:
         pipeline = MiningPipeline(planted_network, store)
         first = pipeline.scan(4)
         # Benign traffic arrives; old patterns must keep their identity.
-        pipeline.append(
-            TemporalEdge(f"w{i}", f"x{i}", 30 + i, 1.0) for i in range(4)
-        )
+        for i in range(4):
+            planted_network.add_edge(TemporalEdge(f"w{i}", f"x{i}", 30 + i, 1.0))
         second = pipeline.scan(4)
         assert set(first.new_ids) <= store.ids()
         assert {r.pattern_id for r in second.records} == set(first.new_ids)
 
 
-class TestIngestion:
-    def test_append_and_foreign_appends_are_both_ingested(
+def grouped_ledgers(network):
+    """A per-node grouping of ``network.edges()``, each ledger sorted."""
+    out_ledgers, in_ledgers = {}, {}
+    for edge in network.edges():
+        out_ledgers.setdefault(edge.u, []).append((edge.tau, edge.capacity))
+        in_ledgers.setdefault(edge.v, []).append((edge.tau, edge.capacity))
+    for ledgers in (out_ledgers, in_ledgers):
+        for entries in ledgers.values():
+            entries.sort()
+    return out_ledgers, in_ledgers
+
+
+class TestLedgerSync:
+    """The funnel's ledgers are derived from the network's edges at the
+    current epoch, whatever moved it."""
+
+    def assert_ledgers_match(self, network):
+        out_ledgers, in_ledgers = node_ledgers(network)
+        for ledgers in (out_ledgers, in_ledgers):
+            for entries in ledgers.values():
+                entries.sort()
+        assert (out_ledgers, in_ledgers) == grouped_ledgers(network)
+
+    def network(self):
+        network = TemporalFlowNetwork()
+        network.add_edge(TemporalEdge("a", "b", 1, 2.0))
+        network.add_edge(TemporalEdge("b", "c", 2, 3.0))
+        return network
+
+    def test_pure_appends_are_reflected(self):
+        network = self.network()
+        self.assert_ledgers_match(network)
+        network.add_edge(TemporalEdge("a", "c", 3, 1.0))
+        self.assert_ledgers_match(network)
+        assert node_ledgers(network)[1]["c"] == [(2, 3.0), (3, 1.0)]
+
+    def test_capacity_merge_is_reflected(self):
+        network = self.network()
+        network.add_edge(TemporalEdge("a", "b", 1, 5.0))
+        self.assert_ledgers_match(network)
+        # The network stores one merged edge, so the ledger does too.
+        assert node_ledgers(network)[0]["a"] == [(1, 7.0)]
+
+    def test_bare_add_node_gets_no_ledger(self):
+        network = self.network()
+        network.add_node("lonely")
+        network.add_edge(TemporalEdge("b", "d", 4, 4.0))
+        self.assert_ledgers_match(network)
+        out_ledgers, in_ledgers = node_ledgers(network)
+        assert "lonely" not in out_ledgers and "lonely" not in in_ledgers
+
+    def test_adopted_epoch_is_reflected(self, store):
+        network = self.network()
+        pipeline = MiningPipeline(network, store)
+        pipeline.sync()
+        network.adopt_epoch(network.epoch + 10)
+        self.assert_ledgers_match(network)
+        assert pipeline.sync() == grouped_ledgers(network)
+
+    def test_sync_rederives_only_when_the_epoch_moves(
         self, planted_network, store
     ):
         pipeline = MiningPipeline(planted_network, store)
-        assert pipeline.stats.observed_epoch == planted_network.epoch
-        pipeline.append([TemporalEdge("n1", "n2", 50, 2.0)])
-        assert pipeline.stats.node_volume("n1", "out") == pytest.approx(2.0)
+        first_out, _ = pipeline.sync()
+        assert pipeline.sync()[0] is first_out  # same epoch: kept
+        planted_network.add_edge(TemporalEdge("n1", "n2", 50, 2.0))
+        out_ledgers, in_ledgers = pipeline.sync()
+        assert out_ledgers is not first_out
+        assert out_ledgers["n1"] == [(50, 2.0)]
+        assert in_ledgers["n2"] == [(50, 2.0)]
+
+    def test_scan_sees_a_foreign_append(self, planted_network, store):
+        pipeline = MiningPipeline(planted_network, store)
+        pipeline.scan(4)
         # An append made by someone else (the service path) on the shared
-        # network is picked up by the next sync.
-        planted_network.add_edge(TemporalEdge("n2", "n3", 51, 3.0))
-        assert pipeline.sync() == 1
-        assert pipeline.stats.node_volume("n2", "out") == pytest.approx(3.0)
-        assert pipeline.stats.rebuilds == 0
+        # network is seen by the next scan.
+        for tau in range(30, 34):
+            planted_network.add_edge(TemporalEdge("fresh", "t_star", tau, 90.0))
+        outcome = pipeline.scan(4, persist="all")
+        assert outcome.epoch == planted_network.epoch
+        assert "fresh" in pipeline.sync()[0]
+        assert ("fresh", "t_star") in {
+            (r.source, r.sink) for r in outcome.records
+        }
 
 
 class TestScanModes:

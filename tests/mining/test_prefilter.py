@@ -4,22 +4,21 @@ import pytest
 
 from repro import BurstingFlowQuery, find_bursting_flow
 from repro.exceptions import InvalidQueryError
+from repro.mining import MiningPipeline, PatternStore
 from repro.mining.prefilter import (
     node_intensities,
+    node_ledgers,
     rank_candidates,
     score_nodes,
 )
-from repro.mining.stats import StreamStats
 from repro.temporal import TemporalEdge, TemporalFlowNetwork
 
 from tests.mining.conftest import PLANTED_WINDOW, planted_edges
 
 
 def synced_ranking(network, **kwargs):
-    """Rank on a fresh :class:`StreamStats` synced once to ``network``."""
-    stats = StreamStats()
-    stats.sync(network)
-    return rank_candidates(stats, **kwargs)
+    """Rank on ledgers derived once from ``network``."""
+    return rank_candidates(*node_ledgers(network), **kwargs)
 
 
 class TestScoreNodes:
@@ -69,20 +68,21 @@ class TestRankCandidates:
             * 2.0
         )
 
-    def test_matches_rank_on_synced_stats(self, planted_network):
-        # Stats maintained across appends rank exactly like a fresh sync.
+    def test_matches_rank_on_synced_stats(self, planted_network, tmp_path):
+        # Ledgers a pipeline re-syncs across appends rank exactly like
+        # ledgers derived once from the whole history.
         edges = planted_edges()
         half = len(edges) // 2
         growing = TemporalFlowNetwork.from_tuples(edges[:half])
-        stats = StreamStats()
-        stats.sync(growing)
-        rebuilds = stats.rebuilds
-        for edge in edges[half:]:
-            growing.add_edge(TemporalEdge(*edge))
-        stats.sync(growing)
-        assert stats.rebuilds == rebuilds  # streamed, not rebuilt
+        with PatternStore(tmp_path / "patterns") as store:
+            pipeline = MiningPipeline(growing, store)
+            early = pipeline.sync()
+            for edge in edges[half:]:
+                growing.add_edge(TemporalEdge(*edge))
+            synced = pipeline.sync()
+        assert synced[0] is not early[0]  # re-derived at the new epoch
         maintained = rank_candidates(
-            stats, window=4, top_sources=5, top_sinks=5
+            *synced, window=4, top_sources=5, top_sinks=5
         )
         oneshot = synced_ranking(
             planted_network, window=4, top_sources=5, top_sinks=5
@@ -93,10 +93,10 @@ class TestRankCandidates:
         ]
 
     def test_validation(self, planted_network):
-        stats = StreamStats()
-        stats.sync(planted_network)
         with pytest.raises(InvalidQueryError):
-            rank_candidates(stats, window=4, top_sources=0)
+            rank_candidates(
+                *node_ledgers(planted_network), window=4, top_sources=0
+            )
 
 
 class TestKnownMiss:
@@ -138,9 +138,8 @@ class TestKnownMiss:
 
 class TestNodeIntensities:
     def test_planted_node_outranks_the_background(self, planted_network):
-        stats = StreamStats()
-        stats.sync(planted_network)
-        profiles = node_intensities(stats.out_ledgers, window=4)
+        out_ledgers, _ = node_ledgers(planted_network)
+        profiles = node_intensities(out_ledgers, window=4)
         by_node = {p.node: p for p in profiles}
         planted = by_node["s_star"]
         benign = by_node["u0"]
@@ -169,9 +168,8 @@ class TestNodeIntensities:
             for i in range(3)
         ]
         network = TemporalFlowNetwork.from_tuples(edges)
-        stats = StreamStats()
-        stats.sync(network)
-        profiles = node_intensities(stats.out_ledgers, window=4)
+        out_ledgers, _ = node_ledgers(network)
+        profiles = node_intensities(out_ledgers, window=4)
         shell = next(p for p in profiles if p.node == "shell")
         assert shell.z_score > 3.5
         assert shell.burstiness > 0.5

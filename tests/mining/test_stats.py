@@ -1,16 +1,10 @@
-"""Streaming-statistics tests: robust scores, burst decode, epoch sync."""
+"""Intensity-primitive tests: robust scores and burst decode."""
 
 import math
 
 import pytest
 
-from repro.mining.stats import (
-    StreamStats,
-    burstiness,
-    kleinberg_states,
-    modified_z_score,
-)
-from repro.temporal import TemporalEdge, TemporalFlowNetwork
+from repro.mining.stats import burstiness, kleinberg_states, modified_z_score
 
 
 class TestModifiedZScore:
@@ -60,66 +54,3 @@ class TestBurstiness:
     def test_share_of_arrivals_in_burst_bins(self):
         assert burstiness([1, 3, 6], [0, 0, 1]) == pytest.approx(0.6)
 
-
-class TestStreamStatsSync:
-    def edge(self, u, v, tau, cap):
-        return TemporalEdge(u, v, tau, cap)
-
-    def test_pure_appends_take_the_streaming_fast_path(self):
-        network = TemporalFlowNetwork()
-        stats = StreamStats()
-        network.add_edge(self.edge("a", "b", 1, 2.0))
-        network.add_edge(self.edge("b", "c", 2, 3.0))
-        assert stats.sync(network) == 2
-        network.add_edge(self.edge("a", "c", 3, 1.0))
-        assert stats.sync(network) == 1  # only the suffix is consumed
-        assert stats.rebuilds == 0
-        assert stats.edges_seen == 3
-        assert stats.observed_epoch == network.epoch
-        assert stats.node_volume("a", "out") == pytest.approx(3.0)
-        assert stats.node_volume("c", "in") == pytest.approx(4.0)
-        assert stats.pair_volume[("a", "b")] == pytest.approx(2.0)
-        assert stats.pair_count[("a", "b")] == 1
-
-    def test_sync_is_a_noop_at_the_same_epoch(self):
-        network = TemporalFlowNetwork.from_tuples([("a", "b", 1, 2.0)])
-        stats = StreamStats()
-        stats.sync(network)
-        assert stats.sync(network) == 0
-        assert stats.rebuilds == 0
-
-    def test_capacity_merge_forces_a_rebuild(self):
-        network = TemporalFlowNetwork()
-        stats = StreamStats()
-        network.add_edge(self.edge("a", "b", 1, 2.0))
-        stats.sync(network)
-        # Same (u, v, tau): the epoch moves but num_edges does not, so the
-        # advance cannot be a suffix of fresh edges.
-        network.add_edge(self.edge("a", "b", 1, 5.0))
-        stats.sync(network)
-        assert stats.rebuilds == 1
-        assert stats.node_volume("a", "out") == pytest.approx(7.0)
-        # The network stores one merged edge, so the rebuilt ledger does too.
-        assert stats.pair_count[("a", "b")] == 1
-
-    def test_bare_add_node_forces_a_rebuild_not_a_stale_ledger(self):
-        network = TemporalFlowNetwork.from_tuples([("a", "b", 1, 2.0)])
-        stats = StreamStats()
-        stats.sync(network)
-        network.add_node("lonely")
-        network.add_edge(self.edge("b", "c", 2, 4.0))
-        stats.sync(network)
-        assert stats.rebuilds == 1
-        assert stats.observed_epoch == network.epoch
-        assert stats.node_volume("b", "out") == pytest.approx(4.0)
-
-    def test_rebuild_matches_a_fresh_scan(self):
-        edges = [("a", "b", 1, 2.0), ("b", "c", 2, 3.0), ("a", "c", 5, 4.0)]
-        network = TemporalFlowNetwork.from_tuples(edges)
-        incremental = StreamStats()
-        incremental.sync(network)
-        rebuilt = StreamStats()
-        rebuilt.rebuild(network)
-        assert incremental.out_ledgers == rebuilt.out_ledgers
-        assert incremental.in_ledgers == rebuilt.in_ledgers
-        assert incremental.pair_volume == rebuilt.pair_volume

@@ -204,6 +204,35 @@ class TestBatchOperation:
         assert query.cached is True
         assert (query.density, query.interval, query.flow_value) == expected[0]
 
+    def test_independent_duplicates_are_solved_once(
+        self, burst_network, monkeypatch
+    ):
+        """A key repeated inside one batch is solved once; every position
+        that shares it gets that answer."""
+        calls = []
+        for name, solve in list(engine.ALGORITHMS.items()):
+
+            def spy(network, query, _solve=solve, **kwargs):
+                calls.append(query)
+                return _solve(network, query, **kwargs)
+
+            monkeypatch.setitem(engine.ALGORITHMS, name, spy)
+        triples = (("s", "t", 2), ("s", "t", 2))
+
+        async def scenario():
+            async with BurstingFlowService(burst_network) as service:
+                return await service.handle_request(
+                    BatchRequest(id="b1", queries=triples, plan="independent")
+                )
+
+        reply = run(scenario())
+        assert isinstance(reply, BatchReply), reply
+        assert len(calls) == 1
+        got = [(r.density, r.interval, r.flow_value) for r in reply.results]
+        assert got == expected_answers(burst_network, triples)
+        assert [r.cached for r in reply.results] == [False, False]
+        assert reply.planner == {"cache_hits": 0, "cache_misses": 2}
+
 
 class TestTopKOperation:
     def test_topk_equals_local_ranking(self, burst_network):
