@@ -210,7 +210,7 @@ def main(argv=None) -> int:
             "exhaustive S×T sweep at equal recall"
         ),
         "mechanism": (
-            "edge-column ledgers -> concentration/z/Kleinberg pre-filter "
+            "edge-column ledgers -> concentration/Kleinberg pre-filter "
             "-> top_k_bursts confirmation -> robust-z flagging -> "
             "content-addressed persistence (re-scans dedupe)"
         ),

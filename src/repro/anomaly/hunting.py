@@ -17,8 +17,8 @@ two-stage funnel:
 
 The screening stage is the *same implementation* the mining subsystem
 uses: :class:`NodeBurstScore` and :func:`score_nodes` are re-exported
-from :mod:`repro.mining.prefilter`, which extends them with robust
-z-scores and Kleinberg burst states for the continuous pipeline
+from :mod:`repro.mining.prefilter`, which extends them with Kleinberg
+burst states for the continuous pipeline
 (:class:`repro.mining.MiningPipeline`).  Hunting remains the one-shot,
 in-memory flavour of that funnel.
 
@@ -30,6 +30,7 @@ the tests exercise both the hit and the miss case.
 from __future__ import annotations
 
 from repro.anomaly.detector import BurstDetector, ScanReport
+from repro.exceptions import InvalidQueryError
 from repro.mining.prefilter import (  # noqa: F401 - canonical home; re-exported
     NodeBurstScore,
     _peak_window,
@@ -54,8 +55,14 @@ def hunt_bursts(
     collectors (by concentration score, window length = ``delta``) through
     the ordinary :class:`BurstDetector`, so the returned
     :class:`ScanReport` has the same flagging semantics as a labelled
-    case-study scan.
+    case-study scan.  A screen of fewer than one node per side raises
+    :class:`~repro.exceptions.InvalidQueryError`.
     """
+    if top_sources < 1 or top_sinks < 1:
+        raise InvalidQueryError(
+            f"top_sources/top_sinks must be >= 1, "
+            f"got {top_sources}/{top_sinks}"
+        )
     emitters = score_nodes(
         network, window=delta, direction="out", min_volume=min_volume
     )

@@ -43,17 +43,25 @@ from repro.temporal import (
 )
 
 
-def _positive_int(text: str) -> int:
-    """argparse ``type=``: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {text!r}"
-        )
-    return value
+def _int_at_least(minimum: int):
+    """argparse ``type=`` factory: an integer >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _positive_int_list(text: str) -> list[int]:
@@ -188,12 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     topk.add_argument("--delta", type=int, required=True)
     topk.add_argument("--k", type=int, default=10, help="entries to return")
-    topk.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        help="shard (source, sink) groups over N processes (0 = all cores)",
-    )
 
     mine = subparsers.add_parser(
         "mine",
@@ -216,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mine.add_argument(
         "--top",
-        type=int,
+        type=_positive_int,
         default=8,
         help="top emitters/collectors entering confirmation (default: 8)",
     )
@@ -239,12 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="store only flagged outliers (default) or every positive burst",
     )
     mine.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        help="shard confirmation solves over N processes (0 = all cores)",
-    )
-    mine.add_argument(
         "--list",
         action="store_true",
         help="list stored patterns (after the scan; with --no-scan, only list)",
@@ -257,7 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--pattern-source", default=None, help="list filter")
     mine.add_argument("--pattern-sink", default=None, help="list filter")
     mine.add_argument(
-        "--limit", type=int, default=20, help="patterns to list (default: 20)"
+        "--limit",
+        type=_nonnegative_int,
+        default=20,
+        help="patterns to list (default: 20)",
     )
     mine.add_argument(
         "--prune",
@@ -267,14 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mine.add_argument(
         "--max-age-epochs",
-        type=int,
+        type=_nonnegative_int,
         default=None,
         help="prune: drop patterns detected more than N epochs before "
         "the newest stored record",
     )
     mine.add_argument(
         "--max-patterns",
-        type=int,
+        type=_nonnegative_int,
         default=None,
         help="prune: keep at most N patterns (newest first)",
     )
@@ -295,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "comma-separated backend subset of "
-            "bfq,bfq+,bfq*,planner,naive,networkx,service,"
+            "bfq,bfq+,bfq*,planner,naive,networkx,service,streaming,"
             "cluster,mining (cluster boots a live 2-replica cluster per "
             "trial and mining persists + replays a pattern store per "
             "trial; both are excluded from the default set; planner "
@@ -703,9 +702,7 @@ def _run_topk(args: argparse.Namespace) -> int:
     else:
         raise ReproError("give either --pairs or both --sources and --sinks")
     started = time.perf_counter()
-    entries = top_k_bursts(
-        network, pairs, args.delta, k=args.k, processes=args.processes
-    )
+    entries = top_k_bursts(network, pairs, args.delta, k=args.k)
     elapsed = time.perf_counter() - started
     if not entries:
         print(f"no positive bursts among {len(pairs)} pairs (delta={args.delta})")
@@ -726,8 +723,16 @@ def _run_topk(args: argparse.Namespace) -> int:
 def _run_mine(args: argparse.Namespace) -> int:
     from repro.mining import MiningConfig, MiningPipeline, PatternStore
 
+    # Usage errors surface before the store is opened or anything is
+    # scanned, so a rejected invocation never writes to the store.
     if not args.no_scan and args.delta is None:
         print("error: --delta is required unless --no-scan", file=sys.stderr)
+        return 2
+    if args.prune and args.max_age_epochs is None and args.max_patterns is None:
+        print(
+            "error: --prune requires --max-age-epochs and/or --max-patterns",
+            file=sys.stderr,
+        )
         return 2
 
     network, codec = _load(args.edges, args.compact_timestamps)
@@ -740,9 +745,7 @@ def _run_mine(args: argparse.Namespace) -> int:
                 min_volume=args.min_volume,
                 min_density=args.min_density,
             )
-            pipeline = MiningPipeline(
-                network, store, config=config, processes=args.processes
-            )
+            pipeline = MiningPipeline(network, store, config=config)
             started = time.perf_counter()
             outcome = pipeline.scan(args.delta, persist=args.persist)
             elapsed = time.perf_counter() - started
@@ -774,13 +777,6 @@ def _run_mine(args: argparse.Namespace) -> int:
                     f"z {record.z_score:.1f}"
                 )
         if args.prune:
-            if args.max_age_epochs is None and args.max_patterns is None:
-                print(
-                    "error: --prune requires --max-age-epochs and/or "
-                    "--max-patterns",
-                    file=sys.stderr,
-                )
-                return 2
             dropped = store.prune(
                 max_age_epochs=args.max_age_epochs,
                 max_patterns=args.max_patterns,

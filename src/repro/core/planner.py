@@ -47,13 +47,10 @@ sound.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import time
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
-from repro.core._pool import run_pool
 from repro.core.intervals import enumerate_candidates
 from repro.core.query import (
     BurstingFlowQuery,
@@ -199,30 +196,30 @@ def _solve_window(
 
 def _solve_source(
     network: TemporalFlowNetwork,
-    source: NodeId,
-    groups: Sequence[tuple[NodeId, Sequence[int]]],
-) -> tuple[list[list[BurstingFlowResult]], PlannerReport]:
-    """Answer one source's ``(sink, deltas)`` groups on one skeleton.
+    batch: Sequence[BurstingFlowQuery],
+    groups: Sequence[QueryGroup],
+    results: list[BurstingFlowResult | None],
+) -> PlannerReport:
+    """Answer one source's groups on one skeleton, into ``results``.
 
     The skeleton is compiled lazily, at the first window any group has to
     solve, and serves every sink; each group keeps its own
-    :class:`WindowMemo`.  Results align with ``groups`` and, within a
-    group, with its deltas.  Each query folds only *its own* candidate
-    plan through a fresh :class:`BestRecord`, so its answer is
-    independent of its siblings; only the skeleton and the group's window
-    Maxflows are shared.
+    :class:`WindowMemo`.  Each query's answer lands at its batch position.
+    Each query folds only *its own* candidate plan through a fresh
+    :class:`BestRecord`, so its answer is independent of its siblings;
+    only the skeleton and the group's window Maxflows are shared.
     """
+    source = groups[0].source
     report = PlannerReport(
-        queries=sum(len(deltas) for _sink, deltas in groups), groups=len(groups)
+        queries=sum(len(group.indices) for group in groups), groups=len(groups)
     )
     t_start = time.perf_counter()
     skeleton: WindowSkeleton | None = None
-    answers: list[list[BurstingFlowResult]] = []
-    for sink, deltas in groups:
+    for group in groups:
+        sink = group.sink
         memo = WindowMemo(network)
-        results: list[BurstingFlowResult] = []
-        for delta in deltas:
-            plan = enumerate_candidates(network, source, sink, delta)
+        for index in group.indices:
+            plan = enumerate_candidates(network, source, sink, batch[index].delta)
             best = BestRecord()
             stats = QueryStats()
             for tau_s, tau_e in plan.intervals():
@@ -254,124 +251,44 @@ def _solve_source(
                     report.windows_reused += 1
                 best.offer(value, tau_s, tau_e)
             report.windows_total += stats.candidates_enumerated
-            results.append(
-                BurstingFlowResult(
-                    density=best.density,
-                    interval=best.interval,
-                    flow_value=best.value,
-                    stats=stats,
-                )
+            results[index] = BurstingFlowResult(
+                density=best.density,
+                interval=best.interval,
+                flow_value=best.value,
+                stats=stats,
             )
-        answers.append(results)
     report.solve_seconds = time.perf_counter() - t_start
-    return answers, report
-
-
-# ----------------------------------------------------------------------
-# Process-pool fan-out: sources are independent, so they shard cleanly.
-# Worker state travels through run_pool's initializer/initargs.
-# ----------------------------------------------------------------------
-_PLAN_NETWORK: TemporalFlowNetwork | None = None
-
-
-def _init_plan_worker(network: TemporalFlowNetwork) -> None:
-    """Pool initializer: install the batch's network in this worker."""
-    global _PLAN_NETWORK
-    _PLAN_NETWORK = network
-
-
-def _reset_plan_worker_state() -> None:
-    """Restore module defaults (also runs in the parent after the batch)."""
-    global _PLAN_NETWORK
-    _PLAN_NETWORK = None
-
-
-def _solve_source_remote(
-    payload: tuple[NodeId, tuple[tuple[NodeId, tuple[int, ...]], ...]]
-) -> tuple[list[list[BurstingFlowResult]], PlannerReport]:
-    assert _PLAN_NETWORK is not None, "worker started outside answer_planned"
-    source, groups = payload
-    return _solve_source(_PLAN_NETWORK, source, groups)
+    return report
 
 
 def answer_planned(
     network: TemporalFlowNetwork,
     queries: Iterable[BurstingFlowQuery],
-    *,
-    processes: int | None = None,
-    mp_context: str | None = None,
 ) -> tuple[list[BurstingFlowResult], PlannerReport]:
     """Answer a batch through the planner; results align with input order.
 
     The batch's ``(source, sink)`` groups (:func:`group_queries`) are
-    answered source by source: one skeleton per source, shared by its
-    sinks, and one window memo per group.
+    answered source by source, in the caller's process: one skeleton per
+    source, shared by its sinks, and one window memo per group.
 
     Args:
         network: the shared temporal flow network.
         queries: the batch (materialised internally).
-        processes: worker processes sharding the batch's *sources*;
-            ``None`` or ``1`` runs sequentially; ``0`` means
-            ``os.cpu_count()``.  A source's skeleton and memos stay
-            inside one process, so the pooled answers (and their stats)
-            are identical to the sequential ones.
-        mp_context: multiprocessing start method (``"fork"``,
-            ``"forkserver"`` or ``"spawn"``); ``None`` uses the platform
-            default.  Ignored for sequential runs.
 
     Returns:
         ``(results, report)`` — one result per query, plus the
         :class:`PlannerReport` of what the batch amortised.
-
-    Raises:
-        BatchQueryError: one source failed; the rest were cancelled.
     """
     batch: Sequence[BurstingFlowQuery] = list(queries)
     for query in batch:
         query.validate_against(network)
     report = PlannerReport()
     results: list[BurstingFlowResult | None] = [None] * len(batch)
-    if not batch:
-        return [], report
     by_source: dict[NodeId, list[QueryGroup]] = {}
     for group in group_queries(batch):
         by_source.setdefault(group.source, []).append(group)
-    payloads = [
-        (
-            source,
-            tuple(
-                (group.sink, tuple(batch[i].delta for i in group.indices))
-                for group in groups
-            ),
-        )
-        for source, groups in by_source.items()
-    ]
-    if processes == 0:
-        processes = os.cpu_count() or 1
-    if processes is None or processes <= 1 or len(payloads) == 1:
-        outcomes = [_solve_source(network, *payload) for payload in payloads]
-    else:
-        sources = list(by_source)
-        try:
-            outcomes = run_pool(
-                payloads,
-                _solve_source_remote,
-                max_workers=min(processes, len(payloads)),
-                context=multiprocessing.get_context(mp_context),
-                initializer=_init_plan_worker,
-                initargs=(network,),
-                describe=lambda si: (
-                    f"source {sources[si]!r} x{len(by_source[sources[si]])} "
-                    f"sinks"
-                ),
-            )
-        finally:
-            _reset_plan_worker_state()
-    for groups, (answers, source_report) in zip(by_source.values(), outcomes):
-        report.absorb(source_report)
-        for group, group_results in zip(groups, answers):
-            for index, result in zip(group.indices, group_results):
-                results[index] = result
+    for groups in by_source.values():
+        report.absorb(_solve_source(network, batch, groups, results))
     return results, report  # type: ignore[return-value]
 
 
@@ -403,8 +320,6 @@ def top_k_bursts(
     delta: int,
     *,
     k: int = 10,
-    processes: int | None = None,
-    mp_context: str | None = None,
 ) -> list[BurstEntry]:
     """The ``k`` densest bursts over a candidate ``(s, t)`` list.
 
@@ -420,7 +335,6 @@ def top_k_bursts(
             pre-filter); duplicates are deduplicated, first wins.
         delta: minimum bursting-interval length, shared by all pairs.
         k: how many entries to return (at least 1).
-        processes / mp_context: forwarded to :func:`answer_planned`.
     """
     if k < 1:
         raise InvalidQueryError(f"k must be >= 1, got {k}")
@@ -434,9 +348,7 @@ def top_k_bursts(
     queries = [
         BurstingFlowQuery(source, sink, delta) for source, sink in unique
     ]
-    results, _report = answer_planned(
-        network, queries, processes=processes, mp_context=mp_context
-    )
+    results, _report = answer_planned(network, queries)
     ranked: list[tuple[tuple, BurstEntry]] = []
     for position, ((source, sink), result) in enumerate(zip(unique, results)):
         if not result.found:

@@ -52,38 +52,12 @@ class InvalidQueryError(ReproError):
     """A delta-BFlow query is malformed (e.g. s == t or delta < 1)."""
 
 
-class BatchQueryError(ReproError):
-    """One item of a batch failed and the rest of the batch was abandoned.
-
-    Raised by the planner's process fan-out
-    (:func:`repro.core.planner.answer_planned` with ``processes > 1``)
-    when a worker raises an ordinary exception: outstanding futures are
-    cancelled and this error identifies exactly which item failed.
-
-    Attributes:
-        index: position of the failing item among the submitted payloads
-            (for the planner, the source's first-appearance position).
-        item: a description of the failing item (for the planner, the
-            source and its sink count).
-    """
-
-    def __init__(self, index: int, item: object, cause: BaseException) -> None:
-        super().__init__(
-            f"batch item {index} ({item!r}) failed: "
-            f"{type(cause).__name__}: {cause}"
-        )
-        self.index = index
-        self.item = item
-
-
 class ScanQueryError(ReproError):
     """One (source, sink, delta) combination of a detector sweep failed.
 
     Raised by :meth:`repro.anomaly.detector.BurstDetector.scan` (in its
     default fail-fast mode) so a failing combination names itself
-    instead of aborting the sweep with a bare engine exception; the
-    PR 7 :class:`BatchQueryError` semantics, applied to the case-study
-    sweep.
+    instead of aborting the sweep with a bare engine exception.
 
     Attributes:
         source / sink / delta: the failing combination.

@@ -4,7 +4,7 @@ The fleet-scale version of the paper's Grab case study: per-node
 ledgers derived from the network's edge columns
 (:func:`~repro.mining.prefilter.node_ledgers`), a cheap statistical
 pre-filter (:mod:`repro.mining.prefilter` — temporal
-concentration, robust z-scores, Kleinberg burst states), δ-BFlow
+concentration, Kleinberg burst states), δ-BFlow
 confirmation through the multi-query planner, and content-addressed
 persistence (:mod:`repro.mining.store`).  See ``docs/mining.md``.
 """

@@ -283,8 +283,6 @@ class MiningPipeline:
             service/cluster append path; ``scan`` syncs before ranking).
         store: the durable pattern store detections persist to.
         config: funnel knobs (:class:`MiningConfig`).
-        processes / mp_context: forwarded to the planner's confirmation
-            solves (``top_k_bursts``).
     """
 
     def __init__(
@@ -293,14 +291,10 @@ class MiningPipeline:
         store: PatternStore,
         *,
         config: MiningConfig | None = None,
-        processes: int | None = None,
-        mp_context: str | None = None,
     ) -> None:
         self.network = network
         self.store = store
         self.config = config or MiningConfig()
-        self.processes = processes
-        self.mp_context = mp_context
         self.scans = 0
         self._ledgers: tuple[int, Ledgers, Ledgers] | None = None
 
@@ -352,12 +346,7 @@ class MiningPipeline:
         )
         entries = (
             top_k_bursts(
-                self.network,
-                shortlist.pairs,
-                delta,
-                k=len(shortlist.pairs),
-                processes=self.processes,
-                mp_context=self.mp_context,
+                self.network, shortlist.pairs, delta, k=len(shortlist.pairs)
             )
             if shortlist.pairs
             else []

@@ -6,23 +6,21 @@ that cost one pass over the ledgers (:func:`node_ledgers`, one pass over
 the network's edge columns):
 
 1. **temporal concentration** (:class:`NodeBurstScore`) — the share of a
-   node's transfer volume inside its busiest window.  This is the
-   screening :mod:`repro.anomaly.hunting` prototyped; it now lives here
-   and ``hunting`` delegates to it, so there is exactly one
-   implementation.
-2. **robust z-score** — the peak window's volume scored against the
-   node's own per-window median/MAD (:func:`~repro.mining.stats
-   .modified_z_score`); steady-but-heavy nodes (merchants, corporates)
-   stay near zero while spike-and-silence shells score high.
-3. **Kleinberg burst states** — a two-state automaton over binned
+   node's transfer volume inside its busiest window; the score weights
+   that share by the window's volume.  This is the screening
+   :mod:`repro.anomaly.hunting` prototyped; it now lives here and
+   ``hunting`` delegates to it, so there is exactly one implementation.
+2. **Kleinberg burst states** — a two-state automaton over binned
    arrival *counts* (:func:`~repro.mining.stats.kleinberg_states`),
    which rewards sustained elevated activity rather than a single big
-   transfer.
+   transfer; its share of arrivals in burst bins is the node's
+   burstiness.
 
-:func:`rank_candidates` combines the three into per-node
-:class:`NodeIntensity` scores, crosses the top emitters with the top
-collectors, and boosts pairs whose peak windows coincide.  The output
-order feeds straight into :func:`repro.core.planner.top_k_bursts`.
+:func:`rank_candidates` ranks nodes by :attr:`NodeIntensity.intensity`,
+concentration × peak volume × (1 + burstiness), crosses the top emitters
+with the top collectors, and boosts pairs whose peak windows coincide.
+The output order feeds straight into
+:func:`repro.core.planner.top_k_bursts`.
 
 The funnel is a heuristic, and its known miss is inherited from the
 hunting prototype: a multi-hop-only burst whose endpoints look
@@ -34,11 +32,10 @@ exercise both the hit and the miss case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import median
 from typing import Mapping
 
 from repro.exceptions import InvalidQueryError
-from repro.mining.stats import burstiness, kleinberg_states, modified_z_score
+from repro.mining.stats import burstiness, kleinberg_states
 from repro.temporal.edge import NodeId, Timestamp
 from repro.temporal.network import TemporalFlowNetwork
 
@@ -92,8 +89,6 @@ class NodeIntensity:
     base: NodeBurstScore
     #: Share of the node's arrivals inside Kleinberg burst bins (0..1).
     burstiness: float
-    #: Peak-window volume vs the node's own window distribution.
-    z_score: float
 
     @property
     def node(self) -> NodeId:
@@ -225,41 +220,23 @@ def node_intensities(
     """The full intensity profile per node, sorted by intensity desc."""
     profiles = []
     for base in score_ledgers(ledgers, window=window, min_volume=min_volume):
-        entries = ledgers[base.node]
-        volumes, counts = _bin_ledger(entries, window)
-        z = _peak_z(base.peak_volume, volumes)
+        counts = _bin_counts(ledgers[base.node], window)
         states = kleinberg_states(counts)
         profiles.append(
-            NodeIntensity(
-                base=base,
-                burstiness=burstiness(counts, states),
-                z_score=z,
-            )
+            NodeIntensity(base=base, burstiness=burstiness(counts, states))
         )
     profiles.sort(key=lambda p: (-p.intensity, str(p.node)))
     return profiles
 
 
-def _bin_ledger(
-    entries: Ledger, window: int
-) -> tuple[list[float], list[int]]:
-    """Per-window (volume, arrival-count) bins over the node's own span."""
+def _bin_counts(entries: Ledger, window: int) -> list[int]:
+    """Per-window arrival counts over the node's own span."""
     t0 = entries[0][0]
     span = max(entries[-1][0] - t0, 0)
-    bins = span // window + 1
-    volumes = [0.0] * bins
-    counts = [0] * bins
-    for tau, amount in entries:
-        index = (tau - t0) // window
-        volumes[index] += amount
-        counts[index] += 1
-    return volumes, counts
-
-
-def _peak_z(peak_volume: float, volumes: list[float]) -> float:
-    mid = median(volumes)
-    mad = median(abs(v - mid) for v in volumes)
-    return modified_z_score(peak_volume, mid, mad)
+    counts = [0] * (span // window + 1)
+    for tau, _amount in entries:
+        counts[(tau - t0) // window] += 1
+    return counts
 
 
 def rank_candidates(

@@ -100,12 +100,11 @@ def _solve_batch(
     network: TemporalFlowNetwork,
     queries: tuple[tuple[NodeId, NodeId, int], ...],
 ) -> RawBatch:
-    """Answer a batch through the planner; shared work stays in this process.
+    """Answer a batch through the planner, in the calling worker.
 
-    The planner's own process fan-out is deliberately not used here: the
-    process backend already runs this inside a pool worker (which cannot
-    spawn children), and the inline backend's thread pool provides the
-    concurrency across independent requests instead.
+    Concurrency across requests comes from the engine backend: the
+    process backend runs this inside a pool worker, the inline backend
+    on its thread pool.
     """
     results, report = answer_planned(
         network, [BurstingFlowQuery(s, t, d) for (s, t, d) in queries]

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.anomaly.hunting import NodeBurstScore, hunt_bursts, score_nodes
+from repro.cli import main
 from repro.exceptions import InvalidQueryError
 from repro.datasets import uniform_network, planted_burst
-from repro.temporal import TemporalFlowNetwork
+from repro.temporal import TemporalFlowNetwork, save_edge_list
 
 
 @pytest.fixture
@@ -85,3 +86,17 @@ class TestHunting:
         report = hunt_bursts(network, delta=10, top_sources=2, top_sinks=2)
         pairs = {(f.source, f.sink) for f in report.findings}
         assert ("n0", "n1") not in pairs  # screened out by design
+
+    @pytest.mark.parametrize("screen", [{"top_sources": 0}, {"top_sinks": 0}])
+    def test_empty_screen_is_rejected(self, haystack, screen):
+        network, _ = haystack
+        with pytest.raises(InvalidQueryError):
+            hunt_bursts(network, delta=15, **screen)
+
+    def test_cli_empty_screen_exits_2(self, haystack, tmp_path, capsys):
+        network, _ = haystack
+        path = tmp_path / "edges.csv"
+        save_edge_list(network, path)
+        code = main(["hunt", str(path), "--delta", "15", "--top-sources", "0"])
+        assert code == 2
+        assert "top_sources/top_sinks must be >= 1" in capsys.readouterr().err

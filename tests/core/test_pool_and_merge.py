@@ -1,126 +1,17 @@
-"""Regressions for the batch layer's shared pool and stats merging.
+"""Regressions for stats merging.
 
-Two silent-drop bugs are pinned here:
-
-* an old batch fan-out let sibling futures run to completion after one
-  query failed and re-raised the bare exception with no hint of *which*
-  query died — :func:`run_pool` must cancel the siblings and raise a
-  :class:`BatchQueryError` carrying the index and the item (for the
-  planner, the failing source);
-* an old chunk merge hand-copied ``QueryStats`` fields, so a counter
-  added later was silently dropped from merged results —
-  :func:`merge_query_stats` must be driven by ``dataclasses.fields``.
+An old chunk merge hand-copied ``QueryStats`` fields, so a counter added
+later was silently dropped from merged results —
+:func:`merge_query_stats` must be driven by ``dataclasses.fields``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import importlib
-import multiprocessing
 
 import pytest
 
-from repro.core import BurstingFlowQuery, answer_planned
-from repro.core._pool import run_pool
 from repro.core.query import IntervalSample, QueryStats, merge_query_stats
-from repro.exceptions import BatchQueryError
-
-
-def _square(payload: int) -> int:
-    return payload * payload
-
-
-def _explode_on_three(payload: int) -> int:
-    if payload == 3:
-        raise ValueError("payload three is cursed")
-    return payload
-
-
-def _noop_initializer() -> None:
-    pass
-
-
-def fork_context():
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("fork start method unavailable")
-    return multiprocessing.get_context("fork")
-
-
-class TestRunPool:
-    def test_results_align_with_input_order(self):
-        context = fork_context()
-        results = run_pool(
-            [5, 1, 4, 2],
-            _square,
-            max_workers=2,
-            context=context,
-            initializer=_noop_initializer,
-            initargs=(),
-        )
-        assert results == [25, 1, 16, 4]
-
-    def test_failure_names_the_item(self):
-        context = fork_context()
-        with pytest.raises(BatchQueryError) as info:
-            run_pool(
-                [0, 1, 2, 3, 4],
-                _explode_on_three,
-                max_workers=2,
-                context=context,
-                initializer=_noop_initializer,
-                initargs=(),
-                describe=lambda index: f"payload #{index}",
-            )
-        assert info.value.index == 3
-        assert info.value.item == "payload #3"
-        assert "payload #3" in str(info.value)
-        assert "ValueError" in str(info.value)
-        assert "cursed" in str(info.value)
-
-    def test_default_describe_is_the_index(self):
-        context = fork_context()
-        with pytest.raises(BatchQueryError) as info:
-            run_pool(
-                [3],
-                _explode_on_three,
-                max_workers=1,
-                context=context,
-                initializer=_noop_initializer,
-                initargs=(),
-            )
-        assert info.value.index == 0
-        assert info.value.item == 0
-
-
-class TestAnswerManyFailFast:
-    """The planner's pool fails fast and names the failing source."""
-
-    def test_batch_error_carries_index_and_query_repr(
-        self, burst_network, monkeypatch
-    ):
-        fork_context()
-        planner = importlib.import_module("repro.core.planner")
-        solve_source = planner._solve_source
-
-        def poisoned(network, source, groups):
-            if source == "a":
-                raise ValueError("solver rejected this source")
-            return solve_source(network, source, groups)
-
-        monkeypatch.setattr(planner, "_solve_source", poisoned)
-        queries = [
-            BurstingFlowQuery("s", "t", 2),
-            BurstingFlowQuery("a", "t", 2),
-            BurstingFlowQuery("a", "b", 2),
-            BurstingFlowQuery("s", "t", 10),
-        ]
-        with pytest.raises(BatchQueryError) as info:
-            answer_planned(burst_network, queries, processes=2, mp_context="fork")
-        assert info.value.index == 1
-        assert info.value.item == "source 'a' x2 sinks"
-        assert "source 'a' x2 sinks" in str(info.value)
-        assert "rejected this source" in str(info.value)
-        assert planner._PLAN_NETWORK is None
 
 
 def sample(tau_s: int, tau_e: int, value: float) -> IntervalSample:

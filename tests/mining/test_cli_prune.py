@@ -27,6 +27,11 @@ def store_dir(tmp_path):
     return directory
 
 
+def stored_ids(directory):
+    with PatternStore(directory) as store:
+        return {record.pattern_id for record in store}
+
+
 class TestMinePrune:
     def test_prune_drops_and_reports(self, edges_csv, store_dir, capsys):
         code = main(
@@ -64,3 +69,40 @@ class TestMinePrune:
         assert "--max-age-epochs" in capsys.readouterr().err
         with PatternStore(store_dir) as store:
             assert len(store) == 5  # untouched
+
+    def test_prune_without_bounds_fails_before_the_scan(
+        self, edges_csv, store_dir, capsys
+    ):
+        seed_ids = stored_ids(store_dir)
+        code = main(
+            [
+                "mine", str(edges_csv), "--store", str(store_dir),
+                "--delta", "1", "--persist", "all", "--prune",
+            ]
+        )
+        assert code == 2
+        assert "--max-age-epochs" in capsys.readouterr().err
+        assert stored_ids(store_dir) == seed_ids
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["--prune", "--max-patterns", "-1"],
+            ["--prune", "--max-age-epochs", "-1"],
+            ["--limit", "-1"],
+            ["--top", "0"],
+        ],
+    )
+    def test_out_of_range_bound_fails_before_the_scan(
+        self, edges_csv, store_dir, bad
+    ):
+        seed_ids = stored_ids(store_dir)
+        with pytest.raises(SystemExit) as info:
+            main(
+                [
+                    "mine", str(edges_csv), "--store", str(store_dir),
+                    "--delta", "1", "--persist", "all", *bad,
+                ]
+            )
+        assert info.value.code == 2
+        assert stored_ids(store_dir) == seed_ids

@@ -1,8 +1,6 @@
-"""Tests for the self-check module and the planner's process pool."""
+"""Tests for the self-check module and the planner's batch path."""
 
 import importlib
-import multiprocessing
-import os
 
 import pytest
 
@@ -13,8 +11,8 @@ from repro.verify import SelfCheckError, self_check
 
 planner_module = importlib.import_module("repro.core.planner")
 
-#: Two sources, interleaved, so the planner's pool shards real work and
-#: has to put the answers back in input order.
+#: Two sources, interleaved, so the planner answers them source by source
+#: and has to put the answers back in input order.
 QUERIES = [
     BurstingFlowQuery("s", "t", 2),
     BurstingFlowQuery("a", "t", 1),
@@ -30,11 +28,6 @@ def answers(results):
 
 def individual(network, queries):
     return answers(find_bursting_flow(network, q, algorithm="bfq") for q in queries)
-
-
-def require_fork():
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("fork start method unavailable")
 
 
 class TestSelfCheck:
@@ -57,7 +50,7 @@ class TestSelfCheck:
 
 
 class TestBatch:
-    """``answer_planned(processes=2)`` equals the sequential planner."""
+    """``answer_planned`` equals per-query solves, in input order."""
 
     @pytest.fixture
     def queries(self):
@@ -67,21 +60,15 @@ class TestBatch:
         results, _report = answer_planned(burst_network, queries)
         assert answers(results) == individual(burst_network, queries)
 
-    def test_parallel_matches_sequential(self, burst_network, queries, monkeypatch):
-        sequential, seq_report = answer_planned(burst_network, queries)
-        monkeypatch.setattr(planner_module, "_PLAN_NETWORK", burst_network)
-        parallel, pool_report = answer_planned(burst_network, queries, processes=2)
-        assert answers(parallel) == answers(sequential)
-        assert pool_report.skeletons_compiled == seq_report.skeletons_compiled == 2
-        # The parent's worker global is reset after a pooled batch.
-        assert planner_module._PLAN_NETWORK is None
-
     def test_result_order_is_input_order(self, burst_network, queries):
-        results, _report = answer_planned(burst_network, queries, processes=2)
-        assert answers(results) == individual(burst_network, queries)
+        # Reversing the batch reverses the source order the planner works
+        # in; each answer still lands at its query's position.
+        forward, _report = answer_planned(burst_network, queries)
+        backward, _report = answer_planned(burst_network, queries[::-1])
+        assert answers(backward) == answers(forward)[::-1]
 
     def test_empty_batch(self, burst_network):
-        results, report = answer_planned(burst_network, [], processes=2)
+        results, report = answer_planned(burst_network, [])
         assert results == []
         assert report.queries == 0
 
@@ -92,64 +79,4 @@ class TestBatch:
         monkeypatch.setattr(planner_module, "_solve_source", never)
         bad = [BurstingFlowQuery("s", "t", 2), BurstingFlowQuery("s", "ghost", 2)]
         with pytest.raises(InvalidQueryError):
-            answer_planned(burst_network, bad, processes=2)
-
-    def test_cpu_count_sentinel(self, burst_network, queries):
-        results, _report = answer_planned(burst_network, queries, processes=0)
-        assert answers(results) == individual(burst_network, queries)
-
-    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
-    def test_start_methods_match_sequential(self, burst_network, queries, method):
-        if method not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"start method {method!r} unavailable on this platform")
-        sequential, _ = answer_planned(burst_network, queries)
-        parallel, _ = answer_planned(
-            burst_network, queries, processes=2, mp_context=method
-        )
-        assert answers(parallel) == answers(sequential)
-
-
-class TestBatchCrashRecovery:
-    """The planner's pool survives one BrokenProcessPool and resubmits
-    the sources that had not finished; a second crash propagates.
-
-    ``_solve_source`` is patched in the parent and reaches the workers
-    through ``fork``; the batch has two sources, so the pool really runs.
-    """
-
-    def test_recovers_from_one_broken_pool(
-        self, burst_network, tmp_path, monkeypatch
-    ):
-        require_fork()
-        sentinel = tmp_path / "crashed-once"
-        solve_source = planner_module._solve_source
-
-        def crash_once(network, source, groups):
-            try:
-                with open(sentinel, "x") as marker:
-                    marker.write("boom")
-            except FileExistsError:
-                return solve_source(network, source, groups)
-            os._exit(1)
-
-        monkeypatch.setattr(planner_module, "_solve_source", crash_once)
-        results, _report = answer_planned(
-            burst_network, QUERIES, processes=2, mp_context="fork"
-        )
-        assert sentinel.exists()
-        assert answers(results) == individual(burst_network, QUERIES)
-        assert planner_module._PLAN_NETWORK is None
-
-    def test_second_crash_propagates(self, burst_network, monkeypatch):
-        require_fork()
-        from concurrent.futures.process import BrokenProcessPool
-
-        def always_dies(network, source, groups):
-            os._exit(1)
-
-        monkeypatch.setattr(planner_module, "_solve_source", always_dies)
-        monkeypatch.setattr(planner_module, "_PLAN_NETWORK", burst_network)
-        with pytest.raises(BrokenProcessPool):
-            answer_planned(burst_network, QUERIES, processes=2, mp_context="fork")
-        # Worker bookkeeping is reset even on the failure path.
-        assert planner_module._PLAN_NETWORK is None
+            answer_planned(burst_network, bad)
