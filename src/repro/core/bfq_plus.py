@@ -8,12 +8,12 @@ across extensions, so each step only finds the *new* augmenting paths.
 
 The Observation-2 capacity pruning is applied before every incremental
 Dinic run: if even absorbing all sink capacity added since the last
-computed Maxflow cannot beat the current best density, the run is skipped.
-The structural extension itself still happens (it is cheap and later
-extensions build on it); a per-start ``pending`` accumulator keeps the
-pruning bound correct across consecutively pruned candidates.  Each
-extension is one :func:`~repro.core.sweep.insertion_step`, the step BFQ*
-drives too, and every window is solved through
+computed Maxflow cannot beat the current best density, the candidate is
+skipped, and so is its structural extension.  The state therefore always
+ends at its last solved window, and the next candidate's bound is read
+off it.  Each candidate ending is one
+:func:`~repro.core.sweep.insertion_step`, the step BFQ* and the streaming
+monitor drive too, and every window is solved through
 :func:`~repro.core.sweep.solve`.
 
 One :class:`~repro.core.skeleton.WindowSkeleton` of the query's source is
@@ -66,11 +66,9 @@ def bfq_plus(
         stats.candidates_enumerated += 1
         state, value = solve_fresh(skeleton, query.sink, tau_s, tau_e, stats)
         best.offer(value, tau_s, tau_e)
-        pending = 0.0
         for tau_e_next in plan.endings_for(tau_s):
-            value, pending = insertion_step(
-                state, tau_e_next, value, pending, best, stats,
-                use_pruning=use_pruning,
+            insertion_step(
+                state, tau_e_next, best, stats, use_pruning=use_pruning
             )
     _evaluate_corner(plan, best, stats, skeleton=skeleton, sink=query.sink)
 

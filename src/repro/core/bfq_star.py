@@ -17,7 +17,10 @@ The snapshot then becomes the running state for the ``tau_s'`` iteration,
 and the insertion sweep for the current ``tau_s`` continues unchanged.
 Both sweeps step through :func:`~repro.core.sweep.insertion_step`, the
 step BFQ+ drives, and every window is solved through
-:func:`~repro.core.sweep.solve`.
+:func:`~repro.core.sweep.solve`.  The step extends a state only when its
+candidate survives the Observation-2 test, so the running state may end
+before ``tau_s' + delta`` when the snapshot is taken; the snapshot's own
+extension in step 1 covers that.
 
 As in BFQ+, one :class:`~repro.core.skeleton.WindowSkeleton` is compiled
 per query, shared by the running state and every snapshot it spawns —
@@ -103,8 +106,6 @@ def _zigzag(
             plan.starts[position + 1] if position + 1 < len(plan.starts) else None
         )
         successor: IncrementalTransformedNetwork | None = None
-
-        value, pending = state.flow_value(), 0.0
         for tau_e_next in plan.endings_for(tau_s):
             if (
                 next_start is not None
@@ -114,9 +115,8 @@ def _zigzag(
                 successor = _branch_for_next_start(
                     state, next_start, delta, best, stats
                 )
-            value, pending = insertion_step(
-                state, tau_e_next, value, pending, best, stats,
-                use_pruning=use_pruning,
+            insertion_step(
+                state, tau_e_next, best, stats, use_pruning=use_pruning
             )
 
         if next_start is None:

@@ -250,9 +250,6 @@ class IncrementalTransformedNetwork:
             source_capacity_arcs=[refs[slot] for slot in self.source_arcs],
         )
 
-    #: A read-compatible :class:`TransformedNetwork` view of the state.
-    as_transformed = to_flow_network
-
     def clone(self) -> "IncrementalTransformedNetwork":
         """Deep copy of the state (BFQ*'s mid-sweep snapshot).
 

@@ -8,11 +8,15 @@ BFQ, BFQ+, BFQ* and the planner evaluate their windows on
 of all four backends; :func:`solve_fresh` first builds the window from
 the source's compiled skeleton.
 
-:func:`insertion_step` is lines 5-11 of Algorithms 2 and 3: move a
-running state's end to the next candidate ending (Lemma 3), test the
-Observation-2 bound, and either record the candidate as pruned or resume
-Maxflow on it.  BFQ+ drives it once per start; BFQ* drives it along the
-zig-zag, branching each successor off the running state before the step.
+:func:`insertion_step` is lines 5-11 of Algorithms 2 and 3: test the
+Observation-2 bound of the next candidate ending, then either record the
+candidate as pruned or move the running state's end to it (Lemma 3) and
+resume Maxflow.  A state is extended only just before a Maxflow run, so
+it always ends at its last solved window and the bound is read off it:
+its flow value plus the sink capacity after its end.  BFQ+ drives the
+step once per start, BFQ* along the zig-zag (branching each successor
+off the running state before the step), and the streaming monitor once
+per sink-touching batch.
 """
 
 from __future__ import annotations
@@ -80,48 +84,42 @@ def solve_fresh(
 def insertion_step(
     state: IncrementalTransformedNetwork,
     tau_e: Timestamp,
-    value: float,
-    pending: float,
     best: BestRecord,
     stats: QueryStats,
     *,
     use_pruning: bool,
-) -> tuple[float, float]:
-    """Extend ``state`` to end at ``tau_e`` and evaluate the candidate.
+) -> None:
+    """Evaluate the candidate ``[state.tau_s, tau_e]`` on ``state``.
 
-    ``value`` is the flow value last computed on ``state`` and ``pending``
-    the sink capacity added since then; their sum bounds the candidate's
-    Maxflow (Observation 2).  The extension happens even when the
-    candidate is pruned, since later steps build on it.
-
-    Returns:
-        The ``(value, pending)`` pair to pass to the next step.
+    ``state`` ends at the last window solved on it, so its flow value plus
+    the sink capacity in ``(state.tau_e, tau_e]`` bounds the candidate's
+    Maxflow (Observation 2).  A pruned candidate leaves ``state``
+    untouched; a surviving one extends it to ``tau_e`` and resumes Maxflow.
     """
     stats.candidates_enumerated += 1
     t0 = time.perf_counter()
-    pending += state.temporal.sink_capacity_in_window(
+    pending = state.temporal.sink_capacity_in_window(
         state.sink, state.tau_e + 1, tau_e
     )
-    tp = time.perf_counter()
-    state.extend_end(tau_e)
-    t1 = time.perf_counter()
-    stats.prune_seconds += tp - t0
-    stats.incremental_insertions += 1
-    if use_pruning and should_prune(
-        value + pending, best.density, tau_e - state.tau_s
-    ):
-        stats.pruned_intervals += 1
-        stats.record_sample(
-            IntervalSample(
-                interval=(state.tau_s, tau_e),
-                network_size=state.num_nodes,
-                mode="pruned",
-                maxflow_seconds=0.0,
-                transform_seconds=t1 - tp,
-                flow_value=value,
+    if use_pruning:
+        value = state.flow_value()
+        if should_prune(value + pending, best.density, tau_e - state.tau_s):
+            stats.pruned_intervals += 1
+            stats.prune_seconds += time.perf_counter() - t0
+            stats.record_sample(
+                IntervalSample(
+                    interval=(state.tau_s, tau_e),
+                    network_size=state.num_nodes,
+                    mode="pruned",
+                    maxflow_seconds=0.0,
+                    transform_seconds=0.0,
+                    flow_value=value,
+                )
             )
-        )
-        return value, pending
+            return
+    tp = time.perf_counter()
+    stats.prune_seconds += tp - t0
+    state.extend_end(tau_e)
+    stats.incremental_insertions += 1
     value = solve(state, stats, "maxflow+", tp, value_bound=pending)
     best.offer(value, state.tau_s, tau_e)
-    return value, 0.0

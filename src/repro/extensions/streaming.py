@@ -19,11 +19,17 @@ The engine underneath is the Section-5 machinery:
   transformed network, constructed lazily when its minimal window
   ``[start, start + delta]`` completes (at which point the stream
   guarantees every edge of that window has arrived);
-* later sink activity extends the window's end (Lemma 3) — exactly the
-  candidate endings ``Ti(t)`` of the offline enumeration;
-* the Observation-2 bound (:func:`~repro.core.record.should_prune`)
-  skips Maxflow runs that cannot beat or tie the best density (the
-  skipped sink capacity keeps accumulating, so the bound stays exact).
+* each later sink-touching batch is one candidate ending ``Ti(t)`` of the
+  offline enumeration, evaluated by
+  :func:`~repro.core.sweep.insertion_step`, the step BFQ+ and BFQ* drive:
+  the Observation-2 bound skips candidates that cannot beat or tie the
+  best density, and a surviving one extends the window's end (Lemma 3)
+  and resumes Maxflow.  A state ends at its last solved window, so the
+  bound is read off it and nothing is carried between batches.
+
+The minimal and corner windows are solved through
+:func:`~repro.core.sweep.solve`, and the monitor's counters come from one
+:class:`~repro.core.query.QueryStats`.
 
 The best window is kept in a :class:`~repro.core.record.BestRecord`, so
 density ties are broken by the canonical rule, not by arrival order, and
@@ -35,11 +41,13 @@ differential oracle.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from repro.core.incremental import IncrementalTransformedNetwork
-from repro.core.query import BurstingFlowQuery, BurstingFlowResult
-from repro.core.record import BestRecord, should_prune
+from repro.core.query import BurstingFlowQuery, BurstingFlowResult, QueryStats
+from repro.core.record import BestRecord
+from repro.core.sweep import insertion_step, solve
 from repro.exceptions import InvalidQueryError, InvalidTimestampError
 from repro.temporal.edge import NodeId, TemporalEdge, Timestamp
 from repro.temporal.network import TemporalFlowNetwork
@@ -59,18 +67,6 @@ class BurstRecord:
         return self.interval is not None and self.density > 0
 
 
-class _Window:
-    """One starting timestamp's candidate window."""
-
-    __slots__ = ("start", "state", "flow_value", "pending_sink_capacity")
-
-    def __init__(self, start: Timestamp) -> None:
-        self.start = start
-        self.state: IncrementalTransformedNetwork | None = None
-        self.flow_value = 0.0
-        self.pending_sink_capacity = 0.0
-
-
 class StreamingBurstMonitor:
     """Maintains the delta-BFlow answer for one (s, t, delta) over a stream."""
 
@@ -83,15 +79,14 @@ class StreamingBurstMonitor:
         self.sink = sink
         self.delta = delta
         self.network = TemporalFlowNetwork()
-        self._windows: dict[Timestamp, _Window] = {}
+        # Each start's state, or None until its minimal window completes.
+        self._windows: dict[Timestamp, IncrementalTransformedNetwork | None] = {}
         self._record = BestRecord()
-        self._best = BurstRecord(0.0, None, 0.0)
+        self._stats = QueryStats()
         self._batch: list[TemporalEdge] = []
         self._batch_tau: Timestamp | None = None
         self._watermark: Timestamp | None = None
         self._finalized = False
-        self._maxflow_runs = 0
-        self._pruned = 0
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -116,7 +111,7 @@ class StreamingBurstMonitor:
         self._batch_tau = tau
         self._batch.append(TemporalEdge(u, v, tau, capacity))
         self.network.add_edge(TemporalEdge(u, v, tau, capacity))
-        return self._best
+        return self.best()
 
     def observe_batch(
         self, edges: list[tuple[NodeId, NodeId, Timestamp, float]]
@@ -124,7 +119,7 @@ class StreamingBurstMonitor:
         """Ingest many edges (must be time-ordered)."""
         for u, v, tau, capacity in edges:
             self.observe(u, v, tau, capacity)
-        return self._best
+        return self.best()
 
     def finalize(self) -> BurstRecord:
         """Mark the stream complete and return the overall answer.
@@ -137,14 +132,15 @@ class StreamingBurstMonitor:
             self._close_batch()
             self._finalized = True
             self._evaluate_corner()
-        return self._best
+        return self.best()
 
     # ------------------------------------------------------------------
     # Answers
     # ------------------------------------------------------------------
     def best(self) -> BurstRecord:
         """Best record over all *complete* timestamps (watermark semantics)."""
-        return self._best
+        record = self._record
+        return BurstRecord(record.density, record.interval, record.value)
 
     @property
     def watermark(self) -> Timestamp | None:
@@ -174,8 +170,8 @@ class StreamingBurstMonitor:
         return {
             "live_windows": len(self._windows),
             "epoch": self.network.epoch,
-            "maxflow_runs": self._maxflow_runs,
-            "pruned_evaluations": self._pruned,
+            "maxflow_runs": self._stats.maxflow_runs,
+            "pruned_evaluations": self._stats.pruned_intervals,
         }
 
     # ------------------------------------------------------------------
@@ -188,76 +184,42 @@ class StreamingBurstMonitor:
         self._batch = []
         self._watermark = tau
 
-        sink_capacity_added = 0.0
-        source_fired = False
-        for edge in batch:
-            if edge.v == self.sink:
-                sink_capacity_added += edge.capacity
-            if edge.u == self.source:
-                source_fired = True
-        for window in self._windows.values():
-            window.pending_sink_capacity += sink_capacity_added
-        if source_fired and tau not in self._windows:
-            self._windows[tau] = _Window(tau)
-
-        for window in self._windows.values():
-            self._advance_window(window, tau, sink_capacity_added > 0)
-
-    def _advance_window(
-        self, window: _Window, now: Timestamp, sink_touched: bool
-    ) -> None:
-        minimal_end = window.start + self.delta
-        if now < minimal_end:
-            return  # the minimal window has not completed yet
-        if window.state is None:
-            # All edges of [start, minimal_end] have arrived (now >= end of
-            # the minimal window and the stream is time-ordered beyond the
-            # open batch), so the state can be built exactly once.
-            # No skeleton: the stream keeps appending edges to the network
-            # after this state is built, and a compiled skeleton is a frozen
-            # snapshot that would never see them.  Without one the state
-            # reads reachability from the live network on every extension.
-            window.state = IncrementalTransformedNetwork(
-                self.network,
-                self.source,
-                self.sink,
-                window.start,
-                minimal_end,
-            )
-            window.state.run_maxflow()
-            self._maxflow_runs += 1
-            window.flow_value = window.state.flow_value()
-            # The minimal-window solve covers sink capacity up to
-            # minimal_end only; capacity that arrived in (minimal_end, now]
-            # must stay pending for the Observation-2 bound below.
-            window.pending_sink_capacity = (
-                self.network.sink_capacity_in_window(
-                    self.sink, minimal_end + 1, now
+        sink_touched = any(edge.v == self.sink for edge in batch)
+        if any(edge.u == self.source for edge in batch):
+            self._windows.setdefault(tau, None)
+        for start, state in self._windows.items():
+            if state is None:
+                if tau < start + self.delta:
+                    continue  # the minimal window has not completed yet
+                state = self._windows[start] = self._solve_window(
+                    start, start + self.delta
                 )
-                if now > minimal_end and self.sink in self.network
-                else 0.0
-            )
-            self._offer(window.flow_value, window.start, minimal_end)
-            if now == minimal_end:
-                return
-        if now <= window.state.tau_e:
-            return
-        if not sink_touched:
-            # No new sink capacity: the Maxflow of [start, now] equals the
-            # one already known for the shorter window, and the density
-            # only drops. Nothing to do (the structural extension happens
-            # lazily at the next sink event).
-            return
-        upper = window.flow_value + window.pending_sink_capacity
-        if should_prune(upper, self._record.density, now - window.start):
-            self._pruned += 1
-            return  # Observation 2: provably cannot beat the best
-        window.state.extend_end(now)
-        window.state.run_maxflow()
-        self._maxflow_runs += 1
-        window.flow_value = window.state.flow_value()
-        window.pending_sink_capacity = 0.0
-        self._offer(window.flow_value, window.start, now)
+            # Only a sink-touching batch is a candidate ending: without new
+            # sink capacity the window's Maxflow cannot grow.
+            if sink_touched and tau > state.tau_e:
+                insertion_step(
+                    state, tau, self._record, self._stats, use_pruning=True
+                )
+        # The monitor reports counters only; per-candidate samples would
+        # grow with windows x sink batches over a long stream.
+        self._stats.samples.clear()
+
+    def _solve_window(
+        self, lo: Timestamp, hi: Timestamp
+    ) -> IncrementalTransformedNetwork:
+        """Build and solve ``[lo, hi]``, whose edges have all arrived.
+
+        No skeleton: the stream keeps appending edges to the network after
+        the state is built, and a compiled skeleton is a frozen snapshot
+        that would never see them.  Without one the state reads
+        reachability from the live network on every extension.
+        """
+        t0 = time.perf_counter()
+        state = IncrementalTransformedNetwork(
+            self.network, self.source, self.sink, lo, hi
+        )
+        self._record.offer(solve(state, self._stats, "dinic", t0), lo, hi)
+        return state
 
     def _evaluate_corner(self) -> None:
         if self.network.num_edges == 0:
@@ -271,20 +233,10 @@ class StreamingBurstMonitor:
         ) if self.source in self.network else False
         if not overshoot:
             return
-        lo, hi = t_max - self.delta, t_max
+        lo = t_max - self.delta
         if lo in self._windows:
-            return  # the window opened at lo already solved [lo, hi]
-        state = IncrementalTransformedNetwork(
-            self.network, self.source, self.sink, lo, hi
-        )
-        state.run_maxflow()
-        self._maxflow_runs += 1
-        self._offer(state.flow_value(), lo, hi)
-
-    def _offer(self, value: float, lo: Timestamp, hi: Timestamp) -> None:
-        record = self._record
-        if record.offer(value, lo, hi):
-            self._best = BurstRecord(record.density, record.interval, record.value)
+            return  # the window opened at lo already solved [lo, t_max]
+        self._solve_window(lo, t_max)
 
 
 def streaming_bfq(

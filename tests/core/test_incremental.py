@@ -172,7 +172,7 @@ class TestAsTransformed:
     def test_view_fields(self, network):
         state = IncrementalTransformedNetwork(network, "s", "t", 1, 4)
         state.run_maxflow()
-        view = state.as_transformed()
+        view = state.to_flow_network()
         assert view.tau_s == 1 and view.tau_e == 4
         assert view.source_index == state.source_index
         assert view.sink_index == state.sink_index

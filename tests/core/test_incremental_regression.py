@@ -31,13 +31,13 @@ COUNTERS = (
 #  counters in COUNTERS order, network_size)
 PINNED = [
     ("prosper", "n12", "n112", 4, "bfq+", 13.183772340000003, (97, 112),
-     197.75658510000005, (130, 73, 57, 57, 119, 0), 182108),
+     197.75658510000005, (130, 73, 57, 57, 62, 0), 155053),
     ("prosper", "n12", "n112", 4, "bfq*", 13.183772340000003, (97, 112),
-     197.75658510000005, (130, 73, 57, 57, 129, 10), 191414),
+     197.75658510000005, (130, 73, 57, 57, 72, 10), 164354),
     ("prosper", "n72", "n6", 4, "bfq+", 16.691219664453566, (38, 43),
-     83.45609832226783, (94, 49, 165, 45, 75, 0), 104958),
+     83.45609832226783, (94, 49, 165, 45, 30, 0), 54346),
     ("prosper", "n72", "n6", 4, "bfq*", 16.691219664453566, (38, 43),
-     83.45609832226783, (94, 49, 165, 45, 92, 17), 109273),
+     83.45609832226783, (94, 49, 165, 45, 47, 17), 58661),
     ("ctu13", "n690", "n281", 9, "bfq+", 1.1191765898291768, (203, 296),
      104.08342285411345, (8, 8, 30, 0, 4, 0), 5218),
     ("ctu13", "n690", "n281", 9, "bfq*", 1.1191765898291768, (203, 296),
