@@ -10,13 +10,15 @@ Two purposes:
   ``benchmarks/test_baseline_networkx.py`` quantifies exactly how much a
   bespoke, residual-reusing solver buys over an off-the-shelf library call
   per candidate interval.
+
+networkx is imported on the first conversion, so importing this module
+(and :mod:`repro.baselines`) does not load it.
 """
 
 from __future__ import annotations
 
 import math
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.intervals import enumerate_candidates
 from repro.core.query import (
@@ -29,6 +31,9 @@ from repro.core.record import BestRecord
 from repro.core.transform import TransformedNetwork, build_transformed_network
 from repro.temporal.network import TemporalFlowNetwork
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 
 def to_networkx(transformed: TransformedNetwork) -> nx.DiGraph:
     """Convert a transformed network into a ``networkx.DiGraph``.
@@ -37,6 +42,8 @@ def to_networkx(transformed: TransformedNetwork) -> nx.DiGraph:
     (NetworkX treats missing capacities as unbounded).  Parallel edges are
     merged by capacity summation.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     network = transformed.flow_network
     for index in network.active_indices():
@@ -60,6 +67,8 @@ def to_networkx(transformed: TransformedNetwork) -> nx.DiGraph:
 
 def networkx_maxflow_value(transformed: TransformedNetwork) -> float:
     """Maxflow value of a transformed network computed by NetworkX."""
+    import networkx as nx
+
     graph = to_networkx(transformed)
     source = (transformed.source, transformed.tau_s)
     sink = (transformed.sink, transformed.tau_e)

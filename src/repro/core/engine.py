@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Callable, Protocol
 
 from repro.baselines.naive import naive_bfq
+from repro.baselines.networkx_backend import networkx_bfq
 from repro.core.bfq import bfq
 from repro.core.bfq_plus import bfq_plus
 from repro.core.bfq_star import bfq_star
@@ -36,9 +37,9 @@ class BurstingFlowAlgorithm(Protocol):
 def _networkx_bfq(
     network: TemporalFlowNetwork, query: BurstingFlowQuery, **kwargs
 ) -> BurstingFlowResult:
-    """Lazy wrapper so the engine works without networkx installed."""
+    """Guarded wrapper so the engine works without networkx installed."""
     try:
-        from repro.baselines.networkx_backend import networkx_bfq
+        import networkx  # noqa: F401
     except ImportError:
         raise InvalidQueryError(
             "algorithm 'networkx' requires the optional networkx package"

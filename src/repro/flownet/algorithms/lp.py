@@ -9,15 +9,14 @@ Formulation: one variable per edge, ``0 <= x_e <= c_e`` (infinite
 capacities replaced by a finite surrogate exceeding the total finite
 capacity); conservation equality at every node except source and sink;
 objective: maximise net flow out of the source.
+
+numpy and scipy are imported on the first call, so importing the solver
+registry does not load them.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from repro.exceptions import SolverError
 from repro.flownet.algorithms.base import MaxflowRun
@@ -28,8 +27,17 @@ def lp_maxflow(network: FlowNetwork, source: int, sink: int) -> MaxflowRun:
     """Solve Maxflow as a linear program.  Does not mutate the network.
 
     Raises:
-        SolverError: if the LP solver fails to converge.
+        SolverError: if scipy is not installed, or if the LP solver fails
+            to converge.
     """
+    try:
+        import numpy as np
+        from scipy.optimize import linprog
+        from scipy.sparse import csr_matrix
+    except ImportError:
+        raise SolverError(
+            "maxflow solver 'lp' requires the optional scipy package"
+        ) from None
     if source == sink:
         return MaxflowRun(value=0.0)
     edges: list[tuple[int, int]] = []  # (tail, head)

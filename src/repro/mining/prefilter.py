@@ -19,6 +19,8 @@ the network's edge columns):
 :func:`rank_candidates` ranks nodes by :attr:`NodeIntensity.intensity`,
 concentration × peak volume × (1 + burstiness), crosses the top emitters
 with the top collectors, and boosts pairs whose peak windows coincide.
+It decodes nodes in concentration-score order and stops once no later
+node can reach the top (the intensity is at most twice the score).
 The output order feeds straight into
 :func:`repro.core.planner.top_k_bursts`.
 
@@ -31,6 +33,7 @@ exercise both the hit and the miss case.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -229,6 +232,39 @@ def node_intensities(
     return profiles
 
 
+def _top_intensities(
+    ledgers: Mapping[NodeId, Ledger],
+    *,
+    window: int,
+    min_volume: float,
+    count: int,
+) -> list[NodeIntensity]:
+    """``node_intensities(...)[:count]``, decoding as few nodes as it can.
+
+    ``intensity = score * (1 + burstiness)`` with burstiness in [0, 1], so
+    a node's intensity is at most ``2 * score``.  :func:`score_ledgers`
+    yields nodes by descending score, so once ``2 * score`` falls strictly
+    below the ``count``-th best intensity decoded so far, no later node can
+    enter the top ``count`` (not even on a node-id tie) and the decoding
+    stops.
+    """
+    profiles: list[NodeIntensity] = []
+    best: list[float] = []  # min-heap of the top ``count`` intensities
+    for base in score_ledgers(ledgers, window=window, min_volume=min_volume):
+        if len(best) == count and 2.0 * base.score < best[0]:
+            break
+        counts = _bin_counts(ledgers[base.node], window)
+        states = kleinberg_states(counts)
+        profile = NodeIntensity(base=base, burstiness=burstiness(counts, states))
+        profiles.append(profile)
+        if len(best) < count:
+            heapq.heappush(best, profile.intensity)
+        else:
+            heapq.heappushpop(best, profile.intensity)
+    profiles.sort(key=lambda p: (-p.intensity, str(p.node)))
+    return profiles[:count]
+
+
 def _bin_counts(entries: Ledger, window: int) -> list[int]:
     """Per-window arrival counts over the node's own span."""
     t0 = entries[0][0]
@@ -262,12 +298,12 @@ def rank_candidates(
             f"top_sources/top_sinks must be >= 1, "
             f"got {top_sources}/{top_sinks}"
         )
-    emitters = node_intensities(
-        out_ledgers, window=window, min_volume=min_volume
-    )[:top_sources]
-    collectors = node_intensities(
-        in_ledgers, window=window, min_volume=min_volume
-    )[:top_sinks]
+    emitters = _top_intensities(
+        out_ledgers, window=window, min_volume=min_volume, count=top_sources
+    )
+    collectors = _top_intensities(
+        in_ledgers, window=window, min_volume=min_volume, count=top_sinks
+    )
     candidates = []
     for emitter in emitters:
         for collector in collectors:

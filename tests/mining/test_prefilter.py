@@ -3,8 +3,10 @@
 import pytest
 
 from repro import BurstingFlowQuery, find_bursting_flow
+from repro.datasets import make_dataset
 from repro.exceptions import InvalidQueryError
-from repro.mining import MiningPipeline, PatternStore
+from repro.mining import MiningConfig, MiningPipeline, PatternStore
+from repro.mining import prefilter
 from repro.mining.prefilter import (
     node_intensities,
     node_ledgers,
@@ -174,3 +176,101 @@ class TestNodeIntensities:
         assert shell.burstiness > 0.5
         lo, hi = shell.peak_window
         assert lo >= 19 and hi <= 24
+
+
+def full_decode_ranking(monkeypatch, out_ledgers, in_ledgers, **kwargs):
+    """``rank_candidates`` with every node decoded before the top-k cut."""
+    def full(ledgers, *, window, min_volume, count):
+        return node_intensities(
+            ledgers, window=window, min_volume=min_volume
+        )[:count]
+
+    monkeypatch.setattr(prefilter, "_top_intensities", full)
+    return rank_candidates(out_ledgers, in_ledgers, **kwargs)
+
+
+def picks(candidates):
+    return [(c.source, c.sink, c.rank_score) for c in candidates]
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Count Kleinberg decodes made through the pre-filter."""
+    calls = []
+    decode = prefilter.kleinberg_states
+
+    def spy(counts):
+        calls.append(len(counts))
+        return decode(counts)
+
+    monkeypatch.setattr(prefilter, "kleinberg_states", spy)
+    return calls
+
+
+class TestDecodeBound:
+    """``rank_candidates`` stops decoding once ``2 * score`` is beaten."""
+
+    def test_bayc_picks_match_full_decode_with_fewer_decodes(
+        self, monkeypatch, decodes
+    ):
+        network = make_dataset("bayc")
+        out_ledgers, in_ledgers = node_ledgers(network)
+        taus = network.edge_columns()[3]
+        config = MiningConfig()
+        kwargs = dict(
+            window=max(1, round(0.03 * (max(taus) - min(taus)))),
+            top_sources=config.top_sources,
+            top_sinks=config.top_sinks,
+            min_volume=config.min_volume,
+        )
+        bounded = rank_candidates(out_ledgers, in_ledgers, **kwargs)
+        bounded_decodes = len(decodes)
+        expected = full_decode_ranking(
+            monkeypatch, out_ledgers, in_ledgers, **kwargs
+        )
+        full_decodes = len(decodes) - bounded_decodes
+        assert picks(bounded) == picks(expected)
+        assert full_decodes == len(out_ledgers) + len(in_ledgers)
+        assert bounded_decodes < full_decodes // 4
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 40])
+    def test_tied_scores_match_full_decode(self, count, monkeypatch):
+        # Eight ledger shapes, each owned by three nodes whose names sort
+        # apart, so equal scores and equal intensities fall on the cut.
+        shapes = [
+            [(t, 1.0 + shape) for t in range(0, 4 * (shape + 1), 2)]
+            + [(40 + t, 5.0) for t in range(shape % 3)]
+            for shape in range(8)
+        ]
+        out_ledgers = {
+            f"{owner}{shape}": list(shapes[shape])
+            for shape in range(8)
+            for owner in ("c", "a", "b")
+        }
+        in_ledgers = {
+            f"{owner}{shape}": list(shapes[7 - shape])
+            for shape in range(8)
+            for owner in ("z", "x", "y")
+        }
+        kwargs = dict(window=4, top_sources=count, top_sinks=count)
+        bounded = rank_candidates(out_ledgers, in_ledgers, **kwargs)
+        assert picks(bounded) == picks(
+            full_decode_ranking(monkeypatch, out_ledgers, in_ledgers, **kwargs)
+        )
+
+    def test_bound_equal_to_the_cut_still_decodes(self, monkeypatch, decodes):
+        # With burstiness 1 a multi-bin node's intensity is exactly
+        # 2 * score.  "a" scores 1.0 against "b"'s 2.0 but ties its
+        # intensity, and wins the tie on its node id.
+        monkeypatch.setattr(
+            prefilter,
+            "burstiness",
+            lambda counts, states: 1.0 if len(counts) > 1 else 0.0,
+        )
+        ledgers = {"b": [(0, 2.0)], "a": [(0, 1.0), (10, 0.0)]}
+        [emitter] = prefilter._top_intensities(
+            ledgers, window=4, min_volume=0.0, count=1
+        )
+        assert emitter.node == "a"
+        assert emitter.intensity == 2.0
+        assert len(decodes) == 2
