@@ -815,16 +815,14 @@ def _run_fuzz(args: argparse.Namespace) -> int:
 
     backends = None
     if args.backends is not None:
-        from repro.oracle import BACKENDS
-
         backends = tuple(
             name.strip() for name in args.backends.split(",") if name.strip()
         )
-        unknown = [name for name in backends if name not in BACKENDS]
-        if unknown:
-            raise ReproError(
-                f"unknown backends {unknown!r}; known: {', '.join(BACKENDS)}"
-            )
+    else:
+        from repro.oracle.runner import DEFAULT_BACKENDS, missing_packages
+
+        for name, package in missing_packages(DEFAULT_BACKENDS).items():
+            print(f"note: skipping the {name} backend ({package} is not installed)")
 
     started = time.perf_counter()
     report = fuzz(

@@ -12,7 +12,7 @@ should use::
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Callable
 
 from repro.baselines.naive import naive_bfq
 from repro.baselines.networkx_backend import networkx_bfq
@@ -23,15 +23,6 @@ from repro.core.query import BurstingFlowQuery, BurstingFlowResult
 from repro.exceptions import InvalidQueryError
 from repro.temporal.edge import NodeId
 from repro.temporal.network import TemporalFlowNetwork
-
-
-class BurstingFlowAlgorithm(Protocol):
-    """Callable protocol of every delta-BFlow solution."""
-
-    def __call__(
-        self, network: TemporalFlowNetwork, query: BurstingFlowQuery
-    ) -> BurstingFlowResult:  # pragma: no cover - protocol definition
-        ...
 
 
 def _networkx_bfq(

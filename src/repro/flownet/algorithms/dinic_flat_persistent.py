@@ -21,10 +21,12 @@ object-graph walker cannot have:
 * **bidirectional levels** — each phase's level search grows a backward
   search from the sink and a forward one from the source, one whole layer
   of the cheaper frontier at a time, and stops where they meet.  Nodes
-  the forward side alone reached get ``level = d - dist``: exact on every
-  shortest path, a dead end the DFS retires (touching no capacity)
-  everywhere else, so the augmenting paths are exactly those of a
-  one-sided BFS from the sink.  Shortest paths on transformed temporal
+  the forward side alone reached are labelled deepest layer first, and
+  one gets ``level = d - dist`` only when a residual arc leads to a node
+  labelled one lower.  Those labels are exact; the dead ends left
+  unlabelled are nodes the DFS would only enter and retire (touching no
+  capacity), so the augmenting paths are exactly those of a one-sided
+  BFS from the sink.  Shortest paths on transformed temporal
   networks are long hold chains, so meeting in the middle scans a
   fraction of the arcs; a frontier running dry ends the run, after
   searching only the smaller side;
@@ -224,15 +226,22 @@ def arena_maxflow(
                 break
         if met < 0:
             break
-        # A forward-only node at ``dist < d`` gets level ``d - dist``: exact
-        # on a shortest path, and a dead end the blocking-flow DFS retires
-        # otherwise (a level-descending walk from it to the sink would be
-        # a residual path shorter than its distance to the sink).
+        # Label forward-only nodes deepest layer first: one at ``dist < d``
+        # gets level ``d - dist`` only when a residual arc leads to a node
+        # already labelled one lower.  A level-descending walk to the sink
+        # is a residual path, and none from it is shorter than ``d - dist``,
+        # so every label is exact and every shortest path is labelled; the
+        # nodes left unlabelled are the dead ends the DFS would otherwise
+        # enter and retire without touching any capacity.
         shortest = dist[met] + level[met]
-        for node, depth in dist.items():
+        for node, depth in reversed(dist.items()):
             if depth < shortest and level[node] < 0:
-                level[node] = shortest - depth
-                stale_append(node)
+                below = shortest - depth - 1
+                for k in slots[node]:
+                    if caps[k] > eps and level[heads[k]] == below:
+                        level[node] = below + 1
+                        stale_append(node)
+                        break
         phases += 1
         for i in stale:
             iters[i] = 0

@@ -36,6 +36,7 @@ query and diffs the answers:
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,6 +49,7 @@ from repro.core.bfq_plus import bfq_plus
 from repro.core.bfq_star import bfq_star
 from repro.core.planner import planner_bfq
 from repro.core.query import BurstingFlowResult
+from repro.exceptions import InvalidQueryError
 from repro.oracle.cases import CaseLibrary, FuzzCase
 from repro.oracle.certificate import check_certificate
 from repro.oracle.generators import CaseGenerator, resolve_generators
@@ -104,6 +106,9 @@ OPT_IN_BACKENDS: frozenset[str] = frozenset({"cluster", "mining"})
 DEFAULT_BACKENDS: tuple[str, ...] = tuple(
     name for name in BACKENDS if name not in OPT_IN_BACKENDS
 )
+
+#: The optional package a backend imports on its first call.
+OPTIONAL_PACKAGES: Mapping[str, str] = {"networkx": "networkx"}
 
 #: Backends that enumerate exactly the Lemma-2 candidate plan and must
 #: therefore agree on the interval byte-for-byte.  The service and
@@ -191,6 +196,41 @@ class DifferentialOutcome:
         return "\n".join(lines)
 
 
+def missing_packages(names: Sequence[str]) -> dict[str, str]:
+    """Map each of ``names`` whose optional package is not installed to it."""
+    return {
+        name: OPTIONAL_PACKAGES[name]
+        for name in names
+        if name in OPTIONAL_PACKAGES
+        and importlib.util.find_spec(OPTIONAL_PACKAGES[name]) is None
+    }
+
+
+def resolve_backends(backends: Sequence[str] | None) -> tuple[str, ...]:
+    """The backends a run executes.
+
+    ``None`` means :data:`DEFAULT_BACKENDS` less any backend whose optional
+    package is not installed.
+
+    Raises:
+        InvalidQueryError: a named backend is unknown, or its optional
+            package is missing.
+    """
+    if backends is None:
+        missing = missing_packages(DEFAULT_BACKENDS)
+        return tuple(name for name in DEFAULT_BACKENDS if name not in missing)
+    unknown = [name for name in backends if name not in BACKENDS]
+    if unknown:
+        raise InvalidQueryError(
+            f"unknown backends {unknown!r}; known: {', '.join(BACKENDS)}"
+        )
+    for name, package in missing_packages(backends).items():
+        raise InvalidQueryError(
+            f"backend {name!r} requires the optional {package} package"
+        )
+    return tuple(backends)
+
+
 def _close(a: float, b: float, eps: float) -> bool:
     return abs(a - b) <= eps * max(1.0, abs(a), abs(b))
 
@@ -207,14 +247,15 @@ def run_differential(
 
     Args:
         case: the network + query to test.
-        backends: subset of :data:`BACKENDS` to run (default: all).
+        backends: subset of :data:`BACKENDS` to run (default: see
+            :func:`resolve_backends`).
         certify: re-prove every claimed optimum from first principles.
         check_pruning: also run BFQ+/BFQ* with pruning disabled and demand
             identical records.
         eps: relative tolerance for density/value agreement.
     """
     outcome = DifferentialOutcome(case=case)
-    names = tuple(backends) if backends is not None else DEFAULT_BACKENDS
+    names = resolve_backends(backends)
     network = case.network()
     query = case.query()
 
@@ -435,7 +476,8 @@ def fuzz(
         seed: master RNG seed (each trial derives from the same stream).
         generators: comma-separated generator names, a mapping, or ``None``
             for the full registry.
-        backends: subset of :data:`BACKENDS` names to run.
+        backends: subset of :data:`BACKENDS` names to run (default: see
+            :func:`resolve_backends`).
         certify: check flow certificates for every claim.
         check_pruning: diff pruning on vs off for BFQ+/BFQ*.
         shrink: reduce failing cases to minimal reproducers.
@@ -449,13 +491,14 @@ def fuzz(
     else:
         selected = dict(generators)
     names = list(selected)
+    backends = resolve_backends(backends)
     rng = random.Random(seed)
     library = CaseLibrary(Path(dump_dir)) if dump_dir is not None else None
 
     report = FuzzReport(
         trials=trials,
         seed=seed,
-        backends=tuple(backends) if backends is not None else DEFAULT_BACKENDS,
+        backends=backends,
     )
     for trial in range(trials):
         generator_name = names[trial % len(names)]

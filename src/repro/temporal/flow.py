@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from repro.exceptions import FlowValidationError
 from repro.temporal.edge import NodeId, Timestamp
@@ -65,12 +65,6 @@ class TemporalFlow:
             self.values.pop((u, v, tau), None)
         else:
             self.values[(u, v, tau)] = value
-
-    def nonzero_edges(self) -> Iterator[tuple[NodeId, NodeId, Timestamp, float]]:
-        """Iterate (u, v, tau, value) for every positive assignment."""
-        for (u, v, tau), value in self.values.items():
-            if value > EPSILON:
-                yield (u, v, tau, value)
 
     def flow_value(self) -> float:
         """``|F|`` — total flow leaving the source during the window (Eq. 5)."""

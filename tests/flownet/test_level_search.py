@@ -7,9 +7,13 @@ backwards from the sink gives it.  ``_sink_rooted_maxflow`` below is that
 one-sided search, driving the same ``run_blocking_flow``.  Both run on
 twin copies of one arena and must agree on ``value``, ``phases``,
 ``augmenting_paths`` and the whole ``caps`` array afterwards: equal
-residual capacities mean the same augmentations were made.
+residual capacities mean the same augmentations were made.  A second
+check wraps ``run_blocking_flow`` to see that every phase starts with no
+labelled dead end: the level search labels only nodes that lead to the
+sink.
 """
 
+import contextlib
 import importlib
 import math
 
@@ -17,8 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bfq_star import bfq_star
 from repro.core.incremental import IncrementalTransformedNetwork
+from repro.core.query import BurstingFlowQuery
 from repro.core.skeleton import WindowSkeleton
+from repro.datasets import make_dataset
 from repro.flownet.algorithms.base import MaxflowRun
 from repro.flownet.algorithms.dinic_flat_persistent import (
     KERNEL,
@@ -224,3 +231,50 @@ def test_engine_states_augment_exactly_as_the_sink_rooted_search(network, data):
                     )
                 )
             state.run_maxflow()
+
+
+@contextlib.contextmanager
+def _checked_phase_starts():
+    """Check every phase's levels before ``run_blocking_flow`` runs on them.
+
+    Every labelled node above the sink must have a residual arc to a node
+    one level lower.  Yields one entry per checked phase: its labelled
+    node count.
+    """
+    kernel = importlib.import_module(
+        "repro.flownet.algorithms.dinic_flat_persistent"
+    )
+    labelled_per_phase = []
+
+    def checked(heads, caps, slots, level, *args):
+        labelled = 0
+        for node, mark in enumerate(level):
+            if mark >= 1:
+                labelled += 1
+                assert any(
+                    caps[k] > FLOW_EPSILON and level[heads[k]] == mark - 1
+                    for k in slots[node]
+                ), f"node {node} at level {mark} leads nowhere lower"
+        labelled_per_phase.append(labelled)
+        return run_blocking_flow(heads, caps, slots, level, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "run_blocking_flow", checked)
+        yield labelled_per_phase
+
+
+@settings(max_examples=300, deadline=None)
+@given(residual_arenas())
+def test_random_arenas_start_every_phase_with_no_dead_end(case):
+    arena, source, sink = case
+    with _checked_phase_starts():
+        arena_maxflow(arena, source, sink)
+
+
+def test_full_scale_query_starts_every_phase_with_no_dead_end():
+    network = make_dataset("prosper", scale=1.0)
+    with _checked_phase_starts() as labelled_per_phase:
+        result = bfq_star(network, BurstingFlowQuery("n12", "n112", 4))
+    assert result.interval == (97, 112)
+    # Phases ran, and each labelled at least the source.
+    assert labelled_per_phase and all(labelled_per_phase)

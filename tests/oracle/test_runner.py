@@ -2,9 +2,11 @@
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import InvalidQueryError
 from repro.oracle import cases as cases_mod
 from repro.oracle import runner as runner_mod
 from repro.oracle.cases import FuzzCase
@@ -166,6 +168,11 @@ class TestFuzz:
     def test_generator_subset(self):
         report = fuzz(trials=10, seed=0, generators="uniform", shrink=False)
         assert report.per_generator == {"uniform": 10}
+
+    def test_unknown_backend_rejected_before_any_trial(self):
+        # Not a crash disagreement shrunk into a "reproducer".
+        with pytest.raises(InvalidQueryError, match="unknown backends"):
+            fuzz(trials=1, seed=0, backends=("bfq", "bogus"))
 
     def test_failure_path_dumps_and_shrinks(self, monkeypatch, tmp_path):
         real = BACKENDS["bfq+"]

@@ -111,3 +111,30 @@ def test_engine_works_without_the_baseline_packages():
     assert "networkx package" in outcome.get("networkx", "")
     assert "scipy package" in outcome.get("lp", "")
     assert "scipy package" in outcome.get("lp_by_name", "")
+
+
+def test_fuzz_runs_the_other_backends_without_networkx():
+    outcome = run_fresh(
+        """
+        import contextlib, io, json, sys
+        sys.modules["networkx"] = None  # any import of it now fails
+
+        from repro.cli import main
+        from repro.exceptions import InvalidQueryError
+        from repro.oracle import fuzz
+
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["fuzz", "--trials", "3", "--seed", "1"])
+        outcome = {"code": code, "stdout": stdout.getvalue()}
+        try:
+            fuzz(trials=1, seed=1, backends=("bfq", "networkx"))
+        except InvalidQueryError as exc:
+            outcome["named"] = str(exc)
+        print(json.dumps(outcome))
+        """
+    )
+    assert outcome["code"] == 0, outcome["stdout"]
+    assert "skipping the networkx backend" in outcome["stdout"]
+    assert "all backends agree; all certificates hold" in outcome["stdout"]
+    assert "networkx package" in outcome.get("named", "")
